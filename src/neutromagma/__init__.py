@@ -12,8 +12,7 @@ from .magma import (BasicReport, ClosedSubsets, ConjugateWitness,
                     element_orders, enumerate_closed_subsets,
                     generated_closure, is_closed, is_ideal, is_isomorphic,
                     is_normal, is_simple, latin_square_check, literal_xhy_normal,
-                    local_identity,
-                    max_exhaustive_order, nuclei, op_apply, principal_isotope,
+                    local_identity, nuclei, op_apply, principal_isotope,
                     right_regular_representation, submagma, subset_is_group,
                     subset_is_loop, subset_is_semigroup, two_sided_inverses)
 from .constructors import (alternating, cyclic, dihedral, direct_product,

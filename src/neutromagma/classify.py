@@ -16,8 +16,7 @@ from .magma import (CustomPredicate, FiniteMagma, IdentityLaw,
                     PreconditionError, Subset, SubsetPredicate,
                     check_identity_law, classify_basic, cosets,
                     element_orders, enumerate_closed_subsets,
-                    generated_closure, is_closed, predicate_name,
-                    subset_is_semigroup)
+                    is_closed, predicate_name)
 from .neutro import (is_neutro_subsemigroup, is_neutrosophic_subgroup,
                      is_pseudo_neutrosophic_subgroup)
 
@@ -69,13 +68,12 @@ def _carrier_fits(m: FiniteMagma, kind: SKind) -> bool:
 class SDetection:
     holds: bool
     witness: Optional[Subset]
-    complete: bool        # False when a bounded search found nothing
+    complete: bool        # always True; kept for JSON compatibility
 
 
 def detect_s_kind(m: FiniteMagma, kind: SKind) -> SDetection:
     """Search for the variant's witness substructure; returns the
-    lexicographically first witness.  holds=False with complete=False is
-    inconclusive (bounded search)."""
+    lexicographically first witness."""
     if kind in (SKind.S_NEUTROSOPHIC_GROUP, SKind.STRONG_S_NEUTROSOPHIC_GROUP,
                 SKind.S_NEUTROSOPHIC_LOOP, SKind.S_NEUTROSOPHIC_GROUPOID):
         if not m.has_neutro():
@@ -297,56 +295,24 @@ def s_hyper_and_simple(m: FiniteMagma) -> HyperReport:
     and the induced simplicity verdict (no hyper subsemigroup exists)."""
     if not check_identity_law(m, IdentityLaw.ASSOCIATIVE).holds:
         raise PreconditionError("hyper subsemigroups live in semigroup carriers")
-    bound_ok = m.order <= _exhaustive_bound()
-    if bound_ok:
-        groups = enumerate_closed_subsets(m, SubsetPredicate.IS_GROUP, include_full=True)
-        complete = groups.complete
-        best = None
-        for g in groups:
-            if best is None or len(g) > len(best) or (len(g) == len(best) and g.members < best.members):
-                best = g
-    else:
-        groups = enumerate_closed_subsets(m, SubsetPredicate.IS_GROUP)
-        complete = False
-        best = max(groups, key=lambda g: (len(g), tuple(-i for i in g.members)), default=None)
+    # items come in lexicographic order, so max/min keep the first of a size
+    groups = enumerate_closed_subsets(m, SubsetPredicate.IS_GROUP, include_full=True)
+    best = max(groups, key=len, default=None)
     if best is None:
-        return HyperReport(None, None, True, complete,
+        return HyperReport(None, None, True, True,
                            ("no subgroup of size >= 2; trivially simple",))
     if len(best) == m.order:
-        return HyperReport(best, None, True, complete,
+        return HyperReport(best, None, True, True,
                            ("largest group is the whole carrier; no proper superset",))
     hyper = _smallest_proper_superset_semigroup(m, best)
-    return HyperReport(best, hyper, hyper is None, complete)
-
-
-def _exhaustive_bound():
-    from .magma import max_exhaustive_order
-    return max_exhaustive_order()
+    return HyperReport(best, hyper, hyper is None, True)
 
 
 def _smallest_proper_superset_semigroup(m, base: Subset):
     """Smallest proper subsemigroup strictly containing base."""
     base_set = set(base.members)
-    if m.order <= _exhaustive_bound():
-        candidates = enumerate_closed_subsets(m, SubsetPredicate.IS_SEMIGROUP)
-        best = None
-        for s in candidates:
-            if base_set < set(s.members):
-                if best is None or (len(s), s.members) < (len(best), best.members):
-                    best = s
-        return best
-    # bounded: grow the base by up to two extra generators
-    best = None
-    outside = [x for x in range(m.order) if x not in base_set]
-    seeds = [[x] for x in outside] + [[x, y] for i, x in enumerate(outside)
-                                      for y in outside[i + 1:]]
-    for extra in seeds:
-        c = generated_closure(m, list(base.members) + extra)
-        if len(c) == m.order or not subset_is_semigroup(c):
-            continue
-        if best is None or (len(c), c.members) < (len(best), best.members):
-            best = c
-    return best
+    return min((s for s in enumerate_closed_subsets(m, SubsetPredicate.IS_SEMIGROUP)
+                if base_set < set(s.members)), key=len, default=None)
 
 
 def s_cosets(m: FiniteMagma, h: Subset, a: int, flavor: str = "plain") -> Subset:

@@ -69,8 +69,15 @@ def entry(id, provenance, status="fail", note=""):
     return deco
 
 
+def _render(v) -> str:
+    """repr, with set members sorted so the text does not follow hash order."""
+    if isinstance(v, (set, frozenset)):
+        return "{" + ", ".join(sorted(map(repr, v))) + "}"
+    return repr(v)
+
+
 def _eq(expected, actual) -> CheckResult:
-    return CheckResult(expected == actual, repr(expected), repr(actual))
+    return CheckResult(expected == actual, _render(expected), _render(actual))
 
 
 def _true(actual, desc="True") -> CheckResult:
@@ -99,6 +106,10 @@ def line6():
 
 def tagged_l53():
     return _get("tl53", lambda: extend_tagged(ln(5, 3)))
+
+
+def s3semi():
+    return _get("s3semi", lambda: symmetric_semigroup(3))
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +314,7 @@ def _tzn():
 
 @entry("thm-1.2.2-s(3)-is-s-semigroup", "S(n) contains the symmetric group")
 def _s3semi():
-    m = symmetric_semigroup(3)
+    m = s3semi()
     det = classify.detect_s_kind(m, SKind.S_SEMIGROUP)
     return _true(m.order == 27 and det.holds)
 
@@ -322,7 +333,7 @@ def _zp_simple():
 
 @entry("derived-s(3)-hyper", "the symmetric semigroup has a hyper subsemigroup")
 def _s3_hyper():
-    rep = classify.s_hyper_and_simple(symmetric_semigroup(3))
+    rep = classify.s_hyper_and_simple(s3semi())
     ok = (rep.largest_group is not None and len(rep.largest_group) == 6
           and rep.hyper_subsemigroup is not None
           and len(rep.hyper_subsemigroup) == 9 and not rep.s_simple)
@@ -831,7 +842,7 @@ def _ns611():
     def build():
         return build_n_structure(
             [tagged_l53(), zn_units_neutro(5), line6(),
-             zn_affine_neutro(8, 3, 5), alternating(5), symmetric_semigroup(3)],
+             zn_affine_neutro(8, 3, 5), alternating(5), s3semi()],
             ["s-neutrosophic-loop", "s-neutrosophic-group",
              "s-neutrosophic-semigroup", "s-neutrosophic-groupoid",
              "group", "s-semigroup"],
@@ -848,7 +859,7 @@ def _ex611():
 @entry("ex-6.1.2-dual-s-mixed", "six components form a dual S-mixed structure")
 def _ex612():
     ns = build_n_structure(
-        [ln(5, 3), symmetric_semigroup(3), zn(12, 2, 4), alternating(4),
+        [ln(5, 3), s3semi(), zn(12, 2, 4), alternating(4),
          extend_tagged(ln(7, 2)), line6()],
         ["s-loop", "s-semigroup", "s-groupoid", "group",
          "neutrosophic-loop", "neutrosophic-semigroup"],

@@ -9,10 +9,8 @@ are reproducible across runs.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
 
@@ -28,20 +26,9 @@ class ResourceLimitError(RuntimeError):
     """A search exceeded an explicit size guard."""
 
 
-DEFAULT_MAX_EXHAUSTIVE = 16
-DEFAULT_MAX_GENERATORS = 3
-ENV_MAX_EXHAUSTIVE = "NEUTROMAGMA_MAX_EXHAUSTIVE"
-
-
-def max_exhaustive_order() -> int:
-    """Power-set scan bound; overridable via NEUTROMAGMA_MAX_EXHAUSTIVE."""
-    raw = os.environ.get(ENV_MAX_EXHAUSTIVE)
-    if raw is None:
-        return DEFAULT_MAX_EXHAUSTIVE
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParameterError(f"{ENV_MAX_EXHAUSTIVE} must be an integer, got {raw!r}")
+# Most distinct closed subsets one carrier may have before the search stops:
+# a carrier whose products all equal one element has 2^(k-1) of them.
+MAX_CLOSED_SUBSETS = 100_000
 
 
 class FiniteMagma:
@@ -102,7 +89,7 @@ class FiniteMagma:
         self._label_index = {l: i for i, l in enumerate(self.labels)}
         self._left_div = None
         self._right_div = None
-        self._subset_cache = {}   # pure memo of raw closed-subset candidates
+        self._subset_cache = {}   # pure memo of the closed-subset lattice
 
     def op(self, x: int, y: int) -> int:
         if not (0 <= x < self.order and 0 <= y < self.order):
@@ -274,11 +261,10 @@ def _triple_laws():
     return {
         IdentityLaw.ASSOCIATIVE: lambda t, x, y, z: t[t[x][y]][z] == t[x][t[y][z]],
         IdentityLaw.MOUFANG1: lambda t, x, y, z: t[t[x][y]][t[z][x]] == t[t[x][t[y][z]]][x],
-        IdentityLaw.MOUFANG2: lambda t, x, y, z: t[t[t[x][y]][z]][y] == t[x][t[y][t[z][x]]],
+        IdentityLaw.MOUFANG2: lambda t, x, y, z: t[t[t[x][y]][z]][y] == t[x][t[y][t[z][y]]],
         IdentityLaw.MOUFANG3: lambda t, x, y, z: t[x][t[y][t[x][z]]] == t[t[t[x][y]][x]][z],
         IdentityLaw.BOL: lambda t, x, y, z: t[t[t[x][y]][z]][y] == t[x][t[t[y][z]][y]],
         IdentityLaw.BRUCK_IDENTITY: lambda t, x, y, z: t[t[x][t[y][x]]][z] == t[x][t[y][t[x][z]]],
-        IdentityLaw.P_GROUPOID: lambda t, x, y, z: t[t[x][y]][x] == t[x][t[y][x]],
     }
 
 
@@ -338,6 +324,14 @@ def check_identity_law(m: FiniteMagma, law: IdentityLaw, domain: Optional[Subset
             for y in dom:
                 if t[t[x][y]][y] != t[x][t[y][y]]:
                     return LawResult(False, (x, y))
+        return LawResult(True, None)
+
+    if law is IdentityLaw.P_GROUPOID:
+        # (xy)x = x(yx) has no z: scan pairs, report the first failing triple
+        for x in dom:
+            for y in dom:
+                if t[t[x][y]][x] != t[x][t[y][x]]:
+                    return LawResult(False, (x, y, dom[0]))
         return LawResult(True, None)
 
     if law is IdentityLaw.BRUCK_INVERSE:
@@ -421,26 +415,44 @@ def classify_basic(m: FiniteMagma) -> BasicReport:
 # ---------------------------------------------------------------------------
 # substructure machinery
 
+def _close(t, mask, members, new):
+    """Least closed superset of a closed set plus `new`, as (bitmask, member list).
+
+    `members` lists the bits of `mask` and is closed already, so only pairs
+    with at least one added element are multiplied: each added element meets
+    every member before it in the list, on both sides.
+    """
+    members = list(members)
+    i = len(members)
+    for g in new:
+        if not mask >> g & 1:
+            mask |= 1 << g
+            members.append(g)
+    while i < len(members):
+        a = members[i]
+        row = t[a]
+        for b in members[:i + 1]:
+            v = row[b]
+            if not mask >> v & 1:
+                mask |= 1 << v
+                members.append(v)
+            v = t[b][a]
+            if not mask >> v & 1:
+                mask |= 1 << v
+                members.append(v)
+        i += 1
+    return mask, members
+
+
 def generated_closure(m: FiniteMagma, gens: Sequence[int]) -> Subset:
-    """Least superset of gens closed under the operation (worklist saturation)."""
+    """Least superset of gens closed under the operation."""
+    gens = list(gens)
     if not gens:
         raise ParameterError("generator list is empty")
-    t = m.table
-    seen = set()
-    work = list(dict.fromkeys(gens))
-    for g in work:
+    for g in gens:
         if not (0 <= g < m.order):
             raise ParameterError(f"generator {g} out of range")
-    while work:
-        x = work.pop()
-        if x in seen:
-            continue
-        seen.add(x)
-        for y in list(seen):
-            for v in (t[x][y], t[y][x]):
-                if v not in seen:
-                    work.append(v)
-    return Subset(m, seen)
+    return Subset(m, _close(m.table, 0, (), gens)[1])
 
 
 class SubsetPredicate(Enum):
@@ -570,7 +582,7 @@ def predicate_name(pred) -> str:
 @dataclass(frozen=True)
 class ClosedSubsets:
     items: tuple          # Subsets, sorted lexicographically by member list
-    complete: bool        # False when the generator-bounded path was used
+    complete: bool        # always True: the search is exhaustive or raises
 
     def __iter__(self):
         return iter(self.items)
@@ -579,39 +591,34 @@ class ClosedSubsets:
         return len(self.items)
 
 
-def _closed_masks_exhaustive(m: FiniteMagma):
-    """All nonempty closed subsets as bitmasks, by increasing mask value."""
-    k = m.order
+def _closed_lattice(m: FiniteMagma):
+    """Every nonempty closed subset as a sorted member tuple, in lexicographic order.
+
+    Breadth-first over the closure lattice: from the closure of each singleton,
+    and from every closed set C found and each x outside it, closure(C | {x}).
+    Every nonempty closed set is reached, since it is the closure of a chain
+    of its own elements.  Raises ResourceLimitError past MAX_CLOSED_SUBSETS.
+    """
     t = m.table
-    rows = [tuple(r) for r in t]
-    out = []
-    for mask in range(1, 1 << k):
-        mem = [i for i in range(k) if (mask >> i) & 1]
-        ok = True
-        for x in mem:
-            rx = rows[x]
-            for y in mem:
-                if not (mask >> rx[y]) & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(tuple(mem))
-    return out
-
-
-def _closed_by_generators(m: FiniteMagma, max_generators: int):
-    seen = set()
-    for size in range(1, max_generators + 1):
-        for gens in combinations(range(m.order), size):
-            seen.add(generated_closure(m, gens).members)
-    return sorted(seen)
+    k = m.order
+    seen = {}
+    queue = [(0, [])]
+    for mask, members in queue:
+        for x in range(k):
+            if mask >> x & 1:
+                continue
+            closed = _close(t, mask, members, (x,))
+            if closed[0] not in seen:
+                if len(seen) >= MAX_CLOSED_SUBSETS:
+                    raise ResourceLimitError(
+                        f"more than {MAX_CLOSED_SUBSETS} closed subsets in a carrier "
+                        f"of order {k}")
+                seen[closed[0]] = closed[1]
+                queue.append(closed)
+    return sorted(tuple(sorted(members)) for members in seen.values())
 
 
 def enumerate_closed_subsets(m: FiniteMagma, pred=None,
-                             max_exhaustive: Optional[int] = None,
-                             max_generators: int = DEFAULT_MAX_GENERATORS,
                              include_full: bool = False,
                              include_trivial: bool = False) -> ClosedSubsets:
     """All proper nontrivial closed subsets satisfying pred.
@@ -621,19 +628,12 @@ def enumerate_closed_subsets(m: FiniteMagma, pred=None,
     the union-structure machinery, where a component of a proper N-subset
     may coincide with the whole component).
 
-    Above the exhaustive bound the result comes from generator-set closures
-    (up to max_generators generators) and is flagged complete=False.
+    The search is complete at every order; a carrier with more than
+    MAX_CLOSED_SUBSETS closed subsets raises ResourceLimitError.
     """
-    bound = max_exhaustive if max_exhaustive is not None else max_exhaustive_order()
-    complete = m.order <= bound
-    key = ("exhaustive",) if complete else ("generated", max_generators)
-    candidates = m._subset_cache.get(key)
+    candidates = m._subset_cache.get("closed")
     if candidates is None:
-        if complete:
-            candidates = _closed_masks_exhaustive(m)
-        else:
-            candidates = _closed_by_generators(m, max_generators)
-        m._subset_cache[key] = candidates
+        candidates = m._subset_cache["closed"] = _closed_lattice(m)
     full = tuple(range(m.order))
     skip_singletons = () if include_trivial else ((m.identity,),) if m.identity is not None else ()
     items = []
@@ -645,8 +645,7 @@ def enumerate_closed_subsets(m: FiniteMagma, pred=None,
         s = Subset(m, mem)
         if evaluate_predicate(pred, s):
             items.append(s)
-    items.sort(key=lambda s: s.members)
-    return ClosedSubsets(tuple(items), complete)
+    return ClosedSubsets(tuple(items), True)
 
 
 # ---------------------------------------------------------------------------
@@ -817,10 +816,7 @@ def literal_xhy_normal(m: FiniteMagma, h: Subset) -> bool:
 def is_simple(m: FiniteMagma, mode: str = "subgroupoid",
               quantifier_range: str = "definition") -> bool:
     """No nontrivial (size >= 2) proper normal closed subset exists."""
-    found = enumerate_closed_subsets(m)
-    if not found.complete:
-        raise ResourceLimitError("simplicity check needs the exhaustive enumeration path")
-    for s in found:
+    for s in enumerate_closed_subsets(m):
         if len(s) >= 2 and is_normal(m, s, mode, quantifier_range):
             return False
     return True

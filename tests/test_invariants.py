@@ -79,15 +79,6 @@ def test_atlas_flags_equal_direct_engine_calls():
             nm.lagrange_classify(m, SP.IS_GROUP).verdict.value
 
 
-def test_env_override_of_exhaustive_bound(monkeypatch):
-    monkeypatch.setenv("NEUTROMAGMA_MAX_EXHAUSTIVE", "4")
-    m = nm.zmod_mult(6)
-    found = nm.enumerate_closed_subsets(m)
-    assert not found.complete          # order 6 > overridden bound 4
-    monkeypatch.setenv("NEUTROMAGMA_MAX_EXHAUSTIVE", "16")
-    assert nm.enumerate_closed_subsets(m).complete
-
-
 def test_double_coset_assumption_flag():
     g = nm.cyclic(4)
     s = nm.Subset(g, [0, 2])

@@ -82,6 +82,14 @@ def test_identity_law_witness_is_first():
                 assert t[t[a][b]][t[c][a]] == t[t[a][t[b][c]]][a]
 
 
+def test_associative_carriers_satisfy_moufang_and_flexibility():
+    for m in (nm.cyclic(12), nm.zmod_mult(20), nm.symmetric_semigroup(2)):
+        for law in (Law.MOUFANG1, Law.MOUFANG2, Law.MOUFANG3, Law.P_GROUPOID):
+            assert nm.check_identity_law(m, law).holds, (m.kind_tag, law)
+    # on zn(5, 2, 3), (xy)x = 2x + y and x(yx) = x + y: first failure at x=1, y=0
+    assert nm.check_identity_law(nm.zn(5, 2, 3), Law.P_GROUPOID).witness == (1, 0, 0)
+
+
 def test_right_alternative_unique():
     assert nm.check_identity_law(nm.ln(5, 2), Law.RIGHT_ALTERNATIVE).holds
     assert nm.check_identity_law(nm.ln(5, 4), Law.LEFT_ALTERNATIVE).holds
@@ -142,12 +150,31 @@ def test_enumerate_closed_subsets():
     assert found.complete
     assert nm.enumerate_closed_subsets(trivial()).items == ()
 
-    full = nm.zn_full_neutro(5)          # order 25: generator-bounded path
+    full = nm.zn_full_neutro(5)          # order 25
     found = nm.enumerate_closed_subsets(full, SP.IS_GROUP)
-    assert not found.complete
+    assert found.complete
     members = {frozenset(s.labels()) for s in found}
     assert frozenset(["1", "4"]) in members
     assert frozenset(["1", "1+3I"]) in members
+    assert len(nm.enumerate_closed_subsets(full)) == 201
+
+
+@pytest.mark.parametrize("build, count", [
+    (lambda: nm.zn_line_neutro(15), 1766),
+    (lambda: nm.symmetric_semigroup(3), 1296),
+], ids=["zn_line_neutro(15)", "symmetric_semigroup(3)"])
+def test_closed_subset_counts_above_order_16(build, count):
+    found = nm.enumerate_closed_subsets(build())
+    assert found.complete
+    assert len(found) == count
+
+
+def test_closed_subset_cap_raises(monkeypatch):
+    monkeypatch.setattr(nm.magma, "MAX_CLOSED_SUBSETS", 5)
+    m = nm.zmod_mult(6)                  # 14 nonempty closed subsets
+    with pytest.raises(nm.ResourceLimitError, match="more than 5"):
+        nm.enumerate_closed_subsets(m)
+    assert "closed" not in m._subset_cache
 
 
 def test_enumeration_exclusions_and_ordering():

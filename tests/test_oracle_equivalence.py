@@ -61,7 +61,7 @@ def oracle_law(m, law, dom):
     eqs = {
         Law.ASSOCIATIVE: lambda x, y, z: t[t[x][y]][z] == t[x][t[y][z]],
         Law.MOUFANG1: lambda x, y, z: t[t[x][y]][t[z][x]] == t[t[x][t[y][z]]][x],
-        Law.MOUFANG2: lambda x, y, z: t[t[t[x][y]][z]][y] == t[x][t[y][t[z][x]]],
+        Law.MOUFANG2: lambda x, y, z: t[t[t[x][y]][z]][y] == t[x][t[y][t[z][y]]],
         Law.MOUFANG3: lambda x, y, z: t[x][t[y][t[x][z]]] == t[t[t[x][y]][x]][z],
         Law.BOL: lambda x, y, z: t[t[t[x][y]][z]][y] == t[x][t[t[y][z]][y]],
         Law.BRUCK_IDENTITY: lambda x, y, z: t[t[x][t[y][x]]][z] == t[x][t[y][t[x][z]]],
@@ -106,6 +106,18 @@ def test_enumerate_against_powerset_scan():
     for m in MAGMAS:
         got = [s.members for s in nm.enumerate_closed_subsets(m)]
         assert got == oracle_closed_subsets(m)
+
+
+def test_closed_lattice_against_powerset_scan():
+    # every closed subset, full and {identity} included, up to order 7
+    rng = random.Random(SEED + 7)
+    for _ in range(200):
+        k = rng.randint(1, 7)
+        m = nm.FiniteMagma([[rng.randrange(k) for _ in range(k)] for _ in range(k)])
+        want = [mem for r in range(1, k + 1) for mem in combinations(range(k), r)
+                if all(m.table[x][y] in mem for x in mem for y in mem)]
+        got = nm.enumerate_closed_subsets(m, include_full=True, include_trivial=True)
+        assert [s.members for s in got] == sorted(want), m.table
 
 
 def test_ideals_against_definition():
