@@ -89,11 +89,19 @@ def detect_s_kind(m: FiniteMagma, kind: SKind) -> SDetection:
 # ---------------------------------------------------------------------------
 # the three classification engines
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Witness:
-    subset: Subset
+    subset: object        # a Subset, or an NSubset from the N-level engines
     order: int
     qualifies: bool
+
+    def to_dict(self):
+        s = self.subset
+        doc = ({"members": list(s.members)} if isinstance(s, Subset)
+               else {"per_component": [list(p) for p in s.per_component]})
+        doc["order"] = self.order
+        doc["qualifies"] = self.qualifies
+        return doc
 
 
 @dataclass(frozen=True)
@@ -108,11 +116,20 @@ class ClassReport:
         return {
             "verdict": self.verdict.value,
             "complete": self.complete,
-            "witnesses": [
-                {"members": list(w.subset.members), "order": w.order,
-                 "qualifies": w.qualifies}
-                for w in self.witnesses],
+            "witnesses": [w.to_dict() for w in self.witnesses],
         }
+
+
+def lagrange_verdict(wits) -> Verdict3:
+    """Full / Weak / Free / Vacuous according to whether every / some / no
+    witness qualifies, Vacuous when there is none."""
+    if not wits:
+        return Verdict3.VACUOUS
+    if all(w.qualifies for w in wits):
+        return Verdict3.FULL
+    if any(w.qualifies for w in wits):
+        return Verdict3.WEAK
+    return Verdict3.FREE
 
 
 def lagrange_classify(m: FiniteMagma, species) -> ClassReport:
@@ -120,15 +137,8 @@ def lagrange_classify(m: FiniteMagma, species) -> ClassReport:
     species substructure has order dividing o(m)."""
     found = enumerate_closed_subsets(m, species)
     wits = tuple(Witness(s, len(s), m.order % len(s) == 0) for s in found)
-    if not wits:
-        verdict = Verdict3.VACUOUS
-    elif all(w.qualifies for w in wits):
-        verdict = Verdict3.FULL
-    elif any(w.qualifies for w in wits):
-        verdict = Verdict3.WEAK
-    else:
-        verdict = Verdict3.FREE
-    return ClassReport(verdict, wits, predicate_name(species), found.complete)
+    return ClassReport(lagrange_verdict(wits), wits, predicate_name(species),
+                       found.complete)
 
 
 def _sylow_targets(order: int, variant: str):
@@ -151,43 +161,56 @@ def _sylow_targets(order: int, variant: str):
     return targets
 
 
-def sylow_classify(m: FiniteMagma, species, variant: str = "standard") -> ClassReport:
-    """For each prime p with p^a exactly dividing o(m), seek a species
-    substructure of order p^a (standard), p^(a+t) (super) or p^t, t < a
-    (semi).  Full if every prime is served, Weak if at least one, Free if
-    none; Vacuous when no species substructure exists at all."""
-    if m.order < 2:
-        raise PreconditionError("sylow classification needs order >= 2")
-    found = enumerate_closed_subsets(m, species)
-    targets = _sylow_targets(m.order, variant)
-    by_size = {}
-    for s in found:
-        by_size.setdefault(len(s), []).append(s)
-    wits = []
+def sylow_verdict(order: int, variant: str, first_of_size, vacuous: bool):
+    """The Sylow rule shared by the magma-level and N-level engines.
+
+    For each prime p of order, the variant's sought sizes are tried smallest
+    first; first_of_size(size) returns the first candidate of that size or
+    None.  Sizes that are not proper are skipped with a note.  Returns
+    (verdict, hits, notes): Full if every prime is served, Weak if at least
+    one, Free if none, Vacuous when there is no candidate at all; hits holds
+    the candidate serving each served prime, in prime order."""
+    targets = _sylow_targets(order, variant)
+    hits = []
     notes = []
-    served = {}
+    served = []
     for p, sizes in sorted(targets.items()):
         hit = None
         for size in sorted(sizes):
-            if size >= m.order:
+            if size >= order:
                 notes.append(f"p={p}: sought order {size} is not proper; skipped")
                 continue
-            if size in by_size:
-                hit = by_size[size][0]
+            hit = first_of_size(size)
+            if hit is not None:
                 break
-        served[p] = hit is not None
+        served.append(hit is not None)
         if hit is not None:
-            wits.append(Witness(hit, len(hit), True))
-    if not found.items:
+            hits.append(hit)
+    if vacuous:
         verdict = Verdict3.VACUOUS
-    elif targets and all(served.values()):
+    elif served and all(served):
         verdict = Verdict3.FULL
-    elif any(served.values()):
+    elif any(served):
         verdict = Verdict3.WEAK
     else:
         verdict = Verdict3.FREE
-    return ClassReport(verdict, tuple(wits), predicate_name(species),
-                       found.complete, tuple(notes))
+    return verdict, hits, notes
+
+
+def sylow_classify(m: FiniteMagma, species, variant: str = "standard") -> ClassReport:
+    """For each prime p with p^a exactly dividing o(m), seek a species
+    substructure of order p^a (standard), p^(a+t) (super) or p^t, t < a
+    (semi), by sylow_verdict."""
+    if m.order < 2:
+        raise PreconditionError("sylow classification needs order >= 2")
+    found = enumerate_closed_subsets(m, species)
+    first = {}
+    for s in found:
+        first.setdefault(len(s), s)
+    verdict, hits, notes = sylow_verdict(m.order, variant, first.get,
+                                         not found.items)
+    return ClassReport(verdict, tuple(Witness(h, len(h), True) for h in hits),
+                       predicate_name(species), found.complete, tuple(notes))
 
 
 @dataclass(frozen=True)

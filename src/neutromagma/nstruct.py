@@ -11,10 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import prod
 from typing import Optional, Sequence
 
-from .classify import (CauchyReport, ClassReport, SKind, Verdict3,
-                       _cauchy_verdict, _sylow_targets, detect_s_kind)
+from .classify import (CauchyReport, ClassReport, SKind, Witness,
+                       _cauchy_verdict, detect_s_kind, lagrange_verdict,
+                       sylow_verdict)
 from .magma import (FiniteMagma, ParameterError, PartialMap,
                     PreconditionError, ResourceLimitError, Subset,
                     check_homomorphism, check_identity_law, classify_basic,
@@ -172,6 +174,16 @@ class NSubset:
         self.parent = parent
         self.per_component = tuple(pcs)
 
+    @classmethod
+    def _of(cls, parent: NStructure, per_component: tuple):
+        """Trusted construction, without the checks of __init__, for member
+        tuples that are already sorted, duplicate-free and in range, such as
+        combinations of _component_candidates."""
+        self = object.__new__(cls)
+        self.parent = parent
+        self.per_component = per_component
+        return self
+
     @property
     def order(self):
         return sum(len(p) for p in self.per_component)
@@ -301,6 +313,31 @@ def _component_candidates(comp: FiniteMagma, species, allow_empty: bool):
     return items
 
 
+def _candidates(ns: NStructure, per_component_species, require_nonempty_all: bool):
+    if len(per_component_species) != ns.n:
+        raise ParameterError("one species per component is required")
+    return [_component_candidates(comp, species, allow_empty=not require_nonempty_all)
+            for comp, species in zip(ns.components, per_component_species)]
+
+
+def _fulls(ns: NStructure):
+    return tuple(tuple(range(c.order)) for c in ns.components)
+
+
+def _combinations(ns: NStructure, cands, cap: int):
+    """NSubsets of the cartesian product of per-component candidate lists, in
+    product order, without the all-full combination (not a proper subset)
+    and the all-empty one.  Raises ResourceLimitError, before the first
+    combination, when the product exceeds cap."""
+    if prod(max(len(c), 1) for c in cands) > cap:
+        raise ResourceLimitError(f"combination count exceeds the {cap} guard")
+    fulls = _fulls(ns)
+    of = NSubset._of
+    for combo in product(*cands):
+        if combo != fulls and any(combo):
+            yield of(ns, combo)
+
+
 def enumerate_n_substructures(ns: NStructure, per_component_species,
                               require_nonempty_all: bool = True,
                               cap: int = DEFAULT_COMBINATION_CAP):
@@ -308,27 +345,8 @@ def enumerate_n_substructures(ns: NStructure, per_component_species,
 
     Excludes the all-full combination (not a proper subset) and, when
     require_nonempty_all is set, any combination with an empty component."""
-    if len(per_component_species) != ns.n:
-        raise ParameterError("one species per component is required")
-    cands = [_component_candidates(comp, species, allow_empty=not require_nonempty_all)
-             for comp, species in zip(ns.components, per_component_species)]
-    total = 1
-    for c in cands:
-        total *= max(len(c), 1)
-        if total > cap:
-            raise ResourceLimitError(
-                f"combination count exceeds the {cap} guard")
-    out = []
-    fulls = tuple(tuple(range(c.order)) for c in ns.components)
-    for combo in product(*cands):
-        if combo == fulls:
-            continue
-        if require_nonempty_all and any(not c for c in combo):
-            continue
-        if not any(combo):
-            continue
-        out.append(NSubset(ns, combo))
-    return out, True
+    cands = _candidates(ns, per_component_species, require_nonempty_all)
+    return list(_combinations(ns, cands, cap)), True
 
 
 def n_subset_is_produced(ns: NStructure, candidate: NSubset,
@@ -336,23 +354,10 @@ def n_subset_is_produced(ns: NStructure, candidate: NSubset,
                          require_nonempty_all: bool = True) -> bool:
     """Whether the cartesian enumeration would emit this NSubset: membership
     decomposes componentwise, so no product is materialized."""
-    if len(per_component_species) != ns.n:
-        raise ParameterError("one species per component is required")
-    fulls = tuple(tuple(range(c.order)) for c in ns.components)
-    if candidate.per_component == fulls:
-        return False
-    if not any(candidate.per_component):
-        return False
-    for comp, mem, species in zip(ns.components, candidate.per_component,
-                                  per_component_species):
-        if not mem:
-            if require_nonempty_all:
-                return False
-            continue
-        items = _component_candidates(comp, species, allow_empty=False)
-        if mem not in items:
-            return False
-    return True
+    cands = _candidates(ns, per_component_species, require_nonempty_all)
+    p = candidate.per_component
+    return (p != _fulls(ns) and any(p)
+            and all(mem in items for mem, items in zip(p, cands)))
 
 
 def n_lagrange(ns: NStructure, per_component_species,
@@ -361,68 +366,65 @@ def n_lagrange(ns: NStructure, per_component_species,
     subs, complete = enumerate_n_substructures(ns, per_component_species,
                                                require_nonempty_all)
     total = ns.order
-    wits = tuple(_n_witness(p, total % p.order == 0) for p in subs)
-    if not wits:
-        verdict = Verdict3.VACUOUS
-    elif all(w.qualifies for w in wits):
-        verdict = Verdict3.FULL
-    elif any(w.qualifies for w in wits):
-        verdict = Verdict3.WEAK
-    else:
-        verdict = Verdict3.FREE
-    return ClassReport(verdict, wits, _species_names(per_component_species), complete)
-
-
-@dataclass(frozen=True)
-class NWitness:
-    subset: NSubset
-    order: int
-    qualifies: bool
-
-
-def _n_witness(p: NSubset, q: bool) -> NWitness:
-    return NWitness(p, p.order, q)
+    wits = []
+    for p in subs:
+        size = sum(map(len, p.per_component))
+        wits.append(Witness(p, size, total % size == 0))
+    wits = tuple(wits)
+    return ClassReport(lagrange_verdict(wits), wits,
+                       _species_names(per_component_species), complete)
 
 
 def _species_names(species_list):
     return "[" + ", ".join(predicate_name(s) for s in species_list) + "]"
 
 
+def _first_of_size(ns: NStructure, cands):
+    """size -> the first combination in product order whose member counts
+    sum to size, or None, for 0 < size < union order.  Built greedily:
+    component i takes its first candidate that leaves a sum the components
+    after it can reach.  Only the all-full (sum = union order) and all-empty
+    (sum 0) combinations are left out of the product, so no size in that
+    range is affected by the exclusions."""
+    reach = [{0}]            # reach[j]: sums reachable by the last j components
+    for items in reversed(cands):
+        sizes = {len(t) for t in items}
+        reach.append({a + b for a in sizes for b in reach[-1]})
+    reach.reverse()          # now reach[i]: sums reachable by components i..N-1
+
+    def first(size):
+        if size not in reach[0]:
+            return None
+        combo = []
+        for items, rest in zip(cands, reach[1:]):
+            for t in items:
+                if size - len(t) in rest:
+                    combo.append(t)
+                    size -= len(t)
+                    break
+        return NSubset._of(ns, tuple(combo))
+
+    return first
+
+
 def n_sylow(ns: NStructure, per_component_species, variant: str = "standard",
             require_nonempty_all: bool = True) -> ClassReport:
     """Seek N-subsets of total order p^a for each prime p with p^a exactly
-    dividing the union order."""
-    subs, complete = enumerate_n_substructures(ns, per_component_species,
-                                               require_nonempty_all)
-    targets = _sylow_targets(ns.order, variant)
-    by_size = {}
-    for p in subs:
-        by_size.setdefault(p.order, []).append(p)
-    wits = []
-    notes = []
-    served = {}
-    for p, sizes in sorted(targets.items()):
-        hit = None
-        for size in sorted(sizes):
-            if size >= ns.order:
-                notes.append(f"p={p}: sought order {size} is not proper; skipped")
-                continue
-            if size in by_size:
-                hit = by_size[size][0]
-                break
-        served[p] = hit is not None
-        if hit is not None:
-            wits.append(_n_witness(hit, True))
-    if not subs:
-        verdict = Verdict3.VACUOUS
-    elif targets and all(served.values()):
-        verdict = Verdict3.FULL
-    elif any(served.values()):
-        verdict = Verdict3.WEAK
-    else:
-        verdict = Verdict3.FREE
-    return ClassReport(verdict, tuple(wits), _species_names(per_component_species),
-                       complete, tuple(notes))
+    dividing the union order.
+
+    Works from order sums alone, so no combination is enumerated and no
+    combination guard applies: each witness is the first combination in
+    product order of its size, and the verdict is vacuous when the product,
+    less the all-full and all-empty combinations, is empty."""
+    cands = _candidates(ns, per_component_species, require_nonempty_all)
+    count = prod(len(c) for c in cands)
+    count -= all(f in c for f, c in zip(_fulls(ns), cands))
+    count -= all(() in c for c in cands)
+    verdict, hits, notes = sylow_verdict(ns.order, variant,
+                                         _first_of_size(ns, cands), count == 0)
+    wits = tuple(Witness(h, h.order, True) for h in hits)
+    return ClassReport(verdict, wits, _species_names(per_component_species),
+                       True, tuple(notes))
 
 
 def n_cauchy(ns: NStructure) -> CauchyReport:
@@ -498,24 +500,11 @@ def deficit_substructures(ns: NStructure, t: int, per_component_species,
     """N-subsets with exactly N - t non-empty components."""
     if not (1 <= t < ns.n):
         raise ParameterError(f"deficit t must satisfy 1 <= t < {ns.n}, got {t}")
-    keep = ns.n - t
+    cands = _candidates(ns, per_component_species, True)
     out = []
-    for live in combinations(range(ns.n), keep):
-        cands = []
-        total = 1
-        for i in range(ns.n):
-            if i in live:
-                items = _component_candidates(ns.components[i],
-                                              per_component_species[i], False)
-            else:
-                items = [()]
-            cands.append(items)
-            total *= max(len(items), 1)
-            if total > cap:
-                raise ResourceLimitError(f"combination count exceeds the {cap} guard")
-        for combo in product(*cands):
-            if all(combo[i] for i in live):
-                out.append(NSubset(ns, combo))
+    for live in combinations(range(ns.n), ns.n - t):
+        out.extend(_combinations(
+            ns, [cands[i] if i in live else [()] for i in range(ns.n)], cap))
     return out
 
 

@@ -1,10 +1,13 @@
 """Union structures: construction, kind classification, N-level engines."""
 
+from itertools import product
+
 import pytest
 
 import neutromagma as nm
 from neutromagma import SubsetPredicate as SP
 from neutromagma import Verdict3
+from neutromagma.nstruct import _component_candidates
 
 
 def biloop():
@@ -167,3 +170,158 @@ def test_n_subset_is_produced_matches_enumeration():
                             tuple(range(ns.components[1].order))])
     assert fulls.per_component not in emitted
     assert not nm.n_subset_is_produced(ns, fulls, species)
+
+
+def test_public_nsubset_validates():
+    ns = biloop()
+    p = nm.NSubset(ns, [[3, 0, 3], ()])
+    assert p.per_component == ((0, 3), ())
+    with pytest.raises(nm.ParameterError):
+        nm.NSubset(ns, [(0, 12), ()])              # component 0 has order 12
+    with pytest.raises(nm.ParameterError):
+        nm.NSubset(ns, [(0,)])
+
+
+# ---------------------------------------------------------------------------
+# the N-level engines against a brute-force product of component candidates
+
+def product_oracle(ns, species, require_nonempty_all=True):
+    """Every combination the engines range over, in product order."""
+    cands = [_component_candidates(c, sp, allow_empty=not require_nonempty_all)
+             for c, sp in zip(ns.components, species)]
+    fulls = tuple(tuple(range(c.order)) for c in ns.components)
+    return [combo for combo in product(*cands)
+            if combo != fulls and any(combo)
+            and (all(combo) or not require_nonempty_all)]
+
+
+def oracle_verdict(flags):
+    if not flags:
+        return Verdict3.VACUOUS
+    if all(flags):
+        return Verdict3.FULL
+    return Verdict3.WEAK if any(flags) else Verdict3.FREE
+
+
+def sylow_oracle(ns, combos, variant):
+    """(verdict, witnesses as (per_component, order), notes) from the first
+    combination of each order sum."""
+    order = ns.order
+    first = {}
+    for combo in combos:
+        first.setdefault(sum(map(len, combo)), combo)
+    wits, notes, served = [], [], []
+    for p, a in nm.factorize(order):
+        if variant == "standard":
+            sizes = [p ** a]
+        elif variant == "super":
+            sizes = [p ** e for e in range(a + 1, order) if p ** e < order]
+        else:
+            sizes = [p ** e for e in range(1, a)]
+        hit = None
+        for size in sizes:
+            if size >= order:
+                notes.append(f"p={p}: sought order {size} is not proper; skipped")
+                continue
+            if size in first:
+                hit = first[size]
+                wits.append((hit, size))
+                break
+        served.append(hit is not None)
+    if not combos:
+        verdict = Verdict3.VACUOUS
+    elif all(served):
+        verdict = Verdict3.FULL
+    else:
+        verdict = Verdict3.WEAK if any(served) else Verdict3.FREE
+    return verdict, wits, notes
+
+
+C = SP.IS_SUBGROUPOID
+UNIONS = {
+    # order 18 = 2 * 3^2
+    "biloop": lambda: (biloop(), [C, C]),
+    # order 16, a prime power: the standard target is not proper
+    "order16": lambda: (nm.build_n_structure(
+        [nm.zn_units_neutro(5), nm.zmod_mult(8)],
+        ["s-neutrosophic-group", "semigroup"]), [C, C]),
+    # order 32 with the species of the book's example 2.3.3: 27,900 combinations
+    "ngroup233": lambda: (nm.build_n_structure(
+        [nm.zn_line_neutro(6), nm.symmetric_group(3), nm.zmod_mult(15)],
+        ["s-neutrosophic-semigroup", "group", "s-semigroup"]),
+        [SP.IS_S_NEUTROSOPHIC_SUB, SP.IS_GROUP, nm.GROUP_OR_S_SUBSEMIGROUP]),
+    # order 17, prime: nothing divides it
+    "prime17": lambda: (nm.build_n_structure(
+        [nm.zn_line_neutro(4), nm.zmod_mult(6), nm.cyclic(4)],
+        ["neutrosophic-semigroup", "semigroup", "group"]), [C, SP.IS_SEMIGROUP, C]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNIONS))
+@pytest.mark.parametrize("nonempty", [True, False])
+def test_n_lagrange_against_product(name, nonempty):
+    ns, species = UNIONS[name]()
+    combos = product_oracle(ns, species, nonempty)
+    want = [(c, sum(map(len, c)), ns.order % sum(map(len, c)) == 0) for c in combos]
+    rep = nm.n_lagrange(ns, species, nonempty)
+    got = [(w.subset.per_component, w.order, w.qualifies) for w in rep.witnesses]
+    assert got == want
+    assert rep.verdict == oracle_verdict([q for _, _, q in want])
+
+
+@pytest.mark.parametrize("name", sorted(UNIONS))
+@pytest.mark.parametrize("nonempty", [True, False])
+def test_n_sylow_against_product(name, nonempty):
+    ns, species = UNIONS[name]()
+    combos = product_oracle(ns, species, nonempty)
+    for variant in ("standard", "super", "semi"):
+        verdict, wits, notes = sylow_oracle(ns, combos, variant)
+        rep = nm.n_sylow(ns, species, variant, nonempty)
+        assert rep.verdict == verdict, variant
+        assert [(w.subset.per_component, w.order) for w in rep.witnesses] == wits
+        assert all(w.qualifies for w in rep.witnesses)
+        assert list(rep.notes) == notes
+
+
+def test_n_sylow_vacuous_and_species_count():
+    ns = biloop()
+    none = nm.CustomPredicate("never", lambda s: False)
+    rep = nm.n_sylow(ns, [none, C])
+    assert rep.verdict == Verdict3.VACUOUS and rep.witnesses == ()
+    # empty components admitted: only the all-empty combination would be left
+    assert nm.n_sylow(ns, [none, none], require_nonempty_all=False).verdict \
+        == Verdict3.VACUOUS
+    with pytest.raises(nm.ParameterError):
+        nm.n_sylow(ns, [C])
+
+
+def test_n_sylow_past_the_combination_guard():
+    # 645 * 42 * 12 * 42 = 13,654,080 combinations, union order 44 = 4 * 11
+    ns = nm.build_n_structure(
+        [nm.zn_full_neutro(4), nm.zmod_mult(10), nm.zn_units_neutro(5),
+         nm.zmod_mult(10)],
+        ["neutrosophic-semigroup", "semigroup", "neutrosophic-group", "semigroup"])
+    species = [C] * 4
+    with pytest.raises(nm.ResourceLimitError):
+        nm.enumerate_n_substructures(ns, species)
+    rep = nm.n_sylow(ns, species)
+    assert rep.verdict == Verdict3.FULL
+    cands = [_component_candidates(c, C, allow_empty=False) for c in ns.components]
+    for w in rep.witnesses:
+        # the first combination of that order, found by a lazy product scan
+        want = next(c for c in product(*cands) if sum(map(len, c)) == w.order)
+        assert w.subset.per_component == want
+    assert [w.order for w in rep.witnesses] == [4, 11]
+
+
+@pytest.mark.parametrize("name, ts", [("biloop", (1,)), ("prime17", (1, 2))])
+def test_deficit_against_product(name, ts):
+    ns, species = UNIONS[name]()
+    cands = [[()] + _component_candidates(c, sp, allow_empty=False)
+             for c, sp in zip(ns.components, species)]
+    for t in ts:
+        want = {combo for combo in product(*cands)
+                if sum(1 for part in combo if part) == ns.n - t}
+        got = nm.deficit_substructures(ns, t, species)
+        assert len(got) == len(want)
+        assert {p.per_component for p in got} == want

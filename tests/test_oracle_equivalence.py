@@ -191,3 +191,35 @@ def test_group_subsets_against_definition():
         for r in range(1, m.order + 1):
             for mem in combinations(range(m.order), r):
                 assert nm.subset_is_group(nm.Subset(m, mem)) == oracle_group(m, mem)
+
+
+def scan_real_subgroup(s):
+    """The 2^r scan that has_real_subgroup replaced: every subset of the
+    real part of size >= 2, tested as a group."""
+    reals = nm.real_part(s)
+    return any(nm.subset_is_group(nm.Subset(s.parent, cand))
+               for size in range(2, len(reals) + 1)
+               for cand in combinations(reals, size))
+
+
+def test_real_subgroup_against_subset_scan():
+    # random tables of order <= 6 with random neutrosophic masks, every subset
+    rng = random.Random(SEED + 11)
+    positives = 0
+    for _ in range(3000):
+        k = rng.randint(1, 6)
+        table = [[rng.randrange(k) for _ in range(k)] for _ in range(k)]
+        if rng.random() < 0.5:      # an identity row/column makes groups likelier
+            e = rng.randrange(k)
+            for x in range(k):
+                table[e][x] = x
+                table[x][e] = x
+        mask = [rng.random() < 0.3 for _ in range(k)]
+        m = nm.FiniteMagma(table, neutro_mask=mask)
+        for r in range(1, k + 1):
+            for mem in combinations(range(k), r):
+                s = nm.Subset(m, mem)
+                want = scan_real_subgroup(s)
+                assert nm.has_real_subgroup(s) == want, (table, mask, mem)
+                positives += want
+    assert positives > 1000

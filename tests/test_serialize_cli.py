@@ -106,6 +106,35 @@ def test_cli_nstruct(tmp_path, capsys):
     assert doc["order"] == 24 and doc["report"]["verdict"] == "full"
 
 
+@pytest.mark.parametrize("engine", ["lagrange", "sylow"])
+def test_cli_nstruct_subset_engines(tmp_path, engine):
+    # N-level witnesses are NSubsets: one member list per component
+    ns = nm.build_n_structure([nm.zn_units_neutro(5), nm.zn_line_neutro(4)],
+                              ["s-neutrosophic-group", "s-neutrosophic-semigroup"],
+                              "bi")
+    path = tmp_path / "bi.json"
+    save_nstructure(ns, path)
+    proc = subprocess.run([sys.executable, "-m", "neutromagma.cli", "nstruct",
+                           str(path), "--engine", engine],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)["report"]
+    species = [nm.SubsetPredicate.IS_SUBGROUPOID] * 2
+    rep = (nm.n_lagrange if engine == "lagrange" else nm.n_sylow)(ns, species)
+    assert report["witnesses"] == [
+        {"per_component": [list(p) for p in w.subset.per_component],
+         "order": w.order, "qualifies": w.qualifies} for w in rep.witnesses]
+    if engine == "sylow":           # order 15: one witness each for 3 and 5
+        assert report == {"verdict": "full", "complete": True, "witnesses": [
+            {"per_component": [[0], [0, 1]], "order": 3, "qualifies": True},
+            {"per_component": [[0], [0, 1, 2, 3]], "order": 5, "qualifies": True}]}
+    else:
+        assert report["verdict"] == "weak" and len(report["witnesses"]) == 407
+        assert report["witnesses"][0] == {"per_component": [[0], [0]],
+                                          "order": 2, "qualifies": False}
+        assert sum(w["qualifies"] for w in report["witnesses"]) == 79
+
+
 def test_cli_atlas(tmp_path, capsys):
     out = tmp_path / "atlas.csv"
     assert main(["atlas", "--family", "ln", "--n", "5..7", "--out", str(out)]) == 0
