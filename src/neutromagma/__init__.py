@@ -12,7 +12,7 @@ from .magma import (BasicReport, ClosedSubsets, ConjugateWitness,
                     element_orders, enumerate_closed_subsets,
                     generated_closure, is_closed, is_ideal, is_isomorphic,
                     is_normal, is_simple, latin_square_check, literal_xhy_normal,
-                    local_identity, nuclei, op_apply, principal_isotope,
+                    local_identity, nuclei, principal_isotope,
                     right_regular_representation, submagma, subset_is_group,
                     subset_is_loop, subset_is_semigroup, two_sided_inverses)
 from .constructors import (alternating, cyclic, dihedral, direct_product,
@@ -26,8 +26,7 @@ from .neutro import (GROUP_OR_S_SUBSEMIGROUP, NEUTRO_SUBSEMIGROUP,
                      extend_tagged, has_real_subgroup, is_neutro_subsemigroup,
                      is_neutro_unital, is_neutrosophic_subgroup,
                      is_neutrosophic_subset, is_pseudo_neutrosophic_subgroup,
-                     is_s_neutrosophic_subloop,
-                     is_s_neutrosophic_subsemigroup, neutrosophic_ideal_check,
+                     is_s_neutrosophic_subloop, neutrosophic_ideal_check,
                      real_part, zn_affine_neutro, zn_full_neutro,
                      zn_line_neutro, zn_units_neutro)
 from .classify import (CauchyReport, ClassReport, HyperReport, SDetection,
@@ -41,7 +40,6 @@ from .nstruct import (NKindVerdict, NStructure, NSubset, TupleSylowReport,
                       n_subset_is_produced, n_sylow, tuple_sylow)
 from .serialize import (load_magma, load_nstructure, magma_from_dict,
                         magma_to_dict, nstructure_from_dict,
-                        nstructure_to_dict, nsubset_from_dict,
-                        nsubset_to_dict, save_magma, save_nstructure)
+                        nstructure_to_dict, save_magma, save_nstructure)
 
 __version__ = "0.1.0"

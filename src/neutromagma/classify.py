@@ -12,12 +12,11 @@ from enum import Enum
 from typing import Optional
 
 from .constructors import factorize
-from .magma import (CustomPredicate, FiniteMagma, IdentityLaw,
-                    PreconditionError, Subset, SubsetPredicate,
-                    check_identity_law, classify_basic, cosets,
-                    element_orders, enumerate_closed_subsets,
+from .magma import (FiniteMagma, IdentityLaw, PreconditionError, Subset,
+                    SubsetPredicate, check_identity_law, classify_basic,
+                    cosets, element_orders, enumerate_closed_subsets,
                     is_closed, predicate_name)
-from .neutro import (is_neutro_subsemigroup, is_neutrosophic_subgroup,
+from .neutro import (NEUTRO_SUBSEMIGROUP, is_neutrosophic_subgroup,
                      is_pseudo_neutrosophic_subgroup)
 
 
@@ -39,6 +38,18 @@ class Verdict3(Enum):
     VACUOUS = "vacuous"
 
 
+def verdict_of(flags) -> Verdict3:
+    """Full / Weak / Free / Vacuous according to whether every / some / none
+    of a sequence of booleans holds, Vacuous when it is empty."""
+    if not flags:
+        return Verdict3.VACUOUS
+    if all(flags):
+        return Verdict3.FULL
+    if any(flags):
+        return Verdict3.WEAK
+    return Verdict3.FREE
+
+
 # witness species per variant: the richer structure a proper subset must form
 _WITNESS_SPECIES = {
     SKind.S_SEMIGROUP: SubsetPredicate.IS_GROUP,
@@ -48,8 +59,7 @@ _WITNESS_SPECIES = {
     SKind.STRONG_S_NEUTROSOPHIC_GROUP: SubsetPredicate.IS_NEUTROSOPHIC_SUBGROUP,
     SKind.S_NEUTROSOPHIC_SEMIGROUP: SubsetPredicate.IS_GROUP,
     SKind.S_NEUTROSOPHIC_LOOP: SubsetPredicate.IS_NEUTROSOPHIC_SUBGROUP,
-    SKind.S_NEUTROSOPHIC_GROUPOID: CustomPredicate(
-        "neutro_subsemigroup", is_neutro_subsemigroup),
+    SKind.S_NEUTROSOPHIC_GROUPOID: NEUTRO_SUBSEMIGROUP,
 }
 
 
@@ -68,7 +78,6 @@ def _carrier_fits(m: FiniteMagma, kind: SKind) -> bool:
 class SDetection:
     holds: bool
     witness: Optional[Subset]
-    complete: bool        # always True; kept for JSON compatibility
 
 
 def detect_s_kind(m: FiniteMagma, kind: SKind) -> SDetection:
@@ -77,13 +86,13 @@ def detect_s_kind(m: FiniteMagma, kind: SKind) -> SDetection:
     if kind in (SKind.S_NEUTROSOPHIC_GROUP, SKind.STRONG_S_NEUTROSOPHIC_GROUP,
                 SKind.S_NEUTROSOPHIC_LOOP, SKind.S_NEUTROSOPHIC_GROUPOID):
         if not m.has_neutro():
-            return SDetection(False, None, True)
+            return SDetection(False, None)
     if not _carrier_fits(m, kind):
-        return SDetection(False, None, True)
+        return SDetection(False, None)
     found = enumerate_closed_subsets(m, _WITNESS_SPECIES[kind])
     if found.items:
-        return SDetection(True, found.items[0], found.complete)
-    return SDetection(False, None, found.complete)
+        return SDetection(True, found.items[0])
+    return SDetection(False, None)
 
 
 # ---------------------------------------------------------------------------
@@ -109,27 +118,13 @@ class ClassReport:
     verdict: Verdict3
     witnesses: tuple
     searched_species: str
-    complete: bool
     notes: tuple = ()
 
     def to_dict(self):
         return {
             "verdict": self.verdict.value,
-            "complete": self.complete,
             "witnesses": [w.to_dict() for w in self.witnesses],
         }
-
-
-def lagrange_verdict(wits) -> Verdict3:
-    """Full / Weak / Free / Vacuous according to whether every / some / no
-    witness qualifies, Vacuous when there is none."""
-    if not wits:
-        return Verdict3.VACUOUS
-    if all(w.qualifies for w in wits):
-        return Verdict3.FULL
-    if any(w.qualifies for w in wits):
-        return Verdict3.WEAK
-    return Verdict3.FREE
 
 
 def lagrange_classify(m: FiniteMagma, species) -> ClassReport:
@@ -137,8 +132,8 @@ def lagrange_classify(m: FiniteMagma, species) -> ClassReport:
     species substructure has order dividing o(m)."""
     found = enumerate_closed_subsets(m, species)
     wits = tuple(Witness(s, len(s), m.order % len(s) == 0) for s in found)
-    return ClassReport(lagrange_verdict(wits), wits, predicate_name(species),
-                       found.complete)
+    return ClassReport(verdict_of([w.qualifies for w in wits]), wits,
+                       predicate_name(species))
 
 
 def _sylow_targets(order: int, variant: str):
@@ -167,9 +162,9 @@ def sylow_verdict(order: int, variant: str, first_of_size, vacuous: bool):
     For each prime p of order, the variant's sought sizes are tried smallest
     first; first_of_size(size) returns the first candidate of that size or
     None.  Sizes that are not proper are skipped with a note.  Returns
-    (verdict, hits, notes): Full if every prime is served, Weak if at least
-    one, Free if none, Vacuous when there is no candidate at all; hits holds
-    the candidate serving each served prime, in prime order."""
+    (verdict, hits, notes): the verdict_of the primes served, or Vacuous when
+    there is no candidate at all; hits holds the candidate serving each
+    served prime, in prime order."""
     targets = _sylow_targets(order, variant)
     hits = []
     notes = []
@@ -186,15 +181,7 @@ def sylow_verdict(order: int, variant: str, first_of_size, vacuous: bool):
         served.append(hit is not None)
         if hit is not None:
             hits.append(hit)
-    if vacuous:
-        verdict = Verdict3.VACUOUS
-    elif served and all(served):
-        verdict = Verdict3.FULL
-    elif any(served):
-        verdict = Verdict3.WEAK
-    else:
-        verdict = Verdict3.FREE
-    return verdict, hits, notes
+    return Verdict3.VACUOUS if vacuous else verdict_of(served), hits, notes
 
 
 def sylow_classify(m: FiniteMagma, species, variant: str = "standard") -> ClassReport:
@@ -210,7 +197,7 @@ def sylow_classify(m: FiniteMagma, species, variant: str = "standard") -> ClassR
     verdict, hits, notes = sylow_verdict(m.order, variant, first.get,
                                          not found.items)
     return ClassReport(verdict, tuple(Witness(h, len(h), True) for h in hits),
-                       predicate_name(species), found.complete, tuple(notes))
+                       predicate_name(species), tuple(notes))
 
 
 @dataclass(frozen=True)
@@ -225,13 +212,11 @@ class ElementWitness:
 class CauchyReport:
     verdict: Verdict3
     witnesses: tuple
-    complete: bool
     notes: tuple = ()
 
     def to_dict(self):
         return {
             "verdict": self.verdict.value,
-            "complete": self.complete,
             "witnesses": [
                 {"members": [w.index], "order": w.order, "qualifies": w.qualifies,
                  "flavor": w.flavor}
@@ -239,37 +224,27 @@ class CauchyReport:
         }
 
 
-def _cauchy_witnesses(m: FiniteMagma, denom: int):
-    """Element torsion witnesses; trivial identities are not torsion."""
-    wits = []
-    notes = []
-    if m.identity is None:
-        notes.append("no identity: real orders skipped")
-    if m.neutro_identity is None and m.has_neutro():
-        notes.append("no neutrosophic identity: neutrosophic orders skipped")
+def _cauchy_witnesses(m: FiniteMagma, denom: int, key):
+    """Element torsion witnesses of m, indexed by key(x), against denom;
+    trivial identities are not torsion."""
     for x in range(m.order):
         orders = element_orders(m, x)
         if m.identity is not None and x != m.identity and orders.real_order is not None:
-            wits.append(ElementWitness(x, "real", orders.real_order,
-                                       denom % orders.real_order == 0))
+            yield ElementWitness(key(x), "real", orders.real_order,
+                                 denom % orders.real_order == 0)
         if (m.neutro_identity is not None and x != m.neutro_identity
                 and orders.neutro_order is not None):
-            wits.append(ElementWitness(x, "neutro", orders.neutro_order,
-                                       denom % orders.neutro_order == 0))
-    return wits, notes
+            yield ElementWitness(key(x), "neutro", orders.neutro_order,
+                                 denom % orders.neutro_order == 0)
 
 
 def _cauchy_verdict(wits):
-    if not wits:
-        return Verdict3.VACUOUS
-    if all(w.qualifies for w in wits):
-        return Verdict3.FULL
-    flavors = {w.flavor for w in wits}
+    verdict = verdict_of([w.qualifies for w in wits])
     # weakly Cauchy: at least one qualifying element of each torsion flavor
-    ok = all(any(w.qualifies for w in wits if w.flavor == fl) for fl in flavors)
-    if ok and any(w.qualifies for w in wits):
-        return Verdict3.WEAK
-    return Verdict3.FREE
+    if verdict is Verdict3.WEAK and \
+            {w.flavor for w in wits if w.qualifies} != {w.flavor for w in wits}:
+        return Verdict3.FREE
+    return verdict
 
 
 def cauchy_classify(m: FiniteMagma, relative_to: Optional[Subset] = None) -> CauchyReport:
@@ -279,26 +254,20 @@ def cauchy_classify(m: FiniteMagma, relative_to: Optional[Subset] = None) -> Cau
     o(relative_to) in the relative mode), and Cauchy-neutrosophic when its
     order to the neutrosophic identity divides the same denominator."""
     denom = m.order if relative_to is None else len(relative_to)
-    wits, notes = _cauchy_witnesses(m, denom)
-    return CauchyReport(_cauchy_verdict(wits), tuple(wits), True, tuple(notes))
+    notes = []
+    if m.identity is None:
+        notes.append("no identity: real orders skipped")
+    if m.neutro_identity is None and m.has_neutro():
+        notes.append("no neutrosophic identity: neutrosophic orders skipped")
+    wits = tuple(_cauchy_witnesses(m, denom, lambda x: x))
+    return CauchyReport(_cauchy_verdict(wits), wits, tuple(notes))
 
 
-def s_identity_class(m: FiniteMagma, law: IdentityLaw, species,
-                     strength: str = "strong") -> Verdict3:
+def s_identity_class(m: FiniteMagma, law: IdentityLaw, species) -> Verdict3:
     """Quantify an identity law over species substructures (never over the
-    whole carrier): Full when every substructure satisfies it, Weak when at
-    least one does, Free when none does, Vacuous when none exist."""
-    if strength not in ("strong", "weak"):
-        raise PreconditionError(f"strength must be strong or weak, got {strength!r}")
-    found = enumerate_closed_subsets(m, species)
-    if not found.items:
-        return Verdict3.VACUOUS
-    holding = sum(1 for s in found if check_identity_law(m, law, domain=s).holds)
-    if holding == len(found.items):
-        return Verdict3.FULL
-    if holding > 0:
-        return Verdict3.WEAK
-    return Verdict3.FREE
+    whole carrier): the verdict_of whether each substructure satisfies it."""
+    return verdict_of([check_identity_law(m, law, domain=s).holds
+                       for s in enumerate_closed_subsets(m, species)])
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +278,6 @@ class HyperReport:
     largest_group: Optional[Subset]
     hyper_subsemigroup: Optional[Subset]
     s_simple: bool
-    complete: bool
     notes: tuple = ()
 
 
@@ -322,13 +290,13 @@ def s_hyper_and_simple(m: FiniteMagma) -> HyperReport:
     groups = enumerate_closed_subsets(m, SubsetPredicate.IS_GROUP, include_full=True)
     best = max(groups, key=len, default=None)
     if best is None:
-        return HyperReport(None, None, True, True,
+        return HyperReport(None, None, True,
                            ("no subgroup of size >= 2; trivially simple",))
     if len(best) == m.order:
-        return HyperReport(best, None, True, True,
+        return HyperReport(best, None, True,
                            ("largest group is the whole carrier; no proper superset",))
     hyper = _smallest_proper_superset_semigroup(m, best)
-    return HyperReport(best, hyper, hyper is None, True)
+    return HyperReport(best, hyper, hyper is None)
 
 
 def _smallest_proper_superset_semigroup(m, base: Subset):

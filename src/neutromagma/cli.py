@@ -115,8 +115,7 @@ def _subset_from_args(m, spec):
 def _subsets(args) -> int:
     m = load_magma(args.path)
     found = enumerate_closed_subsets(m, SPECIES[args.species])
-    doc = {"species": args.species, "complete": found.complete,
-           "subsets": [s.labels() for s in found]}
+    doc = {"species": args.species, "subsets": [s.labels() for s in found]}
     json.dump(doc, sys.stdout, indent=1)
     sys.stdout.write("\n")
     return 0

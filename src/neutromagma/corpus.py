@@ -34,7 +34,7 @@ from .neutro import (GROUP_OR_S_SUBSEMIGROUP, NEUTRO_SUBSEMIGROUP,
                      NEUTRO_UNITAL, NEUTRO_UNITAL_OR_SUBGROUP,
                      S_NEUTRO_SUBLOOP, extend_tagged,
                      is_neutrosophic_subgroup, is_pseudo_neutrosophic_subgroup,
-                     is_s_neutrosophic_subsemigroup, neutrosophic_ideal_check,
+                     is_s_neutrosophic_subloop, neutrosophic_ideal_check,
                      zn_affine_neutro, zn_full_neutro, zn_line_neutro,
                      zn_units_neutro)
 from .nstruct import (build_n_structure, classify_n_kind,
@@ -534,7 +534,7 @@ def _ex3110():
     m = zn_line_neutro(9)
     T = m.subset(["0", "1", "I", "8", "8I"])
     rep = classify.lagrange_classify(m, SubsetPredicate.IS_S_NEUTROSOPHIC_SUB)
-    return _true(m.order == 17 and is_s_neutrosophic_subsemigroup(T)
+    return _true(m.order == 17 and is_neutrosophic_subgroup(T)
                  and rep.verdict == Verdict3.FREE)
 
 
@@ -553,7 +553,7 @@ def _ex3112():
     found = enumerate_closed_subsets(m, SubsetPredicate.IS_S_NEUTROSOPHIC_SUB)
     sizes = {len(s) for s in found}
     rep = classify.sylow_classify(m, SubsetPredicate.IS_S_NEUTROSOPHIC_SUB)
-    ok = (is_s_neutrosophic_subsemigroup(P) and 5 in sizes and 3 not in sizes
+    ok = (is_neutrosophic_subgroup(P) and 5 in sizes and 3 not in sizes
           and rep.verdict == Verdict3.WEAK)
     return _true(ok, "P qualifies; sizes lack 3; verdict weak")
 
@@ -630,9 +630,8 @@ def _ex336():
     t = (ns.components[0].subset(["0", "1", "9"]).members,
          ns.components[1].subset(["0", "2", "2I", "4", "4I"]).members,
          ns.components[2].subset(["(0,0)", "(1,1)", "(1,2)", "(1,3)", "(1,4)"]).members)
-    subs, _ = enumerate_n_substructures(ns, _336_SPECIES)
-    hit = [s for s in subs if s.per_component == t]
     rep = n_lagrange(ns, _336_SPECIES)
+    hit = [w for w in rep.witnesses if w.subset.per_component == t]
     return _true(ns.order == 31 and bool(hit) and rep.verdict == Verdict3.FREE)
 
 
@@ -644,7 +643,7 @@ def _ex227():
     ns = build_n_structure([zn_units_neutro(5), zn_line_neutro(4)],
                            ["s-neutrosophic-group", "s-neutrosophic-semigroup"],
                            "bigroup-2.2.7")
-    subs, _ = enumerate_n_substructures(ns, [NEUTRO_UNITAL, NEUTRO_SUBSEMIGROUP])
+    subs = enumerate_n_substructures(ns, [NEUTRO_UNITAL, NEUTRO_SUBSEMIGROUP])
     h = (ns.components[0].subset(["1", "I"]).members,
          ns.components[1].subset(["0", "2", "2I"]).members)
     hit = [s for s in subs if s.per_component == h]
@@ -795,7 +794,6 @@ def _ex415():
                    "eI", "1I", "4I", "7I", "10I", "13I"])
     p = m.subset(["e", "3", "eI", "3I"])
     rep = classify.lagrange_classify(m, S_NEUTRO_SUBLOOP)
-    from .neutro import is_s_neutrosophic_subloop
     ok = (m.order == 32 and is_s_neutrosophic_subloop(h1) and 32 % 12 != 0
           and is_s_neutrosophic_subloop(p) and 32 % 4 == 0
           and rep.verdict == Verdict3.WEAK)
@@ -813,7 +811,7 @@ def _ex418():
 def _ex424():
     ns = build_n_structure([extend_tagged(ln(5, 2)), cyclic(6)],
                            ["s-neutrosophic-loop", "group"], "biloop-4.2.4")
-    subs, _ = enumerate_n_substructures(
+    subs = enumerate_n_substructures(
         ns, [SubsetPredicate.IS_NEUTROSOPHIC_SUBGROUP, SubsetPredicate.IS_GROUP])
     p = (ns.components[0].subset(["e", "eI", "3", "3I"]).members,
          ns.components[1].subset(["1", "g^3"]).members)

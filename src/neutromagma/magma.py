@@ -30,6 +30,9 @@ class ResourceLimitError(RuntimeError):
 # a carrier whose products all equal one element has 2^(k-1) of them.
 MAX_CLOSED_SUBSETS = 100_000
 
+# Largest order is_isomorphic searches: the backtracking is factorial in it.
+MAX_ISOMORPHISM_ORDER = 8
+
 
 class FiniteMagma:
     """Immutable Cayley table over an indexed, labeled universe.
@@ -65,7 +68,7 @@ class FiniteMagma:
         if len(set(self.labels)) != k:
             raise ParameterError("labels are not pairwise distinct")
         if identity == "auto":
-            identity = _find_identity(self.table)
+            identity = _find_identity(self.table, range(k))
         if identity is not None:
             e = identity
             if not (0 <= e < k):
@@ -154,10 +157,11 @@ class FiniteMagma:
         return x
 
 
-def _find_identity(table) -> Optional[int]:
-    k = len(table)
-    for e in range(k):
-        if all(table[e][x] == x and table[x][e] == x for x in range(k)):
+def _find_identity(t, dom) -> Optional[int]:
+    """First e in dom with e*x = x*e = x for every x in dom, or None."""
+    for e in dom:
+        row = t[e]
+        if all(row[x] == x and t[x][e] == x for x in dom):
             return e
     return None
 
@@ -196,10 +200,6 @@ class Subset:
 
     def __repr__(self):
         return f"Subset({{{', '.join(self.labels())}}})"
-
-
-def op_apply(m: FiniteMagma, x: int, y: int) -> int:
-    return m.op(x, y)
 
 
 def is_closed(s: Subset) -> bool:
@@ -259,7 +259,6 @@ class LawResult:
 def _triple_laws():
     # each returns True when the instance of the law holds at (x, y, z)
     return {
-        IdentityLaw.ASSOCIATIVE: lambda t, x, y, z: t[t[x][y]][z] == t[x][t[y][z]],
         IdentityLaw.MOUFANG1: lambda t, x, y, z: t[t[x][y]][t[z][x]] == t[t[x][t[y][z]]][x],
         IdentityLaw.MOUFANG2: lambda t, x, y, z: t[t[t[x][y]][z]][y] == t[x][t[y][t[z][y]]],
         IdentityLaw.MOUFANG3: lambda t, x, y, z: t[x][t[y][t[x][z]]] == t[t[t[x][y]][x]][z],
@@ -271,6 +270,20 @@ def _triple_laws():
 _TRIPLE_LAWS = _triple_laws()
 # alternate association of the Bruck identity left side: x((yx)z) = x(y(xz))
 _BRUCK_ALTERNATE = lambda t, x, y, z: t[x][t[t[y][x]][z]] == t[x][t[y][t[x][z]]]
+
+
+def _associativity_failure(t, dom) -> Optional[tuple]:
+    """First (x, y, z) over dom in lexicographic order with (xy)z != x(yz),
+    or None when the operation is associative on dom."""
+    for x in dom:
+        row = t[x]
+        for y in dom:
+            xy_row = t[row[y]]
+            y_row = t[y]
+            for z in dom:
+                if xy_row[z] != row[y_row[z]]:
+                    return (x, y, z)
+    return None
 
 
 def two_sided_inverses(m: FiniteMagma, domain=None) -> dict:
@@ -298,6 +311,10 @@ def check_identity_law(m: FiniteMagma, law: IdentityLaw, domain: Optional[Subset
     """
     t = m.table
     dom = tuple(range(m.order)) if domain is None else tuple(domain.members)
+
+    if law is IdentityLaw.ASSOCIATIVE:
+        witness = _associativity_failure(t, dom)
+        return LawResult(witness is None, witness)
 
     if law is IdentityLaw.IDEMPOTENT:
         for x in dom:
@@ -396,7 +413,7 @@ class BasicReport:
 def classify_basic(m: FiniteMagma) -> BasicReport:
     assoc = check_identity_law(m, IdentityLaw.ASSOCIATIVE).holds
     comm = check_identity_law(m, IdentityLaw.COMMUTATIVE).holds
-    e = m.identity if m.identity is not None else _find_identity(m.table)
+    e = m.identity if m.identity is not None else _find_identity(m.table, range(m.order))
     latin = latin_square_check(m)
     loop = latin and e is not None
     inverses = False
@@ -482,12 +499,7 @@ PREDICATE_REGISTRY: dict = {}
 
 def local_identity(s: Subset) -> Optional[int]:
     """Two-sided identity of the induced operation on s, if any."""
-    t = s.parent.table
-    mem = s.members
-    for e in mem:
-        if all(t[e][x] == x and t[x][e] == x for x in mem):
-            return e
-    return None
+    return _find_identity(s.parent.table, s.members)
 
 
 def subset_is_group(s: Subset) -> bool:
@@ -503,32 +515,16 @@ def subset_is_group(s: Subset) -> bool:
     e = local_identity(s)
     if e is None:
         return False
-    ms = set(mem)
     for x in mem:
         if not any(t[x][y] == e and t[y][x] == e for y in mem):
             return False
-    for x in mem:
-        for y in mem:
-            xy = t[x][y]
-            for z in mem:
-                if t[xy][z] != t[x][t[y][z]]:
-                    return False
-    return True
+    return _associativity_failure(t, mem) is None
 
 
 def subset_is_semigroup(s: Subset) -> bool:
     """Closed and associative under the induced operation, |s| >= 2."""
-    if len(s) < 2 or not is_closed(s):
-        return False
-    t = s.parent.table
-    mem = s.members
-    for x in mem:
-        for y in mem:
-            xy = t[x][y]
-            for z in mem:
-                if t[xy][z] != t[x][t[y][z]]:
-                    return False
-    return True
+    return (len(s) >= 2 and is_closed(s)
+            and _associativity_failure(s.parent.table, s.members) is None)
 
 
 def subset_is_loop(s: Subset) -> bool:
@@ -582,7 +578,6 @@ def predicate_name(pred) -> str:
 @dataclass(frozen=True)
 class ClosedSubsets:
     items: tuple          # Subsets, sorted lexicographically by member list
-    complete: bool        # always True: the search is exhaustive or raises
 
     def __iter__(self):
         return iter(self.items)
@@ -645,7 +640,7 @@ def enumerate_closed_subsets(m: FiniteMagma, pred=None,
         s = Subset(m, mem)
         if evaluate_predicate(pred, s):
             items.append(s)
-    return ClosedSubsets(tuple(items), True)
+    return ClosedSubsets(tuple(items))
 
 
 # ---------------------------------------------------------------------------
@@ -955,16 +950,17 @@ def principal_isotope(m: FiniteMagma, a: int, b: int) -> FiniteMagma:
         kind_tag=f"isotope({m.kind_tag},{m.labels[a]},{m.labels[b]})")
 
 
-def is_isomorphic(m1: FiniteMagma, m2: FiniteMagma, max_order: int = 8):
+def is_isomorphic(m1: FiniteMagma, m2: FiniteMagma):
     """A table-preserving bijection as an index list, or None.
 
-    Backtracking with the identity pinned first; guarded by max_order."""
+    Backtracking with the identity pinned first; raises ResourceLimitError
+    above MAX_ISOMORPHISM_ORDER."""
     if m1.order != m2.order:
         return None
     k = m1.order
-    if k > max_order:
+    if k > MAX_ISOMORPHISM_ORDER:
         raise ResourceLimitError(
-            f"isomorphism search capped at order {max_order}, got {k}")
+            f"isomorphism search capped at order {MAX_ISOMORPHISM_ORDER}, got {k}")
     t1, t2 = m1.table, m2.table
 
     def profile(t, x):

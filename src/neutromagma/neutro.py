@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .magma import (CustomPredicate, FiniteMagma, ParameterError,
+from .magma import (CustomPredicate, FiniteMagma, IdentityLaw, ParameterError,
                     PreconditionError, Subset, SubsetPredicate,
-                    PREDICATE_REGISTRY, enumerate_closed_subsets,
-                    generated_closure, is_closed, local_identity,
-                    subset_is_group, subset_is_semigroup)
+                    PREDICATE_REGISTRY, check_identity_law,
+                    enumerate_closed_subsets, generated_closure, is_closed,
+                    is_ideal, local_identity, subset_is_group, subset_is_loop,
+                    subset_is_semigroup)
 
 
 @dataclass(frozen=True)
@@ -57,24 +58,25 @@ def extend_tagged(base: FiniteMagma) -> FiniteMagma:
         kind_tag=f"tagged({base.kind_tag})")
 
 
+def _residue_carrier(n: int, elems, kind_tag: str) -> FiniteMagma:
+    """The residue product on elems, which must be closed under it and hold
+    1 and I; shared by the multiplicative residue carriers."""
+    index = {(r.a, r.b): i for i, r in enumerate(elems)}
+    table = [[index[(p := x.mul(y, n)).a, p.b] for y in elems] for x in elems]
+    return FiniteMagma(
+        table, labels=[r.label() for r in elems],
+        identity=index[(1, 0)],
+        neutro_mask=[r.b != 0 for r in elems],
+        neutro_identity=index[(0, 1)],
+        kind_tag=kind_tag)
+
+
 def zn_full_neutro(n: int) -> FiniteMagma:
     """The full multiplicative carrier {a + bI : a, b in Z_n} of order n^2."""
     if n < 2:
         raise ParameterError("residue carrier needs n >= 2")
     elems = [NeutroResidue(a, b) for a in range(n) for b in range(n)]
-    index = {(r.a, r.b): i for i, r in enumerate(elems)}
-    table = [[index[(p := x.mul(y, n)).a, p.b] for y in elems] for x in elems]
-    return FiniteMagma(
-        table, labels=[r.label() for r in elems],
-        identity=index[(1 % n, 0)],
-        neutro_mask=[r.b != 0 for r in elems],
-        neutro_identity=index[(0, 1)],
-        kind_tag=f"zn_full_neutro({n})")
-
-
-def _line_elems(n: int):
-    return [NeutroResidue(a, 0) for a in range(n)] + \
-           [NeutroResidue(0, b) for b in range(1, n)]
+    return _residue_carrier(n, elems, f"zn_full_neutro({n})")
 
 
 def zn_line_neutro(n: int) -> FiniteMagma:
@@ -82,15 +84,9 @@ def zn_line_neutro(n: int) -> FiniteMagma:
     identification 0I = 0 keeps it closed under the residue product."""
     if n < 2:
         raise ParameterError("residue carrier needs n >= 2")
-    elems = _line_elems(n)
-    index = {(r.a, r.b): i for i, r in enumerate(elems)}
-    table = [[index[(p := x.mul(y, n)).a, p.b] for y in elems] for x in elems]
-    return FiniteMagma(
-        table, labels=[r.label() for r in elems],
-        identity=index[(1 % n, 0)],
-        neutro_mask=[r.b != 0 for r in elems],
-        neutro_identity=index[(0, 1)],
-        kind_tag=f"zn_line_neutro({n})")
+    elems = [NeutroResidue(a, 0) for a in range(n)] + \
+            [NeutroResidue(0, b) for b in range(1, n)]
+    return _residue_carrier(n, elems, f"zn_line_neutro({n})")
 
 
 def zn_units_neutro(n: int) -> FiniteMagma:
@@ -102,14 +98,7 @@ def zn_units_neutro(n: int) -> FiniteMagma:
             raise ParameterError(f"zero-free carrier needs a prime modulus, got {n}")
     elems = [NeutroResidue(a, 0) for a in range(1, n)] + \
             [NeutroResidue(0, b) for b in range(1, n)]
-    index = {(r.a, r.b): i for i, r in enumerate(elems)}
-    table = [[index[(p := x.mul(y, n)).a, p.b] for y in elems] for x in elems]
-    return FiniteMagma(
-        table, labels=[r.label() for r in elems],
-        identity=index[(1, 0)],
-        neutro_mask=[r.b != 0 for r in elems],
-        neutro_identity=index[(0, 1)],
-        kind_tag=f"zn_units_neutro({n})")
+    return _residue_carrier(n, elems, f"zn_units_neutro({n})")
 
 
 def zn_affine_neutro(n: int, t: int, u: int) -> FiniteMagma:
@@ -160,7 +149,8 @@ def has_real_subgroup(s: Subset) -> bool:
 
 def is_neutrosophic_subgroup(s: Subset) -> bool:
     """Closed, carries an indeterminate element, and contains a purely-real
-    group of size >= 2 under the induced operation."""
+    group of size >= 2 under the induced operation.  This is also the witness
+    species behind the per-chapter 'S-neutrosophic sub' notions."""
     if len(s) < 2 or not is_closed(s) or not is_neutrosophic_subset(s):
         return False
     return has_real_subgroup(s)
@@ -174,14 +164,6 @@ def is_pseudo_neutrosophic_subgroup(s: Subset) -> bool:
     if local_identity(s) is None:
         return False
     return not has_real_subgroup(s)
-
-
-def is_s_neutrosophic_subsemigroup(s: Subset) -> bool:
-    """Closed neutrosophic subset containing a purely-real group of size >= 2
-    (the witness species behind the per-chapter 'S-neutrosophic sub' notions)."""
-    if len(s) < 2 or not is_closed(s) or not is_neutrosophic_subset(s):
-        return False
-    return has_real_subgroup(s)
 
 
 def is_neutro_subsemigroup(s: Subset) -> bool:
@@ -208,24 +190,16 @@ def is_s_neutrosophic_subloop(s: Subset) -> bool:
     # doubled carriers pair index i with i + half
     if sorted(i + half for i in reals) != sorted(tagged):
         return False
-    from .magma import subset_is_loop
     p = Subset(m, reals)
     return is_closed(s) and subset_is_loop(p) and has_real_subgroup(s)
 
 
 PREDICATE_REGISTRY[SubsetPredicate.IS_NEUTROSOPHIC_SUBGROUP] = is_neutrosophic_subgroup
 PREDICATE_REGISTRY[SubsetPredicate.IS_PSEUDO_NEUTROSOPHIC_SUBGROUP] = is_pseudo_neutrosophic_subgroup
-PREDICATE_REGISTRY[SubsetPredicate.IS_S_NEUTROSOPHIC_SUB] = is_s_neutrosophic_subsemigroup
-
-
-def _register_ideals():
-    from .magma import is_ideal
-    PREDICATE_REGISTRY[SubsetPredicate.IS_IDEAL] = lambda s: is_ideal(s.parent, s, "two_sided")
-    PREDICATE_REGISTRY[SubsetPredicate.IS_LEFT_IDEAL] = lambda s: is_ideal(s.parent, s, "left")
-    PREDICATE_REGISTRY[SubsetPredicate.IS_RIGHT_IDEAL] = lambda s: is_ideal(s.parent, s, "right")
-
-
-_register_ideals()
+PREDICATE_REGISTRY[SubsetPredicate.IS_S_NEUTROSOPHIC_SUB] = is_neutrosophic_subgroup
+PREDICATE_REGISTRY[SubsetPredicate.IS_IDEAL] = lambda s: is_ideal(s.parent, s, "two_sided")
+PREDICATE_REGISTRY[SubsetPredicate.IS_LEFT_IDEAL] = lambda s: is_ideal(s.parent, s, "left")
+PREDICATE_REGISTRY[SubsetPredicate.IS_RIGHT_IDEAL] = lambda s: is_ideal(s.parent, s, "right")
 
 
 NEUTRO_UNITAL = CustomPredicate("neutro_unital", is_neutro_unital)
@@ -249,20 +223,8 @@ S_NEUTRO_SUBLOOP = CustomPredicate("s_neutrosophic_subloop", is_s_neutrosophic_s
 # ---------------------------------------------------------------------------
 # neutrosophic ideals
 
-def _is_semigroup_carrier(m: FiniteMagma) -> bool:
-    from .magma import IdentityLaw, check_identity_law
-    return check_identity_law(m, IdentityLaw.ASSOCIATIVE).holds
-
-
-def _absorbs(m: FiniteMagma, members) -> bool:
-    t = m.table
-    mem = set(members)
-    return all(t[x][a] in mem and t[a][x] in mem
-               for x in range(m.order) for a in mem)
-
-
 def _plain_neutro_ideal(m: FiniteMagma, s: Subset) -> bool:
-    return (is_neutrosophic_subset(s) and is_closed(s) and _absorbs(m, s.members))
+    return is_neutrosophic_subset(s) and is_closed(s) and is_ideal(m, s)
 
 
 def ideal_closure(m: FiniteMagma, g: int):
@@ -288,7 +250,7 @@ def neutrosophic_ideal_check(s: Subset, mode: str = "plain") -> bool:
     principal: s is the two-sided absorptive closure of one of its elements.
     """
     m = s.parent
-    if not _is_semigroup_carrier(m):
+    if not check_identity_law(m, IdentityLaw.ASSOCIATIVE).holds:
         raise PreconditionError("neutrosophic ideals are defined on semigroup carriers")
     if mode == "plain":
         return _plain_neutro_ideal(m, s)

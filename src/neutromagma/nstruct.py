@@ -15,13 +15,13 @@ from math import prod
 from typing import Optional, Sequence
 
 from .classify import (CauchyReport, ClassReport, SKind, Witness,
-                       _cauchy_verdict, detect_s_kind, lagrange_verdict,
-                       sylow_verdict)
+                       _cauchy_verdict, _cauchy_witnesses, detect_s_kind,
+                       sylow_verdict, verdict_of)
 from .magma import (FiniteMagma, ParameterError, PartialMap,
                     PreconditionError, ResourceLimitError, Subset,
                     check_homomorphism, check_identity_law, classify_basic,
-                    element_orders, enumerate_closed_subsets, IdentityLaw,
-                    predicate_name, submagma)
+                    enumerate_closed_subsets, IdentityLaw, predicate_name,
+                    submagma)
 from .neutro import has_real_subgroup
 
 DEFAULT_COMBINATION_CAP = 10 ** 6
@@ -120,22 +120,20 @@ class NStructure:
     __slots__ = ("components", "declared_kinds", "name")
 
     def __init__(self, components: Sequence[FiniteMagma],
-                 declared_kinds: Sequence[str], name: str = "",
-                 verify: bool = True):
+                 declared_kinds: Sequence[str], name: str = ""):
         comps = tuple(components)
         kinds = tuple(declared_kinds)
         if len(comps) < 2:
             raise ParameterError("an N-structure needs at least two components")
         if len(kinds) != len(comps):
             raise ParameterError("one declared kind per component is required")
-        if verify:
-            for i, (c, k) in enumerate(zip(comps, kinds)):
-                verifier = KIND_VERIFIERS.get(k)
-                if verifier is None:
-                    raise ParameterError(f"unknown declared kind {k!r}")
-                if not verifier(c):
-                    raise ParameterError(
-                        f"component {i} ({c.kind_tag}) fails verification for kind {k!r}")
+        for i, (c, k) in enumerate(zip(comps, kinds)):
+            verifier = KIND_VERIFIERS.get(k)
+            if verifier is None:
+                raise ParameterError(f"unknown declared kind {k!r}")
+            if not verifier(c):
+                raise ParameterError(
+                    f"component {i} ({c.kind_tag}) fails verification for kind {k!r}")
         self.components = comps
         self.declared_kinds = kinds
         self.name = name
@@ -324,11 +322,12 @@ def _fulls(ns: NStructure):
     return tuple(tuple(range(c.order)) for c in ns.components)
 
 
-def _combinations(ns: NStructure, cands, cap: int):
+def _combinations(ns: NStructure, cands):
     """NSubsets of the cartesian product of per-component candidate lists, in
     product order, without the all-full combination (not a proper subset)
     and the all-empty one.  Raises ResourceLimitError, before the first
-    combination, when the product exceeds cap."""
+    combination, when the product exceeds DEFAULT_COMBINATION_CAP."""
+    cap = DEFAULT_COMBINATION_CAP
     if prod(max(len(c), 1) for c in cands) > cap:
         raise ResourceLimitError(f"combination count exceeds the {cap} guard")
     fulls = _fulls(ns)
@@ -339,14 +338,13 @@ def _combinations(ns: NStructure, cands, cap: int):
 
 
 def enumerate_n_substructures(ns: NStructure, per_component_species,
-                              require_nonempty_all: bool = True,
-                              cap: int = DEFAULT_COMBINATION_CAP):
-    """Cartesian combinations of per-component substructures.
+                              require_nonempty_all: bool = True):
+    """Cartesian combinations of per-component substructures, as a list.
 
     Excludes the all-full combination (not a proper subset) and, when
     require_nonempty_all is set, any combination with an empty component."""
     cands = _candidates(ns, per_component_species, require_nonempty_all)
-    return list(_combinations(ns, cands, cap)), True
+    return list(_combinations(ns, cands))
 
 
 def n_subset_is_produced(ns: NStructure, candidate: NSubset,
@@ -363,16 +361,16 @@ def n_subset_is_produced(ns: NStructure, candidate: NSubset,
 def n_lagrange(ns: NStructure, per_component_species,
                require_nonempty_all: bool = True) -> ClassReport:
     """The Lagrange engine on N-subsets: order sums against the union order."""
-    subs, complete = enumerate_n_substructures(ns, per_component_species,
-                                               require_nonempty_all)
+    subs = enumerate_n_substructures(ns, per_component_species,
+                                     require_nonempty_all)
     total = ns.order
     wits = []
     for p in subs:
         size = sum(map(len, p.per_component))
         wits.append(Witness(p, size, total % size == 0))
     wits = tuple(wits)
-    return ClassReport(lagrange_verdict(wits), wits,
-                       _species_names(per_component_species), complete)
+    return ClassReport(verdict_of([w.qualifies for w in wits]), wits,
+                       _species_names(per_component_species))
 
 
 def _species_names(species_list):
@@ -424,30 +422,19 @@ def n_sylow(ns: NStructure, per_component_species, variant: str = "standard",
                                          _first_of_size(ns, cands), count == 0)
     wits = tuple(Witness(h, h.order, True) for h in hits)
     return ClassReport(verdict, wits, _species_names(per_component_species),
-                       True, tuple(notes))
+                       tuple(notes))
 
 
 def n_cauchy(ns: NStructure) -> CauchyReport:
     """Element orders are taken inside each component (to its identity and
     neutrosophic identity); divisibility is against the union order."""
-    from .classify import ElementWitness
-    denom = ns.order
     wits = []
     notes = []
     for ci, comp in enumerate(ns.components):
-        for x in range(comp.order):
-            orders = element_orders(comp, x)
-            if comp.identity is not None and x != comp.identity \
-                    and orders.real_order is not None:
-                wits.append(ElementWitness((ci, x), "real", orders.real_order,
-                                           denom % orders.real_order == 0))
-            if comp.neutro_identity is not None and x != comp.neutro_identity \
-                    and orders.neutro_order is not None:
-                wits.append(ElementWitness((ci, x), "neutro", orders.neutro_order,
-                                           denom % orders.neutro_order == 0))
+        wits.extend(_cauchy_witnesses(comp, ns.order, lambda x: (ci, x)))
         if comp.identity is None:
             notes.append(f"component {ci}: no identity, real orders skipped")
-    return CauchyReport(_cauchy_verdict(wits), tuple(wits), True, tuple(notes))
+    return CauchyReport(_cauchy_verdict(wits), tuple(wits), tuple(notes))
 
 
 @dataclass(frozen=True)
@@ -495,8 +482,7 @@ def tuple_sylow(ns: NStructure, primes, per_component_species,
     return TupleSylowReport(True, NSubset(ns, choices), tuple(primes))
 
 
-def deficit_substructures(ns: NStructure, t: int, per_component_species,
-                          cap: int = DEFAULT_COMBINATION_CAP):
+def deficit_substructures(ns: NStructure, t: int, per_component_species):
     """N-subsets with exactly N - t non-empty components."""
     if not (1 <= t < ns.n):
         raise ParameterError(f"deficit t must satisfy 1 <= t < {ns.n}, got {t}")
@@ -504,7 +490,7 @@ def deficit_substructures(ns: NStructure, t: int, per_component_species,
     out = []
     for live in combinations(range(ns.n), ns.n - t):
         out.extend(_combinations(
-            ns, [cands[i] if i in live else [()] for i in range(ns.n)], cap))
+            ns, [cands[i] if i in live else [()] for i in range(ns.n)]))
     return out
 
 

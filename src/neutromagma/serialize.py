@@ -56,15 +56,6 @@ def nstructure_from_dict(doc: dict) -> NStructure:
     return NStructure(comps, doc["declared_kinds"], doc.get("name", ""))
 
 
-def nsubset_to_dict(p) -> dict:
-    return {"per_component": [list(c) for c in p.per_component]}
-
-
-def nsubset_from_dict(ns: NStructure, doc: dict):
-    from .nstruct import NSubset
-    return NSubset(ns, doc["per_component"])
-
-
 def save_magma(m: FiniteMagma, path):
     with open(path, "w") as fh:
         json.dump(magma_to_dict(m), fh, indent=1)

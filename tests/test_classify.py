@@ -117,13 +117,6 @@ def test_s_identity_class():
     for law in (nm.IdentityLaw.MOUFANG1, nm.IdentityLaw.BOL,
                 nm.IdentityLaw.BRUCK_IDENTITY):
         assert nm.s_identity_class(g, law, SP.IS_GROUP) == Verdict3.FULL
-    # strong Full forbids weak Free
-    v_strong = nm.s_identity_class(t, nm.IdentityLaw.MOUFANG1, nm.S_NEUTRO_SUBLOOP,
-                                   "strong")
-    v_weak = nm.s_identity_class(t, nm.IdentityLaw.MOUFANG1, nm.S_NEUTRO_SUBLOOP,
-                                 "weak")
-    if v_strong == Verdict3.FULL:
-        assert v_weak != Verdict3.FREE
     assert nm.s_identity_class(g, nm.IdentityLaw.MOUFANG1,
                                SP.IS_PSEUDO_NEUTROSOPHIC_SUBGROUP) == Verdict3.VACUOUS
 

@@ -64,9 +64,7 @@ def test_kind_monotonicity():
 
 def test_enumerate_n_substructures():
     ns = biloop()
-    subs, complete = nm.enumerate_n_substructures(
-        ns, [nm.S_NEUTRO_SUBLOOP, SP.IS_GROUP])
-    assert complete
+    subs = nm.enumerate_n_substructures(ns, [nm.S_NEUTRO_SUBLOOP, SP.IS_GROUP])
     for p in subs:
         assert p.order == sum(len(c) for c in p.per_component)
         assert all(c for c in p.per_component)       # nonempty everywhere
@@ -76,15 +74,15 @@ def test_enumerate_n_substructures():
             or p.per_component[1] == tuple(range(6))
     # a species nothing satisfies empties the whole cartesian product
     none = nm.CustomPredicate("never", lambda s: False)
-    subs, _ = nm.enumerate_n_substructures(ns, [none, SP.IS_GROUP])
+    subs = nm.enumerate_n_substructures(ns, [none, SP.IS_GROUP])
     assert subs == []
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
+    monkeypatch.setattr(nm.nstruct, "DEFAULT_COMBINATION_CAP", 10)
     ns = biloop()
-    with pytest.raises(nm.ResourceLimitError):
-        nm.enumerate_n_substructures(ns, [SP.IS_SUBGROUPOID, SP.IS_SUBGROUPOID],
-                                     cap=10)
+    with pytest.raises(nm.ResourceLimitError, match="10 guard"):
+        nm.enumerate_n_substructures(ns, [SP.IS_SUBGROUPOID, SP.IS_SUBGROUPOID])
 
 
 def test_n_lagrange_prime_order():
@@ -100,6 +98,41 @@ def test_n_lagrange_prime_order():
                            nm.GROUP_OR_S_SUBSEMIGROUP])
     assert srep.verdict in (Verdict3.FREE, Verdict3.VACUOUS)
     assert nm.n_cauchy(ns).verdict in (Verdict3.FREE, Verdict3.VACUOUS)
+
+
+def oracle_n_cauchy(ns):
+    """n_cauchy's witnesses and notes from the left-associated powers
+    x, x*x, (x*x)*x, ... of each element, taken inside its component."""
+    wits, notes = [], []
+    for ci, c in enumerate(ns.components):
+        for x in range(c.order):
+            powers = [x]
+            while len(powers) < c.order:
+                powers.append(c.table[powers[-1]][x])
+            for flavor, e in (("real", c.identity), ("neutro", c.neutro_identity)):
+                if e is not None and x != e and e in powers:
+                    k = powers.index(e) + 1
+                    wits.append(((ci, x), flavor, k, ns.order % k == 0))
+        if c.identity is None:
+            notes.append(f"component {ci}: no identity, real orders skipped")
+    return wits, notes
+
+
+@pytest.mark.parametrize("parts", [
+    [(lambda: nm.zn(5, 2, 3), "groupoid"),
+     (lambda: nm.zn_line_neutro(4), "neutrosophic-semigroup"),
+     (lambda: nm.cyclic(6), "group")],
+    [(lambda: nm.extend_tagged(nm.ln(5, 2)), "s-neutrosophic-loop"),
+     (lambda: nm.zn_affine_neutro(3, 2, 1), "neutrosophic-groupoid"),
+     (lambda: nm.zn_units_neutro(5), "s-neutrosophic-group")],
+], ids=["zn-groupoid", "affine-groupoid"])
+def test_n_cauchy_against_powers(parts):
+    ns = nm.build_n_structure([build() for build, _ in parts],
+                              [kind for _, kind in parts])
+    assert any(c.identity is None for c in ns.components)
+    rep = nm.n_cauchy(ns)
+    got = [(w.index, w.flavor, w.order, w.qualifies) for w in rep.witnesses]
+    assert (got, list(rep.notes)) == oracle_n_cauchy(ns)
 
 
 def test_tuple_sylow_vacuous():
@@ -162,7 +195,7 @@ def test_n_homomorphism_check():
 def test_n_subset_is_produced_matches_enumeration():
     ns = biloop()
     species = [nm.S_NEUTRO_SUBLOOP, SP.IS_GROUP]
-    subs, _ = nm.enumerate_n_substructures(ns, species)
+    subs = nm.enumerate_n_substructures(ns, species)
     emitted = {p.per_component for p in subs}
     for p in subs[:20]:
         assert nm.n_subset_is_produced(ns, p, species)

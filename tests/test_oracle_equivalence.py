@@ -187,10 +187,25 @@ def test_group_subsets_against_definition():
             return False
         return all(t[t[x][y]][z] == t[x][t[y][z]] for x in s for y in s for z in s)
 
+    def oracle_associativity_failure(m, mem):
+        t = m.table
+        for x in mem:
+            for y in mem:
+                for z in mem:
+                    if t[t[x][y]][z] != t[x][t[y][z]]:
+                        return (x, y, z)
+        return None
+
     for m in MAGMAS:
         for r in range(1, m.order + 1):
             for mem in combinations(range(m.order), r):
-                assert nm.subset_is_group(nm.Subset(m, mem)) == oracle_group(m, mem)
+                s = nm.Subset(m, mem)
+                assert nm.subset_is_group(s) == oracle_group(m, mem)
+                closed = all(m.table[x][y] in mem for x in mem for y in mem)
+                failure = oracle_associativity_failure(m, mem)
+                assert nm.subset_is_semigroup(s) == (r >= 2 and closed and failure is None)
+                law = nm.check_identity_law(m, Law.ASSOCIATIVE, domain=s)
+                assert (law.holds, law.witness) == (failure is None, failure)
 
 
 def scan_real_subgroup(s):

@@ -125,7 +125,7 @@ def test_cli_nstruct_subset_engines(tmp_path, engine):
         {"per_component": [list(p) for p in w.subset.per_component],
          "order": w.order, "qualifies": w.qualifies} for w in rep.witnesses]
     if engine == "sylow":           # order 15: one witness each for 3 and 5
-        assert report == {"verdict": "full", "complete": True, "witnesses": [
+        assert report == {"verdict": "full", "witnesses": [
             {"per_component": [[0], [0, 1]], "order": 3, "qualifies": True},
             {"per_component": [[0], [0, 1, 2, 3]], "order": 5, "qualifies": True}]}
     else:
