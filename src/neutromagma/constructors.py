@@ -8,9 +8,9 @@ cross-checked against the enumerating constructors.
 from __future__ import annotations
 
 from itertools import permutations, product
-from math import gcd
+from math import factorial, gcd
 
-from .magma import FiniteMagma, ParameterError, ResourceLimitError
+from .magma import MAX_ORDER, FiniteMagma, ParameterError, require_order
 
 
 def factorize(n: int):
@@ -49,6 +49,7 @@ def ln(n: int, m: int) -> FiniteMagma:
     non-identity i, j (residue 0 rendered as n), i*i = e, and e the identity."""
     _ln_check(n, m)
     k = n + 1
+    require_order(k, f"ln({n},{m})")
     table = [[0] * k for _ in range(k)]
     for i in range(k):
         table[0][i] = i
@@ -115,6 +116,7 @@ def _zn_check(n: int, t: int, u: int, cls: str):
 def zn(n: int, t: int, u: int, cls: str = "zstar") -> FiniteMagma:
     """The groupoid on Z_n with a*b = (ta + ub) mod n."""
     _zn_check(n, t, u, cls)
+    require_order(n, f"zn({n},{t},{u})")
     table = [[(t * a + u * b) % n for b in range(n)] for a in range(n)]
     return FiniteMagma(table, kind_tag=f"zn({n},{t},{u})")
 
@@ -156,6 +158,7 @@ def zmod_mult(n: int) -> FiniteMagma:
     """Z_n under multiplication modulo n (a monoid with identity 1)."""
     if n < 1:
         raise ParameterError("modulus must be positive")
+    require_order(n, f"zmod_mult({n})")
     table = [[(a * b) % n for b in range(n)] for a in range(n)]
     return FiniteMagma(table, kind_tag=f"zmod_mult({n})")
 
@@ -164,6 +167,7 @@ def cyclic(n: int) -> FiniteMagma:
     """The cyclic group {g | g^n = 1}, labeled 1, g, g^2, ..."""
     if n < 1:
         raise ParameterError("order must be positive")
+    require_order(n, f"cyclic({n})")
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
     labels = ["1"] + ["g" if i == 1 else f"g^{i}" for i in range(1, n)]
     return FiniteMagma(table, labels=labels, identity=0, kind_tag=f"cyclic({n})")
@@ -180,10 +184,17 @@ def _perm_table(perms):
     return table
 
 
+def _check_n(n: int, order, what: str):
+    """Reject n < 1 and an n whose carrier, of order(n) >= n elements, would
+    pass MAX_ORDER; n is capped first, so a huge n is never multiplied out."""
+    if n < 1:
+        raise ParameterError(f"{what} needs n >= 1, got {n}")
+    require_order(order(min(n, MAX_ORDER + 1)), f"{what}({n})")
+
+
 def symmetric_group(n: int) -> FiniteMagma:
-    """S_n on one-line labels, composition (p*q)(i) = p(q(i)); capped at n = 5."""
-    if not (1 <= n <= 5):
-        raise ResourceLimitError(f"symmetric_group capped at n = 5, got {n}")
+    """S_n on one-line labels, composition (p*q)(i) = p(q(i))."""
+    _check_n(n, factorial, "symmetric_group")
     perms = sorted(permutations(range(n)))
     return FiniteMagma(_perm_table(perms), labels=[_perm_label(p) for p in perms],
                        kind_tag=f"symmetric_group({n})")
@@ -206,9 +217,8 @@ def _parity(p):
 
 
 def alternating(n: int) -> FiniteMagma:
-    """A_n, even permutations only; capped at n = 5."""
-    if not (1 <= n <= 5):
-        raise ResourceLimitError(f"alternating capped at n = 5, got {n}")
+    """A_n, even permutations only."""
+    _check_n(n, lambda n: max(1, factorial(n) // 2), "alternating")
     perms = sorted(p for p in permutations(range(n)) if _parity(p) == 0)
     return FiniteMagma(_perm_table(perms), labels=[_perm_label(p) for p in perms],
                        kind_tag=f"alternating({n})")
@@ -220,6 +230,7 @@ def dihedral(n: int) -> FiniteMagma:
     Elements a^i b^j with i in {0,1}, j in [0,n); b^j a = a b^(-j)."""
     if n < 1:
         raise ParameterError("dihedral needs n >= 1")
+    require_order(2 * n, f"dihedral({n})")
     elems = [(i, j) for i in range(2) for j in range(n)]
     index = {e: k for k, e in enumerate(elems)}
 
@@ -244,9 +255,8 @@ def dihedral(n: int) -> FiniteMagma:
 
 
 def symmetric_semigroup(n: int) -> FiniteMagma:
-    """S(n): all n^n self-maps of {1..n} under composition; capped at n = 4."""
-    if not (1 <= n <= 4):
-        raise ResourceLimitError(f"symmetric_semigroup capped at n = 4 (order 256), got {n}")
+    """S(n): all n^n self-maps of {1..n} under composition."""
+    _check_n(n, lambda n: n ** n, "symmetric_semigroup")
     maps = sorted(product(range(n), repeat=n))
     index = {f: i for i, f in enumerate(maps)}
     table = [[index[tuple(f[g[i]] for i in range(n))] for g in maps] for f in maps]
@@ -257,6 +267,7 @@ def symmetric_semigroup(n: int) -> FiniteMagma:
 def direct_product(m1: FiniteMagma, m2: FiniteMagma) -> FiniteMagma:
     """Componentwise product; labels are pairs, an element is neutrosophic when
     either coordinate is."""
+    require_order(m1.order * m2.order, f"product({m1.kind_tag},{m2.kind_tag})")
     elems = [(x, y) for x in range(m1.order) for y in range(m2.order)]
     index = {e: k for k, e in enumerate(elems)}
     table = [[index[(m1.table[x1][x2], m2.table[y1][y2])]

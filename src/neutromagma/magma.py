@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
 
 
@@ -25,6 +26,10 @@ class PreconditionError(ValueError):
 class ResourceLimitError(RuntimeError):
     """A search exceeded an explicit size guard."""
 
+
+# Largest carrier order: the identity-law scan keeps rows and columns as
+# 256-entry byte maps, so every element index must fit in a byte.
+MAX_ORDER = 256
 
 # Most distinct closed subsets one carrier may have before the search stops:
 # a carrier whose products all equal one element has 2^(k-1) of them.
@@ -45,21 +50,25 @@ class FiniteMagma:
 
     __slots__ = ("order", "table", "labels", "identity", "neutro_mask",
                  "neutro_identity", "kind_tag", "_label_index",
-                 "_left_div", "_right_div", "_subset_cache")
+                 "_divs", "_maps", "_subset_cache")
+
+    # Lazy caches are filled by one assignment of a complete value, so a
+    # thread that reads one sees either nothing or all of it.
 
     def __init__(self, table, labels=None, identity="auto", neutro_mask=None,
                  neutro_identity=None, kind_tag=""):
         k = len(table)
         if k == 0:
             raise ParameterError("empty table")
+        require_order(k, f"a table of order {k}")
         self.order = k
         self.table = tuple(tuple(row) for row in table)
         for row in self.table:
             if len(row) != k:
                 raise ParameterError("table is not square")
             for v in row:
-                if not (0 <= v < k):
-                    raise ParameterError(f"table entry {v} out of range [0,{k})")
+                if type(v) is not int or not 0 <= v < k:
+                    raise ParameterError(f"table entry {v!r} is not an index in [0,{k})")
         if labels is None:
             labels = [str(i) for i in range(k)]
         self.labels = tuple(str(l) for l in labels)
@@ -70,28 +79,28 @@ class FiniteMagma:
         if identity == "auto":
             identity = _find_identity(self.table, range(k))
         if identity is not None:
-            e = identity
-            if not (0 <= e < k):
-                raise ParameterError("identity index out of range")
+            e = _index_arg(identity, k, "identity")
             for x in range(k):
                 if self.table[e][x] != x or self.table[x][e] != x:
                     raise ParameterError(f"declared identity {e} fails at element {x}")
         self.identity = identity
         if neutro_mask is None:
             neutro_mask = [False] * k
-        self.neutro_mask = tuple(bool(b) for b in neutro_mask)
+        self.neutro_mask = tuple(neutro_mask)
         if len(self.neutro_mask) != k:
             raise ParameterError("neutro_mask length does not match order")
+        for b in self.neutro_mask:
+            if type(b) is not bool:
+                raise ParameterError(f"neutro_mask entry {b!r} is not a bool")
         if neutro_identity is not None:
-            if not (0 <= neutro_identity < k):
-                raise ParameterError("neutro_identity index out of range")
+            _index_arg(neutro_identity, k, "neutro_identity")
             if not self.neutro_mask[neutro_identity]:
                 raise ParameterError("neutro_identity must have neutro_mask set")
         self.neutro_identity = neutro_identity
         self.kind_tag = kind_tag
         self._label_index = {l: i for i, l in enumerate(self.labels)}
-        self._left_div = None
-        self._right_div = None
+        self._divs = None         # (left, right) division tables
+        self._maps = None         # (row maps, column maps) for the law scan
         self._subset_cache = {}   # pure memo of the closed-subset lattice
 
     def op(self, x: int, y: int) -> int:
@@ -126,7 +135,7 @@ class FiniteMagma:
 
     # loops: unique division
     def _divisions(self):
-        if self._left_div is None:
+        if self._divs is None:
             k = self.order
             ld = [[None] * k for _ in range(k)]
             rd = [[None] * k for _ in range(k)]
@@ -136,9 +145,8 @@ class FiniteMagma:
                     c = row[b]
                     ld[a][c] = b   # a * ? = c
                     rd[c][b] = a   # ? * b = c
-            self._left_div = ld
-            self._right_div = rd
-        return self._left_div, self._right_div
+            self._divs = (ld, rd)
+        return self._divs
 
     def left_division(self, a: int, c: int) -> int:
         """The unique y with a*y = c (requires the row of a to be a permutation)."""
@@ -155,6 +163,21 @@ class FiniteMagma:
         if x is None:
             raise PreconditionError(f"column of {self.labels[b]} is not a permutation; division undefined")
         return x
+
+
+def require_order(k: int, what: str) -> None:
+    """Raise ResourceLimitError when a carrier of k elements would pass MAX_ORDER.
+
+    Constructors call this before they allocate; k may be any lower bound on
+    the order that is past the cap whenever the order is."""
+    if k > MAX_ORDER:
+        raise ResourceLimitError(f"{what} has more than MAX_ORDER = {MAX_ORDER} elements")
+
+
+def _index_arg(v, k: int, what: str) -> int:
+    if type(v) is not int or not 0 <= v < k:
+        raise ParameterError(f"{what} {v!r} is not an index in [0,{k})")
+    return v
 
 
 def _find_identity(t, dom) -> Optional[int]:
@@ -256,33 +279,68 @@ class LawResult:
     witness: Optional[tuple]   # first counterexample in lex order, or None
 
 
-def _triple_laws():
-    # each returns True when the instance of the law holds at (x, y, z)
-    return {
-        IdentityLaw.MOUFANG1: lambda t, x, y, z: t[t[x][y]][t[z][x]] == t[t[x][t[y][z]]][x],
-        IdentityLaw.MOUFANG2: lambda t, x, y, z: t[t[t[x][y]][z]][y] == t[x][t[y][t[z][y]]],
-        IdentityLaw.MOUFANG3: lambda t, x, y, z: t[x][t[y][t[x][z]]] == t[t[t[x][y]][x]][z],
-        IdentityLaw.BOL: lambda t, x, y, z: t[t[t[x][y]][z]][y] == t[x][t[t[y][z]][y]],
-        IdentityLaw.BRUCK_IDENTITY: lambda t, x, y, z: t[t[x][t[y][x]]][z] == t[x][t[y][t[x][z]]],
-    }
+# law -> (arity, sides): sides(t, R, C, V)(*outer) gives both sides of the law
+# as byte vectors over V, the domain as bytes, for the innermost variable;
+# outer holds the other variables (none, x, or x and y).  R[a] and C[b] are
+# the bytes.translate maps v -> a*v and v -> v*b of the carrier.
+_LAWS = {
+    # (xy)z = x(yz)
+    IdentityLaw.ASSOCIATIVE: (3, lambda t, R, C, V: lambda x, y: (
+        V.translate(R[t[x][y]]), V.translate(R[y]).translate(R[x]))),
+    # xy = yx
+    IdentityLaw.COMMUTATIVE: (2, lambda t, R, C, V: lambda x: (
+        V.translate(R[x]), V.translate(C[x]))),
+    # xx = x
+    IdentityLaw.IDEMPOTENT: (1, lambda t, R, C, V: lambda: (
+        bytes(t[v][v] for v in V), V)),
+    # (xy)(zx) = (x(yz))x
+    IdentityLaw.MOUFANG1: (3, lambda t, R, C, V: lambda x, y: (
+        V.translate(C[x]).translate(R[t[x][y]]),
+        V.translate(R[y]).translate(R[x]).translate(C[x]))),
+    # ((xy)z)y = x(y(zy))
+    IdentityLaw.MOUFANG2: (3, lambda t, R, C, V: lambda x, y: (
+        V.translate(R[t[x][y]]).translate(C[y]),
+        V.translate(C[y]).translate(R[y]).translate(R[x]))),
+    # x(y(xz)) = ((xy)x)z
+    IdentityLaw.MOUFANG3: (3, lambda t, R, C, V: lambda x, y: (
+        V.translate(R[x]).translate(R[y]).translate(R[x]),
+        V.translate(R[t[t[x][y]][x]]))),
+    # ((xy)z)y = x((yz)y)
+    IdentityLaw.BOL: (3, lambda t, R, C, V: lambda x, y: (
+        V.translate(R[t[x][y]]).translate(C[y]),
+        V.translate(R[y]).translate(C[y]).translate(R[x]))),
+    # (x(yx))z = x(y(xz))
+    IdentityLaw.BRUCK_IDENTITY: (3, lambda t, R, C, V: lambda x, y: (
+        V.translate(R[t[x][t[y][x]]]),
+        V.translate(R[x]).translate(R[y]).translate(R[x]))),
+    # (xx)y = x(xy)
+    IdentityLaw.LEFT_ALTERNATIVE: (2, lambda t, R, C, V: lambda x: (
+        V.translate(R[t[x][x]]), V.translate(R[x]).translate(R[x]))),
+    # (xy)y = x(yy)
+    IdentityLaw.RIGHT_ALTERNATIVE: (2, lambda t, R, C, V: lambda x: (
+        bytes(t[a][v] for a, v in zip(V.translate(R[x]), V)),
+        bytes(t[v][v] for v in V).translate(R[x]))),
+    # (xy)x = x(yx)
+    IdentityLaw.P_GROUPOID: (2, lambda t, R, C, V: lambda x: (
+        V.translate(R[x]).translate(C[x]), V.translate(C[x]).translate(R[x]))),
+}
 
 
-_TRIPLE_LAWS = _triple_laws()
-# alternate association of the Bruck identity left side: x((yx)z) = x(y(xz))
-_BRUCK_ALTERNATE = lambda t, x, y, z: t[x][t[t[y][x]][z]] == t[x][t[y][t[x][z]]]
-
-
-def _associativity_failure(t, dom) -> Optional[tuple]:
-    """First (x, y, z) over dom in lexicographic order with (xy)z != x(yz),
-    or None when the operation is associative on dom."""
-    for x in dom:
-        row = t[x]
-        for y in dom:
-            xy_row = t[row[y]]
-            y_row = t[y]
-            for z in dom:
-                if xy_row[z] != row[y_row[z]]:
-                    return (x, y, z)
+def _law_failure(m: FiniteMagma, law: IdentityLaw, dom: tuple) -> Optional[tuple]:
+    """First tuple over dom in lexicographic order at which an equational law
+    fails, or None when it holds on dom."""
+    if m._maps is None:
+        pad = bytes(256 - m.order)    # bytes past the order are never looked up
+        m._maps = ([bytes(row) + pad for row in m.table],
+                   [bytes(col) + pad for col in zip(*m.table)])
+    arity, sides = _LAWS[law]
+    R, C = m._maps
+    at = sides(m.table, R, C, bytes(dom))
+    for outer in product(dom, repeat=arity - 1):
+        lhs, rhs = at(*outer)
+        if lhs != rhs:
+            i = next(i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+            return outer + (dom[i],)
     return None
 
 
@@ -301,8 +359,18 @@ def two_sided_inverses(m: FiniteMagma, domain=None) -> dict:
     return inv
 
 
-def check_identity_law(m: FiniteMagma, law: IdentityLaw, domain: Optional[Subset] = None,
-                       bruck_alternate: bool = False) -> LawResult:
+def _all_inverses(m: FiniteMagma, dom) -> dict:
+    """two_sided_inverses on dom; PreconditionError naming the first element
+    of dom without one."""
+    inv = two_sided_inverses(m, dom)
+    for x in dom:
+        if x not in inv:
+            raise PreconditionError(f"element {m.labels[x]} has no two-sided inverse")
+    return inv
+
+
+def check_identity_law(m: FiniteMagma, law: IdentityLaw,
+                       domain: Optional[Subset] = None) -> LawResult:
     """Exhaustively quantify one identity law, returning the first counterexample.
 
     `domain` restricts the quantifiers (default: full universe); intermediate
@@ -312,50 +380,8 @@ def check_identity_law(m: FiniteMagma, law: IdentityLaw, domain: Optional[Subset
     t = m.table
     dom = tuple(range(m.order)) if domain is None else tuple(domain.members)
 
-    if law is IdentityLaw.ASSOCIATIVE:
-        witness = _associativity_failure(t, dom)
-        return LawResult(witness is None, witness)
-
-    if law is IdentityLaw.IDEMPOTENT:
-        for x in dom:
-            if t[x][x] != x:
-                return LawResult(False, (x,))
-        return LawResult(True, None)
-
-    if law is IdentityLaw.COMMUTATIVE:
-        for x in dom:
-            for y in dom:
-                if t[x][y] != t[y][x]:
-                    return LawResult(False, (x, y))
-        return LawResult(True, None)
-
-    if law is IdentityLaw.LEFT_ALTERNATIVE:
-        for x in dom:
-            for y in dom:
-                if t[t[x][x]][y] != t[x][t[x][y]]:
-                    return LawResult(False, (x, y))
-        return LawResult(True, None)
-
-    if law is IdentityLaw.RIGHT_ALTERNATIVE:
-        for x in dom:
-            for y in dom:
-                if t[t[x][y]][y] != t[x][t[y][y]]:
-                    return LawResult(False, (x, y))
-        return LawResult(True, None)
-
-    if law is IdentityLaw.P_GROUPOID:
-        # (xy)x = x(yx) has no z: scan pairs, report the first failing triple
-        for x in dom:
-            for y in dom:
-                if t[t[x][y]][x] != t[x][t[y][x]]:
-                    return LawResult(False, (x, y, dom[0]))
-        return LawResult(True, None)
-
     if law is IdentityLaw.BRUCK_INVERSE:
-        inv = two_sided_inverses(m, dom)
-        for x in dom:
-            if x not in inv:
-                raise PreconditionError(f"element {m.labels[x]} has no two-sided inverse")
+        inv = _all_inverses(m, dom)
         for x in dom:
             for y in dom:
                 p = t[x][y]
@@ -366,10 +392,7 @@ def check_identity_law(m: FiniteMagma, law: IdentityLaw, domain: Optional[Subset
         return LawResult(True, None)
 
     if law is IdentityLaw.WIP:
-        inv = two_sided_inverses(m, dom)
-        for x in dom:
-            if x not in inv:
-                raise PreconditionError(f"element {m.labels[x]} has no two-sided inverse")
+        _all_inverses(m, dom)
         e = m.identity
         for x in dom:
             for y in dom:
@@ -378,14 +401,10 @@ def check_identity_law(m: FiniteMagma, law: IdentityLaw, domain: Optional[Subset
                         return LawResult(False, (x, y, z))
         return LawResult(True, None)
 
-    fn = _BRUCK_ALTERNATE if (law is IdentityLaw.BRUCK_IDENTITY and bruck_alternate) \
-        else _TRIPLE_LAWS[law]
-    for x in dom:
-        for y in dom:
-            for z in dom:
-                if not fn(t, x, y, z):
-                    return LawResult(False, (x, y, z))
-    return LawResult(True, None)
+    witness = _law_failure(m, law, dom)
+    if witness is not None and law is IdentityLaw.P_GROUPOID:
+        witness += (dom[0],)     # the law has no z; its witnesses keep z = dom[0]
+    return LawResult(witness is None, witness)
 
 
 def latin_square_check(m: FiniteMagma) -> bool:
@@ -518,13 +537,13 @@ def subset_is_group(s: Subset) -> bool:
     for x in mem:
         if not any(t[x][y] == e and t[y][x] == e for y in mem):
             return False
-    return _associativity_failure(t, mem) is None
+    return _law_failure(s.parent, IdentityLaw.ASSOCIATIVE, mem) is None
 
 
 def subset_is_semigroup(s: Subset) -> bool:
     """Closed and associative under the induced operation, |s| >= 2."""
     return (len(s) >= 2 and is_closed(s)
-            and _associativity_failure(s.parent.table, s.members) is None)
+            and _law_failure(s.parent, IdentityLaw.ASSOCIATIVE, s.members) is None)
 
 
 def subset_is_loop(s: Subset) -> bool:

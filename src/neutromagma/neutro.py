@@ -14,8 +14,8 @@ from .magma import (CustomPredicate, FiniteMagma, IdentityLaw, ParameterError,
                     PreconditionError, Subset, SubsetPredicate,
                     PREDICATE_REGISTRY, check_identity_law,
                     enumerate_closed_subsets, generated_closure, is_closed,
-                    is_ideal, local_identity, subset_is_group, subset_is_loop,
-                    subset_is_semigroup)
+                    is_ideal, local_identity, require_order, subset_is_group,
+                    subset_is_loop, subset_is_semigroup)
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,7 @@ def extend_tagged(base: FiniteMagma) -> FiniteMagma:
     """The doubled carrier {x, xI}: untagged products follow the base table
     and any product with a tagged operand is the base product, tagged."""
     k = base.order
+    require_order(2 * k, f"tagged({base.kind_tag})")
     table = [[0] * (2 * k) for _ in range(2 * k)]
     for x in range(k):
         for y in range(k):
@@ -75,6 +76,7 @@ def zn_full_neutro(n: int) -> FiniteMagma:
     """The full multiplicative carrier {a + bI : a, b in Z_n} of order n^2."""
     if n < 2:
         raise ParameterError("residue carrier needs n >= 2")
+    require_order(n * n, f"zn_full_neutro({n})")
     elems = [NeutroResidue(a, b) for a in range(n) for b in range(n)]
     return _residue_carrier(n, elems, f"zn_full_neutro({n})")
 
@@ -84,6 +86,7 @@ def zn_line_neutro(n: int) -> FiniteMagma:
     identification 0I = 0 keeps it closed under the residue product."""
     if n < 2:
         raise ParameterError("residue carrier needs n >= 2")
+    require_order(2 * n - 1, f"zn_line_neutro({n})")
     elems = [NeutroResidue(a, 0) for a in range(n)] + \
             [NeutroResidue(0, b) for b in range(1, n)]
     return _residue_carrier(n, elems, f"zn_line_neutro({n})")
@@ -93,6 +96,7 @@ def zn_units_neutro(n: int) -> FiniteMagma:
     """The zero-free line carrier {1..n-1, I..(n-1)I}, closed only for prime n."""
     if n < 2:
         raise ParameterError("residue carrier needs n >= 2")
+    require_order(2 * n - 2, f"zn_units_neutro({n})")
     for d in range(2, n):
         if n % d == 0:
             raise ParameterError(f"zero-free carrier needs a prime modulus, got {n}")
@@ -105,6 +109,7 @@ def zn_affine_neutro(n: int, t: int, u: int) -> FiniteMagma:
     """The groupoid (a+bI) * (c+dI) = t(a+bI) + u(c+dI) on the full carrier."""
     if n < 2:
         raise ParameterError("residue carrier needs n >= 2")
+    require_order(n * n, f"zn_affine_neutro({n},{t},{u})")
     elems = [NeutroResidue(a, b) for a in range(n) for b in range(n)]
     index = {(r.a, r.b): i for i, r in enumerate(elems)}
     table = [[index[((t * x.a + u * y.a) % n, (t * x.b + u * y.b) % n)]

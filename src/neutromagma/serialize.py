@@ -8,6 +8,7 @@ NStructure document: {"name", "components", "declared_kinds"}.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 from .magma import FiniteMagma, ParameterError
 from .nstruct import NStructure
@@ -25,6 +26,15 @@ def magma_to_dict(m: FiniteMagma) -> dict:
     }
 
 
+@contextmanager
+def _malformed(what: str):
+    """Report a document of the wrong shape or syntax as a ParameterError."""
+    try:
+        yield
+    except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as exc:
+        raise ParameterError(f"malformed {what} document: {exc!r}") from exc
+
+
 def magma_from_dict(doc: dict) -> FiniteMagma:
     try:
         table = doc["table"]
@@ -33,14 +43,15 @@ def magma_from_dict(doc: dict) -> FiniteMagma:
         raise ParameterError("magma document needs a 'table' field")
     if order != len(table):
         raise ParameterError("declared order does not match the table")
-    return FiniteMagma(
-        table,
-        labels=doc.get("labels"),
-        identity=doc.get("identity", "auto"),
-        neutro_mask=doc.get("neutro_mask"),
-        neutro_identity=doc.get("neutro_identity"),
-        kind_tag=doc.get("kind", ""),
-    )
+    with _malformed("magma"):
+        return FiniteMagma(
+            table,
+            labels=doc.get("labels"),
+            identity=doc.get("identity", "auto"),
+            neutro_mask=doc.get("neutro_mask"),
+            neutro_identity=doc.get("neutro_identity"),
+            kind_tag=doc.get("kind", ""),
+        )
 
 
 def nstructure_to_dict(ns: NStructure) -> dict:
@@ -52,8 +63,9 @@ def nstructure_to_dict(ns: NStructure) -> dict:
 
 
 def nstructure_from_dict(doc: dict) -> NStructure:
-    comps = [magma_from_dict(c) for c in doc["components"]]
-    return NStructure(comps, doc["declared_kinds"], doc.get("name", ""))
+    with _malformed("N-structure"):
+        comps = [magma_from_dict(c) for c in doc["components"]]
+        return NStructure(comps, doc["declared_kinds"], doc.get("name", ""))
 
 
 def save_magma(m: FiniteMagma, path):
@@ -63,7 +75,7 @@ def save_magma(m: FiniteMagma, path):
 
 
 def load_magma(path) -> FiniteMagma:
-    with open(path) as fh:
+    with open(path) as fh, _malformed("magma"):
         return magma_from_dict(json.load(fh))
 
 
@@ -74,5 +86,5 @@ def save_nstructure(ns: NStructure, path):
 
 
 def load_nstructure(path) -> NStructure:
-    with open(path) as fh:
+    with open(path) as fh, _malformed("N-structure"):
         return nstructure_from_dict(json.load(fh))

@@ -1,5 +1,8 @@
 """Core table operations, identity laws and substructure search."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 import neutromagma as nm
@@ -20,6 +23,30 @@ def test_construction_validation():
         nm.FiniteMagma([[1, 1], [1, 1]], identity=0)          # bad identity
     m = nm.FiniteMagma([[0, 1], [1, 0]])
     assert m.identity == 0                        # auto-detected
+    for bad in ({"table": [[0.5]]}, {"table": [["a"]]},
+                {"table": [[True, False], [False, True]]},
+                {"table": [[0]], "identity": "x"},
+                {"table": [[0]], "identity": True},
+                {"table": [[0, 1], [1, 0]], "neutro_mask": [True, 7]},
+                {"table": [[0, 1], [1, 0]], "neutro_mask": [True, True],
+                 "neutro_identity": 1.0}):
+        with pytest.raises(nm.ParameterError):
+            nm.FiniteMagma(**bad)
+
+
+def test_order_cap():
+    m = nm.cyclic(nm.magma.MAX_ORDER)
+    for law in Law:
+        assert nm.check_identity_law(m, law).holds is (law is not Law.IDEMPOTENT), law
+    assert nm.check_identity_law(m, Law.IDEMPOTENT).witness == (1,)
+    with pytest.raises(nm.ResourceLimitError):
+        nm.FiniteMagma([[0] * 257 for _ in range(257)])
+    for build in (lambda: nm.cyclic(257), lambda: nm.zn_full_neutro(17),
+                  lambda: nm.extend_tagged(nm.cyclic(129)),
+                  lambda: nm.direct_product(nm.cyclic(16), nm.cyclic(17)),
+                  lambda: nm.symmetric_group(10 ** 9)):
+        with pytest.raises(nm.ResourceLimitError):
+            build()
 
 
 def test_op_apply():
@@ -110,10 +137,28 @@ def test_wip_requires_inverses():
 
 
 def test_bruck_alternate_reading():
-    m = nm.ln(7, 3)
-    a = nm.check_identity_law(m, Law.BRUCK_IDENTITY)
-    b = nm.check_identity_law(m, Law.BRUCK_IDENTITY, bruck_alternate=True)
-    assert not a.holds and not b.holds
+    assert not nm.check_identity_law(nm.ln(7, 3), Law.BRUCK_IDENTITY).holds
+
+
+def test_lazy_caches_under_threads():
+    # 8 threads fill the division tables, law maps and closed-subset lattice
+    # of fresh carriers at once; each cache is one assignment of a whole value
+    def work(m):
+        return ([m.right_division(c, b) for c in range(m.order) for b in range(m.order)],
+                [nm.check_identity_law(m, law) for law in (Law.MOUFANG1, Law.P_GROUPOID)],
+                [s.members for s in nm.enumerate_closed_subsets(m)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            for n in (5, 7, 9, 11, 13):
+                m = nm.ln(n, 2)
+                results = [f.result(timeout=60)
+                           for f in [pool.submit(work, m) for _ in range(8)]]
+                assert all(r == results[0] for r in results)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_trivial_magma_all_laws_hold():

@@ -5,7 +5,7 @@ plain loops over the raw table, sharing no code path with the engines.
 """
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -57,6 +57,7 @@ def oracle_is_ideal(m, mem, side):
 
 
 def oracle_law(m, law, dom):
+    """The first failing tuple over dom in lexicographic order, or None."""
     t = m.table
     eqs = {
         Law.ASSOCIATIVE: lambda x, y, z: t[t[x][y]][z] == t[x][t[y][z]],
@@ -66,18 +67,19 @@ def oracle_law(m, law, dom):
         Law.BOL: lambda x, y, z: t[t[t[x][y]][z]][y] == t[x][t[t[y][z]][y]],
         Law.BRUCK_IDENTITY: lambda x, y, z: t[t[x][t[y][x]]][z] == t[x][t[y][t[x][z]]],
         Law.P_GROUPOID: lambda x, y, z: t[t[x][y]][x] == t[x][t[y][x]],
+        Law.COMMUTATIVE: lambda x, y: t[x][y] == t[y][x],
+        Law.LEFT_ALTERNATIVE: lambda x, y: t[t[x][x]][y] == t[x][t[x][y]],
+        Law.RIGHT_ALTERNATIVE: lambda x, y: t[t[x][y]][y] == t[x][t[y][y]],
+        Law.IDEMPOTENT: lambda x: t[x][x] == x,
     }
-    if law in eqs:
-        return all(eqs[law](x, y, z) for x in dom for y in dom for z in dom)
-    if law is Law.COMMUTATIVE:
-        return all(t[x][y] == t[y][x] for x in dom for y in dom)
-    if law is Law.IDEMPOTENT:
-        return all(t[x][x] == x for x in dom)
-    if law is Law.LEFT_ALTERNATIVE:
-        return all(t[t[x][x]][y] == t[x][t[x][y]] for x in dom for y in dom)
-    if law is Law.RIGHT_ALTERNATIVE:
-        return all(t[t[x][y]][y] == t[x][t[y][y]] for x in dom for y in dom)
-    raise AssertionError(law)
+    eq = eqs[law]
+    for v in product(dom, repeat=eq.__code__.co_argcount):
+        if not eq(*v):
+            return v
+    return None
+
+
+EQUATIONAL_LAWS = [law for law in Law if law not in (Law.WIP, Law.BRUCK_INVERSE)]
 
 
 def oracle_normal_subloop(m, mem):
@@ -129,14 +131,28 @@ def test_ideals_against_definition():
 
 
 def test_laws_against_triple_loops():
-    laws = list(Law)
-    laws.remove(Law.WIP)
-    laws.remove(Law.BRUCK_INVERSE)      # inverse-dependent, oracled separately
-    for m in MAGMAS:
-        dom = range(m.order)
-        for law in laws:
-            assert nm.check_identity_law(m, law).holds == oracle_law(m, law, dom), \
-                (m.table, law)
+    # (holds, witness) of every equational law, over the whole carrier and
+    # over a random domain, on random tables and relabelled cyclic groups
+    rng = random.Random(SEED + 13)
+    for i in range(400):
+        k = rng.randint(1, 7)
+        if i % 4 == 0:
+            perm = list(range(k))
+            rng.shuffle(perm)
+            table = [[0] * k for _ in range(k)]
+            for a in range(k):
+                for b in range(k):
+                    table[perm[a]][perm[b]] = perm[(a + b) % k]
+        else:
+            table = [[rng.randrange(k) for _ in range(k)] for _ in range(k)]
+        m = nm.FiniteMagma(table)
+        sub = nm.Subset(m, rng.sample(range(k), rng.randint(0, k)))
+        for domain, dom in ((None, range(k)), (sub, sub.members)):
+            for law in EQUATIONAL_LAWS:
+                want = oracle_law(m, law, dom)
+                got = nm.check_identity_law(m, law, domain=domain)
+                assert (got.holds, got.witness) == (want is None, want), \
+                    (table, law, dom)
 
 
 def test_wip_against_definition():

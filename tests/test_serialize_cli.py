@@ -185,3 +185,46 @@ def test_tagged_flag(tmp_path):
                  "--tagged", "--out", str(out)]) == 0
     m = load_magma(out)
     assert m.order == 12 and m.labels[m.neutro_identity] == "eI"
+
+
+@pytest.mark.parametrize("command, text", [
+    ("classify", '{"table": [[0.5]]}'),
+    ("classify", '{"table": [["a"]]}'),
+    ("classify", '{"table": [[0]], "identity": "x"}'),
+    ("classify", '{"table": [[true, false], [false, true]]}'),
+    ("classify", '{"table": [[0, 1], [1, 0]], "neutro_mask": [true, 7]}'),
+    ("classify", '{"table": [[0]], "labels": 5}'),
+    ("classify", '{"table": [[0]] '),
+    ("classify", '{"table": [5]}'),
+    ("nstruct", '{"declared_kinds": ["group", "group"]}'),
+    ("nstruct", '{"components": 5, "declared_kinds": []}'),
+    ("nstruct", "no json"),
+], ids=["float-entry", "str-entry", "str-identity", "bool-table", "int-in-mask",
+        "int-labels", "truncated-json", "int-row", "no-components",
+        "int-components", "not-json"])
+def test_cli_malformed_documents(tmp_path, capsys, command, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [
+    ["--family", "cyclic", "--n", "257"],
+    ["--family", "zn-full-neutro", "--n", "17"],
+    ["--family", "sym", "--n", "6"],
+    ["--family", "cyclic", "--n", "129", "--tagged"],
+])
+def test_cli_order_cap(capsys, args):
+    assert main(["construct", *args]) == 2
+    err = capsys.readouterr().err
+    assert "MAX_ORDER" in err and "Traceback" not in err
+
+
+def test_cli_oversized_order_rejected_before_allocation():
+    proc = subprocess.run([sys.executable, "-m", "neutromagma.cli", "construct",
+                           "--family", "cyclic", "--n", "100000"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "MAX_ORDER" in proc.stderr and "Traceback" not in proc.stderr
