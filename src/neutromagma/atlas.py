@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .classify import SKind, cauchy_classify, detect_s_kind, lagrange_classify, sylow_classify
 from .constructors import ln, ln_admissible, ln_count, zn, zn_class_size, zn_params
-from .magma import (FiniteMagma, IdentityLaw, PreconditionError,
-                    SubsetPredicate, check_identity_law,
+from .magma import (FiniteMagma, IdentityLaw, ParameterError,
+                    PreconditionError, SubsetPredicate, check_identity_law,
                     classify_basic)
 
 ATLAS_COLUMNS = [
@@ -142,13 +142,12 @@ def counts_match(footer) -> bool:
 
 
 def parse_range(spec: str):
-    """'5..25' or '5,7,9' or '7' -> list of ints."""
+    """'5..25' or '5,7,9' or '7' -> list of ints; ParameterError otherwise."""
     spec = spec.strip()
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    if "," in spec:
+    try:
+        if ".." in spec:
+            lo, hi = spec.split("..")
+            return list(range(int(lo), int(hi) + 1))
         return [int(x) for x in spec.split(",") if x.strip()]
-    if not spec:
-        return []
-    return [int(spec)]
+    except ValueError:
+        raise ParameterError(f"range {spec!r} is not like 5..25, 5,7,9 or 7") from None

@@ -2,6 +2,7 @@
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from itertools import combinations
 
 import pytest
 
@@ -141,11 +142,13 @@ def test_bruck_alternate_reading():
 
 
 def test_lazy_caches_under_threads():
-    # 8 threads fill the division tables, law maps and closed-subset lattice
-    # of fresh carriers at once; each cache is one assignment of a whole value
+    # 8 threads fill the division tables, law maps, basic report and
+    # closed-subset lattice of fresh carriers at once; each cache is one
+    # assignment of a whole value
     def work(m):
         return ([m.right_division(c, b) for c in range(m.order) for b in range(m.order)],
                 [nm.check_identity_law(m, law) for law in (Law.MOUFANG1, Law.P_GROUPOID)],
+                nm.classify_basic(m),
                 [s.members for s in nm.enumerate_closed_subsets(m)])
 
     interval = sys.getswitchinterval()
@@ -216,6 +219,43 @@ def test_closed_subset_cap_raises(monkeypatch):
     with pytest.raises(nm.ResourceLimitError, match="more than 5"):
         nm.enumerate_closed_subsets(m)
     assert "closed" not in m._subset_cache
+
+
+def test_closed_subset_cap_on_constant_product():
+    # every subset holding the product's value is closed: 2^23 of them
+    m = nm.FiniteMagma([[0] * 24 for _ in range(24)])
+    with pytest.raises(nm.ResourceLimitError,
+                       match=f"more than {nm.magma.MAX_CLOSED_SUBSETS} closed subsets"):
+        nm.enumerate_closed_subsets(m)
+
+
+def test_lattice_subsets_answer_as_public_subsets():
+    # Subsets from the closed-subset search and from generated_closure carry
+    # a record that they are closed; a public Subset of the same members
+    # does not, yet it compares, hashes and prints the same, and every
+    # species gives the same answer on both
+    species = [*nm.magma.PREDICATE_REGISTRY, nm.NEUTRO_UNITAL, nm.NEUTRO_SUBSEMIGROUP,
+               nm.GROUP_OR_S_SUBSEMIGROUP, nm.NEUTRO_UNITAL_OR_SUBGROUP,
+               nm.S_NEUTRO_SUBLOOP]
+    for m in (nm.zmod_mult(6), nm.symmetric_group(3), nm.zn_full_neutro(3),
+              nm.extend_tagged(nm.cyclic(4)), nm.ln(5, 3)):
+        found = list(nm.enumerate_closed_subsets(m, include_full=True,
+                                                 include_trivial=True))
+        found += [nm.generated_closure(m, [x]) for x in range(m.order)]
+        for s in found:
+            public = nm.Subset(m, s.members)
+            assert public == s and hash(public) == hash(s) and repr(public) == repr(s)
+            assert nm.is_closed(public) and nm.is_closed(s)
+            for pred in species:
+                assert (nm.magma.evaluate_predicate(pred, s)
+                        == nm.magma.evaluate_predicate(pred, public)), (m, s, pred)
+        closed = {s.members for s in found}
+        for mem in combinations(range(m.order), 2):
+            if mem not in closed:
+                s = nm.Subset(m, mem)
+                assert not nm.is_closed(s)
+                assert not (nm.subset_is_group(s) or nm.subset_is_semigroup(s)
+                            or nm.subset_is_loop(s))
 
 
 def test_enumeration_exclusions_and_ordering():

@@ -122,6 +122,103 @@ def test_closed_lattice_against_powerset_scan():
         assert [s.members for s in got] == sorted(want), m.table
 
 
+def bfs_closed_lattice(m):
+    """Every nonempty closed subset, by the breadth-first lattice search:
+    from the empty set, closure(C | {x}) for every closed set C found and
+    every x outside it, with a seen-set.  Every nonempty closed set is the
+    closure of a chain of its own elements, so each one is reached."""
+    t = m.table
+
+    def close(members, x):
+        s = set(members)
+        s.add(x)
+        work = [x]
+        while work:
+            a = work.pop()
+            for b in list(s):
+                for v in (t[a][b], t[b][a]):
+                    if v not in s:
+                        s.add(v)
+                        work.append(v)
+        return frozenset(s)
+
+    seen = set()
+    queue = [frozenset()]
+    for c in queue:
+        for x in range(m.order):
+            if x not in c:
+                d = close(c, x)
+                if d not in seen:
+                    seen.add(d)
+                    queue.append(d)
+    return sorted(tuple(sorted(d)) for d in seen)
+
+
+def lattice(m):
+    found = nm.enumerate_closed_subsets(m, include_full=True, include_trivial=True)
+    return [s.members for s in found]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: nm.direct_product(nm.zn_line_neutro(3), nm.zn_line_neutro(3)),
+    lambda: nm.zn_line_neutro(15),
+    lambda: nm.symmetric_semigroup(3),
+    lambda: nm.alternating(5),
+    lambda: nm.zn_affine_neutro(8, 3, 5),
+], ids=["zn_line_neutro(3)^2", "zn_line_neutro(15)", "symmetric_semigroup(3)",
+        "alternating(5)", "zn_affine_neutro(8,3,5)"])
+def test_closed_lattice_against_breadth_first_search(build):
+    m = build()
+    assert lattice(m) == bfs_closed_lattice(m)
+
+
+def test_closed_lattice_against_breadth_first_search_on_random_tables():
+    # orders 8-12 whose products fall in a small image set, or half the time
+    # in {x, y} plus that set: many closed subsets, and (in the second kind)
+    # over a thousand failed canonicity tests inherited down the search tree
+    rng = random.Random(SEED + 17)
+    total = 0
+    for i in range(40):
+        k = rng.randint(8, 12)
+        image = rng.sample(range(k), rng.randint(1, 3))
+        if i % 2:
+            table = [[rng.choice((x, y, x, y, rng.choice(image))) for y in range(k)]
+                     for x in range(k)]
+        else:
+            table = [[rng.choice(image) for _ in range(k)] for _ in range(k)]
+        m = nm.FiniteMagma(table)
+        want = bfs_closed_lattice(m)
+        assert lattice(m) == want, m.table
+        total += len(want)
+    assert total > 10_000
+
+
+def test_isomorphism_finds_random_relabelings():
+    # a copy relabelled by a random permutation pi has table
+    # copy[pi(x)][pi(y)] = pi(x*y); the map found must be a bijective
+    # homomorphism onto it
+    rng = random.Random(SEED + 19)
+    for _ in range(300):
+        k = rng.randint(1, 7)
+        table = [[rng.randrange(k) for _ in range(k)] for _ in range(k)]
+        if rng.random() < 0.5:      # an identity row/column pins the search
+            e = rng.randrange(k)
+            for x in range(k):
+                table[e][x] = x
+                table[x][e] = x
+        pi = list(range(k))
+        rng.shuffle(pi)
+        copy = [[0] * k for _ in range(k)]
+        for x in range(k):
+            for y in range(k):
+                copy[pi[x]][pi[y]] = pi[table[x][y]]
+        m, c = nm.FiniteMagma(table), nm.FiniteMagma(copy)
+        phi = nm.is_isomorphic(m, c)
+        assert phi is not None, table
+        assert sorted(phi) == list(range(k))
+        assert nm.check_homomorphism(nm.PartialMap(m, c, tuple(enumerate(phi))))
+
+
 def test_ideals_against_definition():
     for m in MAGMAS:
         for mem in oracle_closed_subsets(m):

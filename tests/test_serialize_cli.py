@@ -1,6 +1,7 @@
 """JSON round-trips and the command-line surface."""
 
 import json
+import random
 import subprocess
 import sys
 
@@ -22,6 +23,34 @@ def test_magma_round_trip():
         assert back.neutro_mask == m.neutro_mask
         assert back.identity == m.identity
         assert back.neutro_identity == m.neutro_identity
+
+
+def test_magma_round_trip_on_random_tables():
+    # random tables of order <= 7 with random labels, masks and designated
+    # elements, through the dict and through JSON text
+    rng = random.Random(20060131)
+    pool = ["0", "1", "10", "-1", "e", "I", "1+2I", "\u00e9", "a b", "x,y", '"q"', ""]
+    for _ in range(300):
+        k = rng.randint(1, 7)
+        table = [[rng.randrange(k) for _ in range(k)] for _ in range(k)]
+        if rng.random() < 0.5:      # an identity row/column
+            e = rng.randrange(k)
+            for x in range(k):
+                table[e][x] = x
+                table[x][e] = x
+        mask = [rng.random() < 0.4 for _ in range(k)]
+        masked = [i for i in range(k) if mask[i]]
+        nid = rng.choice(masked) if masked and rng.random() < 0.7 else None
+        m = nm.FiniteMagma(table, labels=rng.sample(pool, k), neutro_mask=mask,
+                           neutro_identity=nid, kind_tag=rng.choice(["", "random"]))
+        doc = magma_to_dict(m)
+        for back in (magma_from_dict(doc), magma_from_dict(json.loads(json.dumps(doc)))):
+            assert back.table == m.table
+            assert back.labels == m.labels
+            assert back.identity == m.identity
+            assert back.neutro_mask == m.neutro_mask
+            assert back.neutro_identity == m.neutro_identity
+            assert back.kind_tag == m.kind_tag
 
 
 def test_nstructure_round_trip(tmp_path):
@@ -148,6 +177,13 @@ def test_cli_atlas(tmp_path, capsys):
     # empty range: header and footer only, exit 0
     assert main(["atlas", "--family", "zn", "--n", ""]) == 0
     assert capsys.readouterr().out.startswith("family,")
+
+
+@pytest.mark.parametrize("spec", ["x", "5..x", "5..", "5..21..2"])
+def test_cli_atlas_malformed_range(capsys, spec):
+    assert main(["atlas", "--family", "ln", "--n", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_cli_verify_corpus_filter(capsys):
