@@ -15,7 +15,7 @@ from .constructors import factorize
 from .magma import (FiniteMagma, IdentityLaw, PreconditionError, Subset,
                     SubsetPredicate, check_identity_law, classify_basic,
                     cosets, element_orders, enumerate_closed_subsets,
-                    is_closed, predicate_name)
+                    is_closed)
 from .neutro import (NEUTRO_SUBSEMIGROUP, is_neutrosophic_subgroup,
                      is_pseudo_neutrosophic_subgroup)
 
@@ -116,7 +116,6 @@ class Witness:
 class ClassReport:
     verdict: Verdict3
     witnesses: tuple
-    searched_species: str
     notes: tuple = ()
 
     def to_dict(self):
@@ -131,8 +130,7 @@ def lagrange_classify(m: FiniteMagma, species) -> ClassReport:
     species substructure has order dividing o(m)."""
     found = enumerate_closed_subsets(m, species)
     wits = tuple(Witness(s, len(s), m.order % len(s) == 0) for s in found)
-    return ClassReport(verdict_of([w.qualifies for w in wits]), wits,
-                       predicate_name(species))
+    return ClassReport(verdict_of([w.qualifies for w in wits]), wits)
 
 
 def _sylow_targets(order: int, variant: str):
@@ -196,7 +194,7 @@ def sylow_classify(m: FiniteMagma, species, variant: str = "standard") -> ClassR
     verdict, hits, notes = sylow_verdict(m.order, variant, first.get,
                                          not found.items)
     return ClassReport(verdict, tuple(Witness(h, len(h), True) for h in hits),
-                       predicate_name(species), tuple(notes))
+                       tuple(notes))
 
 
 @dataclass(frozen=True)

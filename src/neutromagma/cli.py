@@ -26,18 +26,7 @@ from .nstruct import classify_n_kind, n_cauchy, n_lagrange, n_sylow
 from .serialize import (load_magma, load_nstructure, magma_to_dict,
                         save_magma)
 
-SPECIES = {
-    "group": SubsetPredicate.IS_GROUP,
-    "semigroup": SubsetPredicate.IS_SEMIGROUP,
-    "loop": SubsetPredicate.IS_LOOP,
-    "subgroupoid": SubsetPredicate.IS_SUBGROUPOID,
-    "neutrosophic-subgroup": SubsetPredicate.IS_NEUTROSOPHIC_SUBGROUP,
-    "pseudo-neutrosophic-subgroup": SubsetPredicate.IS_PSEUDO_NEUTROSOPHIC_SUBGROUP,
-    "s-neutrosophic-sub": SubsetPredicate.IS_S_NEUTROSOPHIC_SUB,
-    "ideal": SubsetPredicate.IS_IDEAL,
-    "left-ideal": SubsetPredicate.IS_LEFT_IDEAL,
-    "right-ideal": SubsetPredicate.IS_RIGHT_IDEAL,
-}
+SPECIES = {p.value.replace("_", "-"): p for p in SubsetPredicate}
 
 
 def _construct(args) -> int:
@@ -67,6 +56,8 @@ def _construct(args) -> int:
     elif fam == "zn-affine-neutro":
         m = zn_affine_neutro(args.n, args.t, args.u)
     elif fam == "product":
+        if not (args.left and args.right):
+            raise ParameterError("family product needs --left and --right")
         m = direct_product(load_magma(args.left), load_magma(args.right))
     else:
         raise ParameterError(f"unknown family {fam!r}")
@@ -169,6 +160,10 @@ def _nstruct(args) -> int:
             if len(names) != ns.n:
                 raise ParameterError(
                     f"need {ns.n} species (one per component), got {len(names)}")
+            unknown = [s for s in names if s not in SPECIES]
+            if unknown:
+                raise ParameterError(f"unknown species {unknown[0]!r}; "
+                                     f"choose from {', '.join(sorted(SPECIES))}")
             species = [SPECIES[s] for s in names]
             if args.engine == "lagrange":
                 doc["report"] = n_lagrange(ns, species).to_dict()

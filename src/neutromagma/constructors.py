@@ -62,7 +62,7 @@ def ln(n: int, m: int) -> FiniteMagma:
                 v = (m * j - (m - 1) * i) % n
                 table[i][j] = v if v != 0 else n
     labels = ["e"] + [str(i) for i in range(1, k)]
-    return FiniteMagma(table, labels=labels, identity=0, kind_tag=f"ln({n},{m})")
+    return FiniteMagma(table, labels=labels, kind_tag=f"ln({n},{m})")
 
 
 def ln_admissible(n: int):
@@ -170,7 +170,7 @@ def cyclic(n: int) -> FiniteMagma:
     require_order(n, f"cyclic({n})")
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
     labels = ["1"] + ["g" if i == 1 else f"g^{i}" for i in range(1, n)]
-    return FiniteMagma(table, labels=labels, identity=0, kind_tag=f"cyclic({n})")
+    return FiniteMagma(table, labels=labels, kind_tag=f"cyclic({n})")
 
 
 def _perm_label(p):
@@ -274,13 +274,9 @@ def direct_product(m1: FiniteMagma, m2: FiniteMagma) -> FiniteMagma:
               for (x2, y2) in elems] for (x1, y1) in elems]
     labels = [f"({m1.labels[x]},{m2.labels[y]})" for (x, y) in elems]
     mask = [m1.neutro_mask[x] or m2.neutro_mask[y] for (x, y) in elems]
-    ident = None
-    if m1.identity is not None and m2.identity is not None:
-        ident = index[(m1.identity, m2.identity)]
     nid = None
     if m1.neutro_identity is not None and m2.neutro_identity is not None:
         nid = index[(m1.neutro_identity, m2.neutro_identity)]
-    return FiniteMagma(table, labels=labels, identity=ident, neutro_mask=mask,
-                       neutro_identity=nid,
+    return FiniteMagma(table, labels=labels, neutro_mask=mask, neutro_identity=nid,
                        kind_tag=f"product({m1.kind_tag},{m2.kind_tag})")
 

@@ -43,9 +43,10 @@ class FiniteMagma:
     """Immutable Cayley table over an indexed, labeled universe.
 
     table[x][y] is the index of x*y.  `identity` is the two-sided identity
-    index or None.  `neutro_mask[i]` marks elements carrying an indeterminate
-    component; `neutro_identity` is the designated element playing the role
-    of I (eI in tagged extensions, 0+1I in residue carriers).
+    index found from the table, or None.  `neutro_mask[i]` marks elements
+    carrying an indeterminate component; `neutro_identity` is the designated
+    element playing the role of I (eI in tagged extensions, 0+1I in residue
+    carriers).
     """
 
     __slots__ = ("order", "table", "labels", "identity", "neutro_mask",
@@ -55,7 +56,7 @@ class FiniteMagma:
     # Lazy caches are filled by one assignment of a complete value, so a
     # thread that reads one sees either nothing or all of it.
 
-    def __init__(self, table, labels=None, identity="auto", neutro_mask=None,
+    def __init__(self, table, labels=None, neutro_mask=None,
                  neutro_identity=None, kind_tag=""):
         k = len(table)
         if k == 0:
@@ -76,14 +77,7 @@ class FiniteMagma:
             raise ParameterError("label count does not match order")
         if len(set(self.labels)) != k:
             raise ParameterError("labels are not pairwise distinct")
-        if identity == "auto":
-            identity = _find_identity(self.table, range(k))
-        if identity is not None:
-            e = _index_arg(identity, k, "identity")
-            for x in range(k):
-                if self.table[e][x] != x or self.table[x][e] != x:
-                    raise ParameterError(f"declared identity {e} fails at element {x}")
-        self.identity = identity
+        self.identity = _find_identity(self.table, range(k))
         if neutro_mask is None:
             neutro_mask = [False] * k
         self.neutro_mask = tuple(neutro_mask)
@@ -93,7 +87,9 @@ class FiniteMagma:
             if type(b) is not bool:
                 raise ParameterError(f"neutro_mask entry {b!r} is not a bool")
         if neutro_identity is not None:
-            _index_arg(neutro_identity, k, "neutro_identity")
+            if type(neutro_identity) is not int or not 0 <= neutro_identity < k:
+                raise ParameterError(
+                    f"neutro_identity {neutro_identity!r} is not an index in [0,{k})")
             if not self.neutro_mask[neutro_identity]:
                 raise ParameterError("neutro_identity must have neutro_mask set")
         self.neutro_identity = neutro_identity
@@ -173,12 +169,6 @@ def require_order(k: int, what: str) -> None:
     the order that is past the cap whenever the order is."""
     if k > MAX_ORDER:
         raise ResourceLimitError(f"{what} has more than MAX_ORDER = {MAX_ORDER} elements")
-
-
-def _index_arg(v, k: int, what: str) -> int:
-    if type(v) is not int or not 0 <= v < k:
-        raise ParameterError(f"{what} {v!r} is not an index in [0,{k})")
-    return v
 
 
 def _find_identity(t, dom) -> Optional[int]:
@@ -449,12 +439,9 @@ def classify_basic(m: FiniteMagma) -> BasicReport:
         return m._basic
     assoc = check_identity_law(m, IdentityLaw.ASSOCIATIVE).holds
     comm = check_identity_law(m, IdentityLaw.COMMUTATIVE).holds
-    e = m.identity if m.identity is not None else _find_identity(m.table, range(m.order))
-    latin = latin_square_check(m)
-    loop = latin and e is not None
-    inverses = False
-    if e is not None:
-        inverses = len(two_sided_inverses(m)) == m.order
+    e = m.identity
+    loop = e is not None and latin_square_check(m)
+    inverses = e is not None and len(two_sided_inverses(m)) == m.order
     m._basic = BasicReport(
         is_semigroup=assoc,
         is_commutative=comm,
@@ -600,16 +587,6 @@ def evaluate_predicate(pred, s: Subset) -> bool:
     if callable(pred):
         return pred(s)
     raise ParameterError(f"not a subset predicate: {pred!r}")
-
-
-def predicate_name(pred) -> str:
-    if pred is None:
-        return "closed"
-    if isinstance(pred, SubsetPredicate):
-        return pred.value
-    if isinstance(pred, CustomPredicate):
-        return pred.name
-    return getattr(pred, "__name__", "custom")
 
 
 @dataclass(frozen=True)
@@ -994,16 +971,17 @@ def principal_isotope(m: FiniteMagma, a: int, b: int) -> FiniteMagma:
     table = [[m.table[m.right_division(x, a)][m.left_division(b, y)]
               for y in range(k)] for x in range(k)]
     return FiniteMagma(
-        table, labels=m.labels, identity=m.table[b][a],
-        neutro_mask=m.neutro_mask, neutro_identity=None,
+        table, labels=m.labels, neutro_mask=m.neutro_mask, neutro_identity=None,
         kind_tag=f"isotope({m.kind_tag},{m.labels[a]},{m.labels[b]})")
 
 
 def is_isomorphic(m1: FiniteMagma, m2: FiniteMagma):
-    """A table-preserving bijection as an index list, or None.
+    """The lexicographically first table-preserving bijection as an index
+    list, or None.
 
-    Backtracking with the identity pinned first; raises ResourceLimitError
-    above MAX_ISOMORPHISM_ORDER."""
+    Elements are mapped in index order, each to the least unused target that
+    keeps consistent every pair whose operands and product are all mapped;
+    raises ResourceLimitError above MAX_ISOMORPHISM_ORDER."""
     if m1.order != m2.order:
         return None
     k = m1.order
@@ -1011,63 +989,28 @@ def is_isomorphic(m1: FiniteMagma, m2: FiniteMagma):
         raise ResourceLimitError(
             f"isomorphism search capped at order {MAX_ISOMORPHISM_ORDER}, got {k}")
     t1, t2 = m1.table, m2.table
-
-    def profile(t, x):
-        row = t[x]
-        col = tuple(t[r][x] for r in range(k))
-        return (row.count(x), col.count(x), t[x][x] == x)
-
-    prof2 = {}
-    for y in range(k):
-        prof2.setdefault(profile(t2, y), []).append(y)
-
-    order = list(range(k))
-    if m1.identity is not None:
-        order.remove(m1.identity)
-        order.insert(0, m1.identity)
-
-    phi = [None] * k
+    due = [[] for _ in range(k)]     # due[i]: pairs decided once 0..i are mapped
+    for x in range(k):
+        for y in range(k):
+            due[max(x, y, t1[x][y])].append((x, y))
+    phi = [0] * k
     used = [False] * k
-
-    def consistent(x, y):
-        for u in range(k):
-            if phi[u] is None:
-                continue
-            for (p, q, pp, qq) in ((x, u, y, phi[u]), (u, x, phi[u], y)):
-                v = t1[p][q]
-                if phi[v] is not None and phi[v] != t2[pp][qq]:
-                    return False
-                if v == x and t2[pp][qq] != y:
-                    return False
-                if v == u and t2[pp][qq] != phi[u]:
-                    return False
-        return True
 
     def extend(i):
         if i == k:
-            return all(phi[t1[x][y]] == t2[phi[x]][phi[y]] for x in range(k) for y in range(k))
-        x = order[i]
-        candidates = prof2.get(profile(t1, x), [])
-        if i == 0 and m1.identity is not None and m2.identity is not None:
-            candidates = [m2.identity]
-        for y in candidates:
-            if used[y]:
+            return True
+        for v in range(k):
+            if used[v]:
                 continue
-            if not consistent(x, y):
-                continue
-            phi[x] = y
-            used[y] = True
-            if extend(i + 1):
-                return True
-            phi[x] = None
-            used[y] = False
+            phi[i] = v
+            if all(phi[t1[x][y]] == t2[phi[x]][phi[y]] for x, y in due[i]):
+                used[v] = True
+                if extend(i + 1):
+                    return True
+                used[v] = False
         return False
 
-    if m1.identity is not None and m2.identity is None:
-        return None
-    if extend(0):
-        return list(phi)
-    return None
+    return phi if extend(0) else None
 
 
 def right_regular_representation(m: FiniteMagma, a: int):

@@ -54,8 +54,8 @@ def extend_tagged(base: FiniteMagma) -> FiniteMagma:
     mask = [False] * k + [True] * k
     e = base.identity
     return FiniteMagma(
-        table, labels=labels, identity=e,
-        neutro_mask=mask, neutro_identity=(e + k) if e is not None else None,
+        table, labels=labels, neutro_mask=mask,
+        neutro_identity=(e + k) if e is not None else None,
         kind_tag=f"tagged({base.kind_tag})")
 
 
@@ -66,7 +66,6 @@ def _residue_carrier(n: int, elems, kind_tag: str) -> FiniteMagma:
     table = [[index[(p := x.mul(y, n)).a, p.b] for y in elems] for x in elems]
     return FiniteMagma(
         table, labels=[r.label() for r in elems],
-        identity=index[(1, 0)],
         neutro_mask=[r.b != 0 for r in elems],
         neutro_identity=index[(0, 1)],
         kind_tag=kind_tag)

@@ -19,9 +19,8 @@ from .classify import (CauchyReport, ClassReport, SKind, Witness,
                        sylow_verdict, verdict_of)
 from .magma import (FiniteMagma, ParameterError, PartialMap,
                     PreconditionError, ResourceLimitError, Subset,
-                    check_homomorphism, check_identity_law, classify_basic,
-                    enumerate_closed_subsets, IdentityLaw, predicate_name,
-                    submagma)
+                    check_homomorphism, classify_basic,
+                    enumerate_closed_subsets, submagma)
 from .neutro import has_real_subgroup
 
 DEFAULT_COMBINATION_CAP = 10 ** 6
@@ -33,7 +32,7 @@ def _v_group(m):
 
 
 def _v_semigroup(m):
-    return check_identity_law(m, IdentityLaw.ASSOCIATIVE).holds
+    return classify_basic(m).is_semigroup
 
 
 def _v_loop(m):
@@ -74,43 +73,33 @@ def _v_skind(kind):
     return lambda m: detect_s_kind(m, kind).holds
 
 
-KIND_VERIFIERS = {
-    "group": _v_group,
-    "semigroup": _v_semigroup,
-    "loop": _v_loop,
-    "groupoid": _v_groupoid,
-    "neutrosophic-group": _v_neutro_group,
-    "neutrosophic-semigroup": _v_neutro_semigroup,
-    "neutrosophic-loop": _v_neutro_loop,
-    "neutrosophic-groupoid": _v_neutro,
-    "s-semigroup": _v_skind(SKind.S_SEMIGROUP),
-    "s-loop": _v_skind(SKind.S_LOOP),
-    "s-groupoid": _v_skind(SKind.S_GROUPOID),
-    "s-neutrosophic-group": _v_skind(SKind.S_NEUTROSOPHIC_GROUP),
-    "strong-s-neutrosophic-group": _v_skind(SKind.STRONG_S_NEUTROSOPHIC_GROUP),
-    "s-neutrosophic-semigroup": _v_skind(SKind.S_NEUTROSOPHIC_SEMIGROUP),
-    "s-neutrosophic-loop": _v_skind(SKind.S_NEUTROSOPHIC_LOOP),
-    "s-neutrosophic-groupoid": _v_skind(SKind.S_NEUTROSOPHIC_GROUPOID),
-}
-
-# declared kind -> family buckets used by the N-kind classifier
-_FAMILY = {
-    "group": ("group",),
-    "semigroup": ("semigroup",),
-    "loop": ("loop",),
-    "groupoid": ("groupoid",),
-    "neutrosophic-group": ("group", "neutro-group"),
-    "neutrosophic-semigroup": ("semigroup", "neutro-semigroup"),
-    "neutrosophic-loop": ("loop", "neutro-loop"),
-    "neutrosophic-groupoid": ("groupoid", "neutro-groupoid"),
-    "s-semigroup": ("semigroup", "s-semigroup"),
-    "s-loop": ("loop", "s-loop"),
-    "s-groupoid": ("groupoid", "s-groupoid"),
-    "s-neutrosophic-group": ("group", "neutro-group", "s-neutro-group"),
-    "strong-s-neutrosophic-group": ("group", "neutro-group", "s-neutro-group"),
-    "s-neutrosophic-semigroup": ("semigroup", "neutro-semigroup", "s-neutro-semigroup"),
-    "s-neutrosophic-loop": ("loop", "neutro-loop", "s-neutro-loop"),
-    "s-neutrosophic-groupoid": ("groupoid", "neutro-groupoid", "s-neutro-groupoid"),
+# declared kind -> (verification predicate, family buckets used by the
+# N-kind classifier)
+KINDS = {
+    "group": (_v_group, ("group",)),
+    "semigroup": (_v_semigroup, ("semigroup",)),
+    "loop": (_v_loop, ("loop",)),
+    "groupoid": (_v_groupoid, ("groupoid",)),
+    "neutrosophic-group": (_v_neutro_group, ("group", "neutro-group")),
+    "neutrosophic-semigroup": (_v_neutro_semigroup,
+                               ("semigroup", "neutro-semigroup")),
+    "neutrosophic-loop": (_v_neutro_loop, ("loop", "neutro-loop")),
+    "neutrosophic-groupoid": (_v_neutro, ("groupoid", "neutro-groupoid")),
+    "s-semigroup": (_v_skind(SKind.S_SEMIGROUP), ("semigroup", "s-semigroup")),
+    "s-loop": (_v_skind(SKind.S_LOOP), ("loop", "s-loop")),
+    "s-groupoid": (_v_skind(SKind.S_GROUPOID), ("groupoid", "s-groupoid")),
+    "s-neutrosophic-group": (_v_skind(SKind.S_NEUTROSOPHIC_GROUP),
+                             ("group", "neutro-group", "s-neutro-group")),
+    "strong-s-neutrosophic-group": (_v_skind(SKind.STRONG_S_NEUTROSOPHIC_GROUP),
+                                    ("group", "neutro-group", "s-neutro-group")),
+    "s-neutrosophic-semigroup": (_v_skind(SKind.S_NEUTROSOPHIC_SEMIGROUP),
+                                 ("semigroup", "neutro-semigroup",
+                                  "s-neutro-semigroup")),
+    "s-neutrosophic-loop": (_v_skind(SKind.S_NEUTROSOPHIC_LOOP),
+                            ("loop", "neutro-loop", "s-neutro-loop")),
+    "s-neutrosophic-groupoid": (_v_skind(SKind.S_NEUTROSOPHIC_GROUPOID),
+                                ("groupoid", "neutro-groupoid",
+                                 "s-neutro-groupoid")),
 }
 
 
@@ -128,10 +117,9 @@ class NStructure:
         if len(kinds) != len(comps):
             raise ParameterError("one declared kind per component is required")
         for i, (c, k) in enumerate(zip(comps, kinds)):
-            verifier = KIND_VERIFIERS.get(k)
-            if verifier is None:
+            if k not in KINDS:
                 raise ParameterError(f"unknown declared kind {k!r}")
-            if not verifier(c):
+            if not KINDS[k][0](c):
                 raise ParameterError(
                     f"component {i} ({c.kind_tag}) fails verification for kind {k!r}")
         self.components = comps
@@ -238,7 +226,7 @@ class NKindVerdict:
 def classify_n_kind(ns: NStructure) -> NKindVerdict:
     """Evaluate the family predicates from the verified declared kinds; the
     'or' clauses are non-exclusive and mixed families demand N >= 5."""
-    fams = [set(_FAMILY[k]) for k in ns.declared_kinds]
+    fams = [set(KINDS[k][1]) for k in ns.declared_kinds]
 
     def every(f):
         return all(f in fs for fs in fams)
@@ -369,12 +357,7 @@ def n_lagrange(ns: NStructure, per_component_species,
         size = sum(map(len, p.per_component))
         wits.append(Witness(p, size, total % size == 0))
     wits = tuple(wits)
-    return ClassReport(verdict_of([w.qualifies for w in wits]), wits,
-                       _species_names(per_component_species))
-
-
-def _species_names(species_list):
-    return "[" + ", ".join(predicate_name(s) for s in species_list) + "]"
+    return ClassReport(verdict_of([w.qualifies for w in wits]), wits)
 
 
 def _first_of_size(ns: NStructure, cands):
@@ -421,8 +404,7 @@ def n_sylow(ns: NStructure, per_component_species, variant: str = "standard",
     verdict, hits, notes = sylow_verdict(ns.order, variant,
                                          _first_of_size(ns, cands), count == 0)
     wits = tuple(Witness(h, h.order, True) for h in hits)
-    return ClassReport(verdict, wits, _species_names(per_component_species),
-                       tuple(notes))
+    return ClassReport(verdict, wits, tuple(notes))
 
 
 def n_cauchy(ns: NStructure) -> CauchyReport:

@@ -36,6 +36,8 @@ def _malformed(what: str):
 
 
 def magma_from_dict(doc: dict) -> FiniteMagma:
+    """The magma of a document; an "identity" other than a missing key or
+    null must be the identity found from the table."""
     try:
         table = doc["table"]
         order = doc.get("order", len(table))
@@ -44,14 +46,18 @@ def magma_from_dict(doc: dict) -> FiniteMagma:
     if order != len(table):
         raise ParameterError("declared order does not match the table")
     with _malformed("magma"):
-        return FiniteMagma(
+        m = FiniteMagma(
             table,
             labels=doc.get("labels"),
-            identity=doc.get("identity", "auto"),
             neutro_mask=doc.get("neutro_mask"),
             neutro_identity=doc.get("neutro_identity"),
             kind_tag=doc.get("kind", ""),
         )
+    declared = doc.get("identity")
+    if declared is not None and (type(declared) is not int or declared != m.identity):
+        raise ParameterError(
+            f"declared identity {declared!r} is not the identity of the table ({m.identity})")
+    return m
 
 
 def nstructure_to_dict(ns: NStructure) -> dict:

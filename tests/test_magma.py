@@ -20,19 +20,21 @@ def test_construction_validation():
         nm.FiniteMagma([[0, 1], [2, 0]])          # entry out of range
     with pytest.raises(nm.ParameterError):
         nm.FiniteMagma([[0, 1], [1, 0]], labels=["a", "a"])   # dup labels
-    with pytest.raises(nm.ParameterError):
-        nm.FiniteMagma([[1, 1], [1, 1]], identity=0)          # bad identity
     m = nm.FiniteMagma([[0, 1], [1, 0]])
-    assert m.identity == 0                        # auto-detected
+    assert m.identity == 0                        # found from the table
     for bad in ({"table": [[0.5]]}, {"table": [["a"]]},
                 {"table": [[True, False], [False, True]]},
-                {"table": [[0]], "identity": "x"},
-                {"table": [[0]], "identity": True},
                 {"table": [[0, 1], [1, 0]], "neutro_mask": [True, 7]},
                 {"table": [[0, 1], [1, 0]], "neutro_mask": [True, True],
                  "neutro_identity": 1.0}):
         with pytest.raises(nm.ParameterError):
             nm.FiniteMagma(**bad)
+    # a declared identity must be the identity found from the table
+    for bad in ({"table": [[1, 1], [1, 1]], "identity": 0},
+                {"table": [[0]], "identity": "x"},
+                {"table": [[0]], "identity": True}):
+        with pytest.raises(nm.ParameterError):
+            nm.magma_from_dict(bad)
 
 
 def test_order_cap():

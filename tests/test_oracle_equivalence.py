@@ -5,7 +5,7 @@ plain loops over the raw table, sharing no code path with the engines.
 """
 
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -217,6 +217,47 @@ def test_isomorphism_finds_random_relabelings():
         assert phi is not None, table
         assert sorted(phi) == list(range(k))
         assert nm.check_homomorphism(nm.PartialMap(m, c, tuple(enumerate(phi))))
+
+
+def oracle_isomorphism(m1, m2):
+    # the first permutation in lexicographic order that preserves the table
+    k = m1.order
+    t1, t2 = m1.table, m2.table
+    for p in permutations(range(k)):
+        if all(p[t1[x][y]] == t2[p[x]][p[y]] for x in range(k) for y in range(k)):
+            return list(p)
+    return None
+
+
+def test_isomorphism_is_first_preserving_permutation():
+    # relabelled copies, some with one entry changed, against the
+    # permutation scan, in both directions
+    rng = random.Random(SEED + 23)
+    found = 0
+    for _ in range(300):
+        k = rng.randint(1, 6)
+        table = [[rng.randrange(k) for _ in range(k)] for _ in range(k)]
+        if rng.random() < 0.5:
+            e = rng.randrange(k)
+            for x in range(k):
+                table[e][x] = x
+                table[x][e] = x
+        pi = list(range(k))
+        rng.shuffle(pi)
+        copy = [[0] * k for _ in range(k)]
+        for x in range(k):
+            for y in range(k):
+                copy[pi[x]][pi[y]] = pi[table[x][y]]
+        if k > 1 and rng.random() < 0.3:
+            x, y = rng.randrange(k), rng.randrange(k)
+            copy[x][y] = rng.choice([v for v in range(k) if v != copy[x][y]])
+        m, c = nm.FiniteMagma(table), nm.FiniteMagma(copy)
+        want = oracle_isomorphism(m, c)
+        assert nm.is_isomorphic(m, c) == want, (table, copy)
+        assert nm.is_isomorphic(c, m) == oracle_isomorphism(c, m), (table, copy)
+        assert (nm.is_isomorphic(c, m) is None) == (want is None)
+        found += want is not None
+    assert 150 < found < 300
 
 
 def test_ideals_against_definition():

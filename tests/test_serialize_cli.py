@@ -53,6 +53,21 @@ def test_magma_round_trip_on_random_tables():
             assert back.kind_tag == m.kind_tag
 
 
+def test_null_identity_is_found_from_the_table(tmp_path, capsys):
+    c4 = nm.cyclic(4)
+    doc = magma_to_dict(c4)
+    doc["identity"] = None
+    m = magma_from_dict(doc)
+    assert m.identity == 0
+    assert nm.classify_basic(m).is_group
+    assert nm.is_isomorphic(m, c4) == nm.is_isomorphic(c4, m) == [0, 1, 2, 3]
+    path = tmp_path / "c4.json"
+    path.write_text(json.dumps(doc))
+    assert main(["classify", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["identity"] == "1" and out["is_group"]
+
+
 def test_nstructure_round_trip(tmp_path):
     ns = nm.build_n_structure([nm.extend_tagged(nm.ln(5, 2)), nm.cyclic(6)],
                               ["s-neutrosophic-loop", "group"], "demo")
@@ -242,6 +257,25 @@ def test_cli_malformed_documents(tmp_path, capsys, command, text):
     path = tmp_path / "doc.json"
     path.write_text(text)
     assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("probe", ["product-no-operands", "product-no-right",
+                                   "product-no-left", "unknown-species"])
+def test_cli_usage_errors(tmp_path, capsys, probe):
+    c2, ns = tmp_path / "c2.json", tmp_path / "ns.json"
+    nm.save_magma(nm.cyclic(2), c2)
+    save_nstructure(nm.build_n_structure([nm.cyclic(2), nm.cyclic(3)],
+                                         ["group", "group"]), ns)
+    args = {
+        "product-no-operands": ["construct", "--family", "product"],
+        "product-no-right": ["construct", "--family", "product", "--left", str(c2)],
+        "product-no-left": ["construct", "--family", "product", "--right", str(c2)],
+        "unknown-species": ["nstruct", str(ns), "--engine", "lagrange",
+                            "--species", "group,bogus"],
+    }[probe]
+    assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
 
