@@ -22,7 +22,8 @@ from .magma import (IdentityLaw, ParameterError, PreconditionError,
                     cosets, enumerate_closed_subsets)
 from .neutro import (extend_tagged, zn_affine_neutro, zn_full_neutro,
                      zn_line_neutro, zn_units_neutro)
-from .nstruct import classify_n_kind, n_cauchy, n_lagrange, n_sylow
+from .nstruct import (check_combination_count, classify_n_kind, n_cauchy,
+                      n_lagrange, n_sylow)
 from .serialize import (load_magma, load_nstructure, magma_to_dict,
                         save_magma)
 
@@ -166,7 +167,10 @@ def _nstruct(args) -> int:
                                      f"choose from {', '.join(sorted(SPECIES))}")
             species = [SPECIES[s] for s in names]
             if args.engine == "lagrange":
-                doc["report"] = n_lagrange(ns, species).to_dict()
+                rep = n_lagrange(ns, species)
+                # the document lists every witness
+                check_combination_count(len(rep.witnesses))
+                doc["report"] = rep.to_dict()
             else:
                 doc["report"] = n_sylow(ns, species).to_dict()
     json.dump(doc, sys.stdout, indent=1, default=str)

@@ -38,8 +38,8 @@ from .neutro import (GROUP_OR_S_SUBSEMIGROUP, NEUTRO_SUBSEMIGROUP,
                      zn_affine_neutro, zn_full_neutro, zn_line_neutro,
                      zn_units_neutro)
 from .nstruct import (build_n_structure, classify_n_kind,
-                      deficit_substructures, enumerate_n_substructures,
-                      n_cauchy, n_lagrange, n_sylow, NSubset, tuple_sylow)
+                      enumerate_n_substructures, n_cauchy, n_lagrange, n_sylow,
+                      NSubset, tuple_sylow)
 
 
 @dataclass(frozen=True)
@@ -630,9 +630,9 @@ def _ex336():
     t = (ns.components[0].subset(["0", "1", "9"]).members,
          ns.components[1].subset(["0", "2", "2I", "4", "4I"]).members,
          ns.components[2].subset(["(0,0)", "(1,1)", "(1,2)", "(1,3)", "(1,4)"]).members)
+    produced = nstruct.n_subset_is_produced(ns, NSubset(ns, t), _336_SPECIES)
     rep = n_lagrange(ns, _336_SPECIES)
-    hit = [w for w in rep.witnesses if w.subset.per_component == t]
-    return _true(ns.order == 31 and bool(hit) and rep.verdict == Verdict3.FREE)
+    return _true(ns.order == 31 and produced and rep.verdict == Verdict3.FREE)
 
 
 # ---------------------------------------------------------------------------
@@ -674,15 +674,17 @@ _233_SPECIES = [SubsetPredicate.IS_S_NEUTROSOPHIC_SUB, SubsetPredicate.IS_GROUP,
 def _ex233():
     ns = _ns233()
     rep = n_lagrange(ns, _233_SPECIES)
-    lookup = {w.subset.per_component: (w.order, w.qualifies) for w in rep.witnesses}
-    p = (ns.components[0].subset(["0", "2", "4", "2I", "4I"]).members,
-         ns.components[1].subset(["123", "213"]).members,
-         ns.components[2].subset(["0", "3", "6", "9", "12"]).members)
-    k = (ns.components[0].subset(["1", "5", "I", "5I"]).members,
-         ns.components[1].subset(["123", "132"]).members,
-         ns.components[2].subset(["1", "14"]).members)
-    ok = (ns.order == 32 and lookup.get(p) == (12, False)
-          and lookup.get(k) == (8, True) and rep.verdict == Verdict3.WEAK)
+    p = NSubset(ns, (ns.components[0].subset(["0", "2", "4", "2I", "4I"]).members,
+                     ns.components[1].subset(["123", "213"]).members,
+                     ns.components[2].subset(["0", "3", "6", "9", "12"]).members))
+    k = NSubset(ns, (ns.components[0].subset(["1", "5", "I", "5I"]).members,
+                     ns.components[1].subset(["123", "132"]).members,
+                     ns.components[2].subset(["1", "14"]).members))
+    # (order, qualifies) of each one the enumeration produces
+    found = [(h.order, ns.order % h.order == 0) for h in (p, k)
+             if nstruct.n_subset_is_produced(ns, h, _233_SPECIES)]
+    ok = (ns.order == 32 and found == [(12, False), (8, True)]
+          and rep.verdict == Verdict3.WEAK)
     return _true(ok, "12 fails, 8 divides, verdict weak")
 
 
@@ -877,13 +879,17 @@ def _ex613():
     species = [SubsetPredicate.IS_NEUTROSOPHIC_SUBGROUP, NEUTRO_SUBSEMIGROUP,
                NEUTRO_UNITAL, NEUTRO_SUBSEMIGROUP, SubsetPredicate.IS_GROUP,
                SubsetPredicate.IS_SUBGROUPOID]
-    subs = deficit_substructures(ns, 3, species)
     w = (ns.components[0].subset(["e", "eI", "2", "2I"]).members,
          ns.components[1].subset(["1", "3", "3I", "I"]).members,
          (), (), (),
          ns.components[5].subset(["0", "2", "4", "6"]).members)
-    hit = [s for s in subs if s.per_component == w]
-    return _true(bool(hit) and hit[0].order == 12, "W produced at t=3 with order 12")
+    # for 1 <= t < N, deficit_substructures(t) holds exactly the N-subsets
+    # with N - t non-empty parts that the enumeration with empty parts emits
+    h = NSubset(ns, w)
+    produced = (sum(1 for part in w if part) == ns.n - 3
+                and nstruct.n_subset_is_produced(ns, h, species,
+                                                 require_nonempty_all=False))
+    return _true(produced and h.order == 12, "W produced at t=3 with order 12")
 
 
 # ---------------------------------------------------------------------------

@@ -980,8 +980,10 @@ def is_isomorphic(m1: FiniteMagma, m2: FiniteMagma):
     list, or None.
 
     Elements are mapped in index order, each to the least unused target that
-    keeps consistent every pair whose operands and product are all mapped;
-    raises ResourceLimitError above MAX_ISOMORPHISM_ORDER."""
+    keeps consistent every pair whose operands and product are all mapped.
+    When both magmas have a neutrosophic identity, the one maps to the other,
+    as check_homomorphism requires.  Raises ResourceLimitError above
+    MAX_ISOMORPHISM_ORDER."""
     if m1.order != m2.order:
         return None
     k = m1.order
@@ -995,12 +997,14 @@ def is_isomorphic(m1: FiniteMagma, m2: FiniteMagma):
             due[max(x, y, t1[x][y])].append((x, y))
     phi = [0] * k
     used = [False] * k
+    n1, n2 = m1.neutro_identity, m2.neutro_identity
+    pinned = n1 is not None and n2 is not None
 
     def extend(i):
         if i == k:
             return True
         for v in range(k):
-            if used[v]:
+            if used[v] or (pinned and (i == n1) != (v == n2)):
                 continue
             phi[i] = v
             if all(phi[t1[x][y]] == t2[phi[x]][phi[y]] for x, y in due[i]):

@@ -9,6 +9,7 @@ satisfy several kinds and the classification depends on the declared role.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import prod
@@ -20,7 +21,8 @@ from .classify import (CauchyReport, ClassReport, SKind, Witness,
 from .magma import (FiniteMagma, ParameterError, PartialMap,
                     PreconditionError, ResourceLimitError, Subset,
                     check_homomorphism, classify_basic,
-                    enumerate_closed_subsets, submagma)
+                    enumerate_closed_subsets, evaluate_predicate, is_closed,
+                    submagma)
 from .neutro import has_real_subgroup
 
 DEFAULT_COMBINATION_CAP = 10 ** 6
@@ -313,16 +315,27 @@ def _fulls(ns: NStructure):
 def _combinations(ns: NStructure, cands):
     """NSubsets of the cartesian product of per-component candidate lists, in
     product order, without the all-full combination (not a proper subset)
-    and the all-empty one.  Raises ResourceLimitError, before the first
-    combination, when the product exceeds DEFAULT_COMBINATION_CAP."""
-    cap = DEFAULT_COMBINATION_CAP
-    if prod(max(len(c), 1) for c in cands) > cap:
-        raise ResourceLimitError(f"combination count exceeds the {cap} guard")
+    and the all-empty one."""
     fulls = _fulls(ns)
     of = NSubset._of
     for combo in product(*cands):
         if combo != fulls and any(combo):
             yield of(ns, combo)
+
+
+def check_combination_count(count: int):
+    """Raise ResourceLimitError when a list of count N-subsets would exceed
+    DEFAULT_COMBINATION_CAP."""
+    cap = DEFAULT_COMBINATION_CAP
+    if count > cap:
+        raise ResourceLimitError(f"combination count exceeds the {cap} guard")
+
+
+def _combination_list(ns: NStructure, cands):
+    """_combinations as a list, refused before the first combination when the
+    product exceeds the guard."""
+    check_combination_count(prod(max(len(c), 1) for c in cands))
+    return list(_combinations(ns, cands))
 
 
 def enumerate_n_substructures(ns: NStructure, per_component_species,
@@ -332,52 +345,102 @@ def enumerate_n_substructures(ns: NStructure, per_component_species,
     Excludes the all-full combination (not a proper subset) and, when
     require_nonempty_all is set, any combination with an empty component."""
     cands = _candidates(ns, per_component_species, require_nonempty_all)
-    return list(_combinations(ns, cands))
+    return _combination_list(ns, cands)
 
 
 def n_subset_is_produced(ns: NStructure, candidate: NSubset,
                          per_component_species,
                          require_nonempty_all: bool = True) -> bool:
-    """Whether the cartesian enumeration would emit this NSubset: membership
-    decomposes componentwise, so no product is materialized."""
-    cands = _candidates(ns, per_component_species, require_nonempty_all)
+    """Whether the cartesian enumeration would emit this NSubset.
+
+    Membership decomposes componentwise: each part must be one of its
+    component's candidates, a non-empty closed subset passing the species
+    (or empty, where empty parts are admitted).  So each part is tested on
+    its own, and neither the product nor any component's closed subsets are
+    enumerated."""
+    if len(per_component_species) != ns.n:
+        raise ParameterError("one species per component is required")
     p = candidate.per_component
-    return (p != _fulls(ns) and any(p)
-            and all(mem in items for mem, items in zip(p, cands)))
+    if p == _fulls(ns) or not any(p):
+        return False
+    for comp, mem, species in zip(ns.components, p, per_component_species):
+        if not mem:
+            if require_nonempty_all:
+                return False
+            continue
+        s = Subset(comp, mem)
+        if not (is_closed(s) and evaluate_predicate(species, s)):
+            return False
+    return True
+
+
+def _order_sums(ns: NStructure, cands):
+    """(head, suffix): suffix[i] maps each order sum of components i..N-1 to
+    the number of their combinations with that sum, the product of their
+    size-count polynomials, so suffix[N] = {0: 1}; head is suffix[0] less
+    the all-full (sum = union order) and all-empty (sum 0) combinations."""
+    suffix = [{0: 1}]
+    for items in reversed(cands):
+        sizes = Counter(map(len, items))
+        poly = Counter()
+        for a, ca in sizes.items():
+            for b, cb in suffix[-1].items():
+                poly[a + b] += ca * cb
+        suffix.append(poly)
+    suffix.reverse()
+    head = Counter(suffix[0])
+    head[ns.order] -= all(f in c for f, c in zip(_fulls(ns), cands))
+    head[0] -= all(() in c for c in cands)
+    return +head, suffix
+
+
+class _LagrangeWitnesses:
+    """The witnesses of n_lagrange, read-only: the length comes from the
+    order sums, and each iteration streams them again in product order."""
+
+    __slots__ = ("_ns", "_cands", "_count")
+
+    def __init__(self, ns: NStructure, cands, count: int):
+        self._ns = ns
+        self._cands = cands
+        self._count = count
+
+    def __len__(self):
+        return self._count
+
+    def __iter__(self):
+        total = self._ns.order
+        for p in _combinations(self._ns, self._cands):
+            size = sum(map(len, p.per_component))
+            yield Witness(p, size, total % size == 0)
 
 
 def n_lagrange(ns: NStructure, per_component_species,
                require_nonempty_all: bool = True) -> ClassReport:
-    """The Lagrange engine on N-subsets: order sums against the union order."""
-    subs = enumerate_n_substructures(ns, per_component_species,
-                                     require_nonempty_all)
+    """The Lagrange engine on N-subsets: order sums against the union order.
+
+    The verdict and the witness count come from the order sums alone, so no
+    combination guard applies; the witnesses stream on iteration."""
+    cands = _candidates(ns, per_component_species, require_nonempty_all)
+    head, _ = _order_sums(ns, cands)
     total = ns.order
-    wits = []
-    for p in subs:
-        size = sum(map(len, p.per_component))
-        wits.append(Witness(p, size, total % size == 0))
-    wits = tuple(wits)
-    return ClassReport(verdict_of([w.qualifies for w in wits]), wits)
+    verdict = verdict_of(list({total % size == 0 for size in head}))
+    return ClassReport(verdict, _LagrangeWitnesses(ns, cands, sum(head.values())))
 
 
-def _first_of_size(ns: NStructure, cands):
+def _first_of_size(ns: NStructure, cands, suffix):
     """size -> the first combination in product order whose member counts
     sum to size, or None, for 0 < size < union order.  Built greedily:
     component i takes its first candidate that leaves a sum the components
     after it can reach.  Only the all-full (sum = union order) and all-empty
     (sum 0) combinations are left out of the product, so no size in that
     range is affected by the exclusions."""
-    reach = [{0}]            # reach[j]: sums reachable by the last j components
-    for items in reversed(cands):
-        sizes = {len(t) for t in items}
-        reach.append({a + b for a in sizes for b in reach[-1]})
-    reach.reverse()          # now reach[i]: sums reachable by components i..N-1
 
     def first(size):
-        if size not in reach[0]:
+        if size not in suffix[0]:
             return None
         combo = []
-        for items, rest in zip(cands, reach[1:]):
+        for items, rest in zip(cands, suffix[1:]):
             for t in items:
                 if size - len(t) in rest:
                     combo.append(t)
@@ -398,11 +461,10 @@ def n_sylow(ns: NStructure, per_component_species, variant: str = "standard",
     product order of its size, and the verdict is vacuous when the product,
     less the all-full and all-empty combinations, is empty."""
     cands = _candidates(ns, per_component_species, require_nonempty_all)
-    count = prod(len(c) for c in cands)
-    count -= all(f in c for f, c in zip(_fulls(ns), cands))
-    count -= all(() in c for c in cands)
+    head, suffix = _order_sums(ns, cands)
     verdict, hits, notes = sylow_verdict(ns.order, variant,
-                                         _first_of_size(ns, cands), count == 0)
+                                         _first_of_size(ns, cands, suffix),
+                                         not head)
     wits = tuple(Witness(h, h.order, True) for h in hits)
     return ClassReport(verdict, wits, tuple(notes))
 
@@ -471,7 +533,7 @@ def deficit_substructures(ns: NStructure, t: int, per_component_species):
     cands = _candidates(ns, per_component_species, True)
     out = []
     for live in combinations(range(ns.n), ns.n - t):
-        out.extend(_combinations(
+        out.extend(_combination_list(
             ns, [cands[i] if i in live else [()] for i in range(ns.n)]))
     return out
 

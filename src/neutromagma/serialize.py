@@ -45,13 +45,16 @@ def magma_from_dict(doc: dict) -> FiniteMagma:
         raise ParameterError("magma document needs a 'table' field")
     if order != len(table):
         raise ParameterError("declared order does not match the table")
+    kind = doc.get("kind", "")
+    if type(kind) is not str:
+        raise ParameterError(f"magma kind {kind!r} is not a string")
     with _malformed("magma"):
         m = FiniteMagma(
             table,
             labels=doc.get("labels"),
             neutro_mask=doc.get("neutro_mask"),
             neutro_identity=doc.get("neutro_identity"),
-            kind_tag=doc.get("kind", ""),
+            kind_tag=kind,
         )
     declared = doc.get("identity")
     if declared is not None and (type(declared) is not int or declared != m.identity):

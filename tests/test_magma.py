@@ -443,6 +443,18 @@ def test_is_isomorphic():
     assert nm.is_isomorphic(g, iso) is not None     # groups are G-loops
 
 
+def test_is_isomorphic_maps_neutro_identity():
+    # the same table with 1+I as neutrosophic identity: the identity map is
+    # table-preserving but sends I to I, which check_homomorphism rejects
+    m = nm.zn_full_neutro(2)
+    c = nm.FiniteMagma(m.table, labels=m.labels, neutro_mask=m.neutro_mask,
+                       neutro_identity=m.index("1+I"))
+    phi = nm.is_isomorphic(m, c)
+    assert phi == [0, 3, 2, 1]
+    assert nm.check_homomorphism(nm.PartialMap(m, c, tuple(enumerate(phi))))
+    assert nm.is_isomorphic(c, m) == [0, 3, 2, 1]
+
+
 def test_right_regular_representation():
     m = nm.ln(5, 2)
     assert nm.right_regular_representation(m, 0) == (0, 1, 2, 3, 4, 5)

@@ -1,6 +1,6 @@
 """Union structures: construction, kind classification, N-level engines."""
 
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -358,3 +358,83 @@ def test_deficit_against_product(name, ts):
         got = nm.deficit_substructures(ns, t, species)
         assert len(got) == len(want)
         assert {p.per_component for p in got} == want
+
+
+@pytest.mark.parametrize("name", ["biloop", "prime17"])
+def test_deficit_membership_decomposes(name):
+    # for 1 <= t < N: exactly N - t non-empty parts, and produced by the
+    # enumeration that admits empty parts
+    ns, species = UNIONS[name]()
+    cands = [[()] + _component_candidates(c, sp, allow_empty=False)
+             for c, sp in zip(ns.components, species)]
+    for t in range(1, ns.n):
+        want = {p.per_component for p in nm.deficit_substructures(ns, t, species)}
+        got = {combo for combo in product(*cands)
+               if sum(1 for part in combo if part) == ns.n - t
+               and nm.n_subset_is_produced(ns, nm.NSubset(ns, combo), species,
+                                           require_nonempty_all=False)}
+        assert got == want
+
+
+@pytest.mark.parametrize("name", sorted(UNIONS))
+def test_n_lagrange_witnesses_stream(name):
+    ns, species = UNIONS[name]()
+    wits = nm.n_lagrange(ns, species).witnesses
+    first = [(w.subset.per_component, w.order, w.qualifies) for w in wits]
+    again = [(w.subset.per_component, w.order, w.qualifies) for w in wits]
+    assert len(wits) == len(first) and first == again
+
+
+def test_n_lagrange_past_the_combination_guard():
+    # the union of the Sylow test above: 645 * 42 * 12 * 42 = 13,653,360
+    # combinations, union order 44
+    ns = nm.build_n_structure(
+        [nm.zn_full_neutro(4), nm.zmod_mult(10), nm.zn_units_neutro(5),
+         nm.zmod_mult(10)],
+        ["neutrosophic-semigroup", "semigroup", "neutrosophic-group", "semigroup"])
+    rep = nm.n_lagrange(ns, [C] * 4)
+    cands = [_component_candidates(c, C, allow_empty=False) for c in ns.components]
+    assert [len(c) for c in cands] == [645, 42, 12, 42]
+    # order sums over the distinct member counts of each component, weighted
+    # by how many candidates have that count; all-full is the one left out
+    counts = [{} for _ in cands]
+    for cnt, items in zip(counts, cands):
+        for t in items:
+            cnt[len(t)] = cnt.get(len(t), 0) + 1
+    sums = {}
+    for choice in product(*(sorted(c.items()) for c in counts)):
+        size = sum(s for s, _ in choice)
+        weight = 1
+        for _, n in choice:
+            weight *= n
+        sums[size] = sums.get(size, 0) + weight
+    sums[ns.order] -= 1
+    assert len(rep.witnesses) == 13_653_360 - 1 == sum(sums.values())
+    flags = [ns.order % s == 0 for s, n in sums.items() if n]
+    assert rep.verdict == oracle_verdict(flags)
+
+
+@pytest.mark.parametrize("name, nonempty", [
+    ("biloop", True), ("biloop", False), ("prime17", True), ("prime17", False),
+    ("ngroup233", True), ("unfiltered", True)])
+def test_n_subset_is_produced_per_part(name, nonempty):
+    # every subset of one component, the other parts fixed to a non-empty,
+    # non-full candidate: produced exactly when that part is a candidate.
+    # ngroup233's species reject some closed subsets of each component; with
+    # no species, closure alone decides.
+    if name == "unfiltered":
+        ns, species = biloop(), [None, None]
+    else:
+        ns, species = UNIONS[name]()
+    cands = [_component_candidates(c, sp, allow_empty=not nonempty)
+             for c, sp in zip(ns.components, species)]
+    base = [next(t for t in items if t and len(t) < c.order)
+            for c, items in zip(ns.components, cands)]
+    for i, comp in enumerate(ns.components):
+        want = set(cands[i])
+        for r in range(comp.order + 1):
+            for part in combinations(range(comp.order), r):
+                parts = base[:i] + [part] + base[i + 1:]
+                got = nm.n_subset_is_produced(ns, nm.NSubset(ns, parts), species,
+                                              nonempty)
+                assert got == (part in want), (i, part)

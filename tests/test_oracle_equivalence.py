@@ -229,10 +229,30 @@ def oracle_isomorphism(m1, m2):
     return None
 
 
+def oracle_homomorphic_bijection(m1, m2):
+    # the first permutation in lexicographic order that check_homomorphism
+    # accepts, neutrosophic-identity clause included
+    for p in permutations(range(m1.order)):
+        if nm.check_homomorphism(nm.PartialMap(m1, m2, tuple(enumerate(p)))):
+            return list(p)
+    return None
+
+
+def with_neutro_identity(table, rng):
+    # a random neutrosophic identity, or none, over a random mask
+    k = len(table)
+    mask = [rng.random() < 0.5 for _ in range(k)]
+    n = rng.choice([None] + list(range(k)))
+    if n is not None:
+        mask[n] = True
+    return nm.FiniteMagma(table, neutro_mask=mask, neutro_identity=n)
+
+
 def test_isomorphism_is_first_preserving_permutation():
     # relabelled copies, some with one entry changed, against the
     # permutation scan, in both directions
     rng = random.Random(SEED + 23)
+    nrng = random.Random(SEED + 24)
     found = 0
     for _ in range(300):
         k = rng.randint(1, 6)
@@ -257,6 +277,12 @@ def test_isomorphism_is_first_preserving_permutation():
         assert nm.is_isomorphic(c, m) == oracle_isomorphism(c, m), (table, copy)
         assert (nm.is_isomorphic(c, m) is None) == (want is None)
         found += want is not None
+        # with neutrosophic identities: the first bijection that
+        # check_homomorphism accepts
+        mn, cn = with_neutro_identity(table, nrng), with_neutro_identity(copy, nrng)
+        assert nm.is_isomorphic(mn, cn) == oracle_homomorphic_bijection(mn, cn), \
+            (table, copy, mn.neutro_identity, cn.neutro_identity)
+        assert nm.is_isomorphic(cn, mn) == oracle_homomorphic_bijection(cn, mn)
     assert 150 < found < 300
 
 

@@ -179,6 +179,22 @@ def test_cli_nstruct_subset_engines(tmp_path, engine):
         assert sum(w["qualifies"] for w in report["witnesses"]) == 79
 
 
+def test_cli_nstruct_lagrange_guard(tmp_path, capsys, monkeypatch):
+    # the JSON document lists every witness, so the CLI keeps the guard that
+    # n_lagrange itself no longer needs: 407 witnesses against a guard of 406
+    ns = nm.build_n_structure([nm.zn_units_neutro(5), nm.zn_line_neutro(4)],
+                              ["s-neutrosophic-group", "s-neutrosophic-semigroup"])
+    path = tmp_path / "bi.json"
+    save_nstructure(ns, path)
+    monkeypatch.setattr(nm.nstruct, "DEFAULT_COMBINATION_CAP", 406)
+    assert main(["nstruct", str(path), "--engine", "lagrange"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "406 guard" in err
+    monkeypatch.setattr(nm.nstruct, "DEFAULT_COMBINATION_CAP", 407)
+    assert main(["nstruct", str(path), "--engine", "lagrange"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["report"]["witnesses"]) == 407
+
+
 def test_cli_atlas(tmp_path, capsys):
     out = tmp_path / "atlas.csv"
     assert main(["atlas", "--family", "ln", "--n", "5..7", "--out", str(out)]) == 0
@@ -250,9 +266,10 @@ def test_tagged_flag(tmp_path):
     ("nstruct", '{"declared_kinds": ["group", "group"]}'),
     ("nstruct", '{"components": 5, "declared_kinds": []}'),
     ("nstruct", "no json"),
+    ("classify", '{"table": [[0, 1], [1, 0]], "kind": 5}'),
 ], ids=["float-entry", "str-entry", "str-identity", "bool-table", "int-in-mask",
         "int-labels", "truncated-json", "int-row", "no-components",
-        "int-components", "not-json"])
+        "int-components", "not-json", "int-kind"])
 def test_cli_malformed_documents(tmp_path, capsys, command, text):
     path = tmp_path / "doc.json"
     path.write_text(text)
