@@ -1,11 +1,11 @@
 """neutromagma: finite loops, groupoids, neutrosophic extensions and
 Smarandache classification over explicit Cayley tables."""
 
-from .magma import (BasicReport, ClosedSubsets, ConjugateWitness,
-                    CustomPredicate, DoubleCosetResult, ElementOrders,
-                    FiniteMagma, IdentityLaw, LawResult, NucleiReport,
-                    ParameterError, PartialMap, PreconditionError,
-                    ResourceLimitError, Subset, SubsetPredicate,
+from .magma import (BasicReport, ConjugateWitness, DoubleCosetResult,
+                    ElementOrders, FiniteMagma, IdentityLaw, LawResult,
+                    NucleiReport, ParameterError, PartialMap,
+                    PreconditionError, ResourceLimitError, Subset,
+                    SubsetPredicate,
                     associator_subloop, center, check_homomorphism,
                     check_identity_law, classify_basic, commutator_subloop,
                     conjugate_pair, conjugate_witnesses, cosets, double_coset,
@@ -29,10 +29,10 @@ from .neutro import (GROUP_OR_S_SUBSEMIGROUP, NEUTRO_SUBSEMIGROUP,
                      is_s_neutrosophic_subloop, neutrosophic_ideal_check,
                      real_part, zn_affine_neutro, zn_full_neutro,
                      zn_line_neutro, zn_units_neutro)
-from .classify import (CauchyReport, ClassReport, HyperReport, SDetection,
-                       SKind, Verdict3, Witness, cauchy_classify,
-                       detect_s_kind, lagrange_classify, s_cosets,
-                       s_hyper_and_simple, s_identity_class, sylow_classify)
+from .classify import (ClassReport, HyperReport, SDetection, SKind,
+                       Verdict3, Witness, cauchy_classify, detect_s_kind,
+                       lagrange_classify, s_cosets, s_hyper_and_simple,
+                       s_identity_class, sylow_classify)
 from .nstruct import (NKindVerdict, NStructure, NSubset, TupleSylowReport,
                       build_n_structure, classify_n_kind,
                       deficit_substructures, enumerate_n_substructures,

@@ -15,9 +15,9 @@ from .constructors import factorize
 from .magma import (FiniteMagma, IdentityLaw, PreconditionError, Subset,
                     SubsetPredicate, check_identity_law, classify_basic,
                     cosets, element_orders, enumerate_closed_subsets,
-                    is_closed)
-from .neutro import (NEUTRO_SUBSEMIGROUP, is_neutrosophic_subgroup,
-                     is_pseudo_neutrosophic_subgroup)
+                    is_closed, submagma)
+from .neutro import (NEUTRO_SUBSEMIGROUP, has_real_subgroup,
+                     is_neutrosophic_subgroup, is_pseudo_neutrosophic_subgroup)
 
 
 class SKind(Enum):
@@ -50,27 +50,50 @@ def verdict_of(flags) -> Verdict3:
     return Verdict3.FREE
 
 
-# witness species per variant: the richer structure a proper subset must form
-_WITNESS_SPECIES = {
-    SKind.S_SEMIGROUP: SubsetPredicate.IS_GROUP,
-    SKind.S_LOOP: SubsetPredicate.IS_GROUP,
-    SKind.S_GROUPOID: SubsetPredicate.IS_SEMIGROUP,
-    SKind.S_NEUTROSOPHIC_GROUP: SubsetPredicate.IS_PSEUDO_NEUTROSOPHIC_SUBGROUP,
-    SKind.STRONG_S_NEUTROSOPHIC_GROUP: SubsetPredicate.IS_NEUTROSOPHIC_SUBGROUP,
-    SKind.S_NEUTROSOPHIC_SEMIGROUP: SubsetPredicate.IS_GROUP,
-    SKind.S_NEUTROSOPHIC_LOOP: SubsetPredicate.IS_NEUTROSOPHIC_SUBGROUP,
-    SKind.S_NEUTROSOPHIC_GROUPOID: NEUTRO_SUBSEMIGROUP,
+def _neutro_loop(m: FiniteMagma) -> bool:
+    # tagged doublings are not loops; the untagged part must be one
+    if not m.has_neutro():
+        return False
+    reals = [i for i in range(m.order) if not m.neutro_mask[i]]
+    if not reals:
+        return False
+    try:
+        return classify_basic(submagma(m, reals)).is_loop
+    except PreconditionError:
+        return False
+
+
+# declared carrier kind -> whether a whole carrier is of that kind
+CARRIER_KINDS = {
+    "group": lambda m: classify_basic(m).is_group,
+    "semigroup": lambda m: classify_basic(m).is_semigroup,
+    "loop": lambda m: classify_basic(m).is_loop,
+    "groupoid": lambda m: True,
+    # carries I and some purely-real subset is a group of size >= 2
+    "neutrosophic-group": lambda m: (m.has_neutro()
+                                     and has_real_subgroup(m.full_subset())),
+    "neutrosophic-semigroup": lambda m: (m.has_neutro()
+                                         and classify_basic(m).is_semigroup),
+    "neutrosophic-loop": _neutro_loop,
+    "neutrosophic-groupoid": lambda m: m.has_neutro(),
 }
 
-
-def _carrier_fits(m: FiniteMagma, kind: SKind) -> bool:
-    if kind is SKind.S_SEMIGROUP:
-        return classify_basic(m).is_semigroup
-    if kind is SKind.S_LOOP:
-        return classify_basic(m).is_loop
-    if kind is SKind.S_NEUTROSOPHIC_SEMIGROUP:
-        return classify_basic(m).is_semigroup and m.has_neutro()
-    return True
+# variant -> (the carrier kind it presumes, the richer species a proper
+# closed subset must form)
+S_KINDS = {
+    SKind.S_SEMIGROUP: ("semigroup", SubsetPredicate.IS_GROUP),
+    SKind.S_LOOP: ("loop", SubsetPredicate.IS_GROUP),
+    SKind.S_GROUPOID: ("groupoid", SubsetPredicate.IS_SEMIGROUP),
+    SKind.S_NEUTROSOPHIC_GROUP: ("neutrosophic-groupoid",
+                                 SubsetPredicate.IS_PSEUDO_NEUTROSOPHIC_SUBGROUP),
+    SKind.STRONG_S_NEUTROSOPHIC_GROUP: ("neutrosophic-groupoid",
+                                        SubsetPredicate.IS_NEUTROSOPHIC_SUBGROUP),
+    SKind.S_NEUTROSOPHIC_SEMIGROUP: ("neutrosophic-semigroup",
+                                     SubsetPredicate.IS_GROUP),
+    SKind.S_NEUTROSOPHIC_LOOP: ("neutrosophic-groupoid",
+                                SubsetPredicate.IS_NEUTROSOPHIC_SUBGROUP),
+    SKind.S_NEUTROSOPHIC_GROUPOID: ("neutrosophic-groupoid", NEUTRO_SUBSEMIGROUP),
+}
 
 
 @dataclass(frozen=True)
@@ -80,17 +103,13 @@ class SDetection:
 
 
 def detect_s_kind(m: FiniteMagma, kind: SKind) -> SDetection:
-    """Search for the variant's witness substructure; returns the
-    lexicographically first witness."""
-    if kind in (SKind.S_NEUTROSOPHIC_GROUP, SKind.STRONG_S_NEUTROSOPHIC_GROUP,
-                SKind.S_NEUTROSOPHIC_LOOP, SKind.S_NEUTROSOPHIC_GROUPOID):
-        if not m.has_neutro():
-            return SDetection(False, None)
-    if not _carrier_fits(m, kind):
-        return SDetection(False, None)
-    found = enumerate_closed_subsets(m, _WITNESS_SPECIES[kind])
-    if found.items:
-        return SDetection(True, found.items[0])
+    """Search a carrier of the variant's presumed kind for its witness
+    substructure; returns the lexicographically first witness."""
+    carrier, species = S_KINDS[kind]
+    if CARRIER_KINDS[carrier](m):
+        found = enumerate_closed_subsets(m, species)
+        if found:
+            return SDetection(True, found[0])
     return SDetection(False, None)
 
 
@@ -115,7 +134,7 @@ class Witness:
 @dataclass(frozen=True)
 class ClassReport:
     verdict: Verdict3
-    witnesses: tuple
+    witnesses: tuple      # Witnesses, or ElementWitnesses from the Cauchy engines
     notes: tuple = ()
 
     def to_dict(self):
@@ -191,34 +210,21 @@ def sylow_classify(m: FiniteMagma, species, variant: str = "standard") -> ClassR
     first = {}
     for s in found:
         first.setdefault(len(s), s)
-    verdict, hits, notes = sylow_verdict(m.order, variant, first.get,
-                                         not found.items)
+    verdict, hits, notes = sylow_verdict(m.order, variant, first.get, not found)
     return ClassReport(verdict, tuple(Witness(h, len(h), True) for h in hits),
                        tuple(notes))
 
 
 @dataclass(frozen=True)
 class ElementWitness:
-    index: int
+    index: object        # an element index, or (component, index) at N level
     flavor: str          # "real" or "neutro"
     order: int
     qualifies: bool
 
-
-@dataclass(frozen=True)
-class CauchyReport:
-    verdict: Verdict3
-    witnesses: tuple
-    notes: tuple = ()
-
     def to_dict(self):
-        return {
-            "verdict": self.verdict.value,
-            "witnesses": [
-                {"members": [w.index], "order": w.order, "qualifies": w.qualifies,
-                 "flavor": w.flavor}
-                for w in self.witnesses],
-        }
+        return {"members": [self.index], "order": self.order,
+                "qualifies": self.qualifies, "flavor": self.flavor}
 
 
 def _cauchy_witnesses(m: FiniteMagma, denom: int, key):
@@ -244,7 +250,7 @@ def _cauchy_verdict(wits):
     return verdict
 
 
-def cauchy_classify(m: FiniteMagma, relative_to: Optional[Subset] = None) -> CauchyReport:
+def cauchy_classify(m: FiniteMagma, relative_to: Optional[Subset] = None) -> ClassReport:
     """Cauchy / Cauchy-neutrosophic element classification.
 
     An element is Cauchy when its order to the identity divides o(m) (or
@@ -257,7 +263,7 @@ def cauchy_classify(m: FiniteMagma, relative_to: Optional[Subset] = None) -> Cau
     if m.neutro_identity is None and m.has_neutro():
         notes.append("no neutrosophic identity: neutrosophic orders skipped")
     wits = tuple(_cauchy_witnesses(m, denom, lambda x: x))
-    return CauchyReport(_cauchy_verdict(wits), wits, tuple(notes))
+    return ClassReport(_cauchy_verdict(wits), wits, tuple(notes))
 
 
 def s_identity_class(m: FiniteMagma, law: IdentityLaw, species) -> Verdict3:
@@ -281,7 +287,7 @@ class HyperReport:
 def s_hyper_and_simple(m: FiniteMagma) -> HyperReport:
     """Largest subgroup, the smallest proper subsemigroup strictly above it,
     and the induced simplicity verdict (no hyper subsemigroup exists)."""
-    if not check_identity_law(m, IdentityLaw.ASSOCIATIVE).holds:
+    if not classify_basic(m).is_semigroup:
         raise PreconditionError("hyper subsemigroups live in semigroup carriers")
     # items come in lexicographic order, so max/min keep the first of a size
     groups = enumerate_closed_subsets(m, SubsetPredicate.IS_GROUP, include_full=True)

@@ -37,9 +37,8 @@ from .neutro import (GROUP_OR_S_SUBSEMIGROUP, NEUTRO_SUBSEMIGROUP,
                      is_s_neutrosophic_subloop, neutrosophic_ideal_check,
                      zn_affine_neutro, zn_full_neutro, zn_line_neutro,
                      zn_units_neutro)
-from .nstruct import (build_n_structure, classify_n_kind,
-                      enumerate_n_substructures, n_cauchy, n_lagrange, n_sylow,
-                      NSubset, tuple_sylow)
+from .nstruct import (build_n_structure, classify_n_kind, n_cauchy,
+                      n_lagrange, n_sylow, NSubset, tuple_sylow)
 
 
 @dataclass(frozen=True)
@@ -415,8 +414,8 @@ def _ex211():
 def _ex211_pseudo():
     m = zn_line_neutro(7)
     found = enumerate_closed_subsets(m, SubsetPredicate.IS_PSEUDO_NEUTROSOPHIC_SUBGROUP)
-    return CheckResult(len(found.items) == 0, "none as printed",
-                       f"{len(found.items)} pseudo subsets, first {found.items[0].labels()}")
+    return CheckResult(len(found) == 0, "none as printed",
+                       f"{len(found)} pseudo subsets, first {found[0].labels()}")
 
 
 # the printed coset lists of Example 2.1.3; entries that contradict the
@@ -643,11 +642,10 @@ def _ex227():
     ns = build_n_structure([zn_units_neutro(5), zn_line_neutro(4)],
                            ["s-neutrosophic-group", "s-neutrosophic-semigroup"],
                            "bigroup-2.2.7")
-    subs = enumerate_n_substructures(ns, [NEUTRO_UNITAL, NEUTRO_SUBSEMIGROUP])
-    h = (ns.components[0].subset(["1", "I"]).members,
-         ns.components[1].subset(["0", "2", "2I"]).members)
-    hit = [s for s in subs if s.per_component == h]
-    return _true(ns.order == 15 and bool(hit) and hit[0].order == 5 and 15 % 5 == 0)
+    h = NSubset(ns, (ns.components[0].subset(["1", "I"]).members,
+                     ns.components[1].subset(["0", "2", "2I"]).members))
+    produced = nstruct.n_subset_is_produced(ns, h, [NEUTRO_UNITAL, NEUTRO_SUBSEMIGROUP])
+    return _true(ns.order == 15 and produced and h.order == 5 and 15 % 5 == 0)
 
 
 @entry("ex-2.3.1-order", "a 3-component union of orders 8 + 11 + 12")
@@ -813,15 +811,14 @@ def _ex418():
 def _ex424():
     ns = build_n_structure([extend_tagged(ln(5, 2)), cyclic(6)],
                            ["s-neutrosophic-loop", "group"], "biloop-4.2.4")
-    subs = enumerate_n_substructures(
-        ns, [SubsetPredicate.IS_NEUTROSOPHIC_SUBGROUP, SubsetPredicate.IS_GROUP])
-    p = (ns.components[0].subset(["e", "eI", "3", "3I"]).members,
-         ns.components[1].subset(["1", "g^3"]).members)
-    l = (ns.components[0].subset(["e", "eI", "3", "3I"]).members,
-         ns.components[1].subset(["1", "g^2", "g^4"]).members)
-    by = {s.per_component: s.order for s in subs}
-    ok = (ns.order == 18 and by.get(p) == 6 and 18 % 6 == 0
-          and by.get(l) == 7 and 18 % 7 != 0)
+    species = [SubsetPredicate.IS_NEUTROSOPHIC_SUBGROUP, SubsetPredicate.IS_GROUP]
+    p = NSubset(ns, (ns.components[0].subset(["e", "eI", "3", "3I"]).members,
+                     ns.components[1].subset(["1", "g^3"]).members))
+    l = NSubset(ns, (ns.components[0].subset(["e", "eI", "3", "3I"]).members,
+                     ns.components[1].subset(["1", "g^2", "g^4"]).members))
+    produced = [nstruct.n_subset_is_produced(ns, x, species) for x in (p, l)]
+    ok = (ns.order == 18 and all(produced) and p.order == 6 and 18 % 6 == 0
+          and l.order == 7 and 18 % 7 != 0)
     return _true(ok, "orders 6 (divides) and 7 (does not)")
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 class ParameterError(ValueError):
@@ -123,9 +123,6 @@ class FiniteMagma:
 
     def has_neutro(self) -> bool:
         return any(self.neutro_mask)
-
-    def label_set(self, indices: Iterable[int]):
-        return [self.labels[i] for i in indices]
 
     def __repr__(self):
         return f"FiniteMagma(order={self.order}, kind={self.kind_tag!r})"
@@ -411,16 +408,17 @@ def check_identity_law(m: FiniteMagma, law: IdentityLaw,
     return LawResult(witness is None, witness)
 
 
+def _is_latin(t, dom) -> bool:
+    """Whether every row and column of t, restricted to dom, is a
+    permutation of dom."""
+    want = frozenset(dom)
+    rows = [[t[x][y] for y in dom] for x in dom]
+    return (all(frozenset(r) == want for r in rows)
+            and all(frozenset(c) == want for c in zip(*rows)))
+
+
 def latin_square_check(m: FiniteMagma) -> bool:
-    k = m.order
-    want = frozenset(range(k))
-    for row in m.table:
-        if frozenset(row) != want:
-            return False
-    for c in range(k):
-        if frozenset(m.table[r][c] for r in range(k)) != want:
-            return False
-    return True
+    return _is_latin(m.table, range(m.order))
 
 
 @dataclass(frozen=True)
@@ -510,13 +508,6 @@ class SubsetPredicate(Enum):
     IS_RIGHT_IDEAL = "right_ideal"
 
 
-@dataclass(frozen=True)
-class CustomPredicate:
-    """A named subset predicate; usable anywhere a SubsetPredicate is."""
-    name: str
-    fn: Callable[[Subset], bool]
-
-
 # variant -> callable(Subset) -> bool; neutrosophic entries registered by neutro.py
 PREDICATE_REGISTRY: dict = {}
 
@@ -555,17 +546,7 @@ def subset_is_loop(s: Subset) -> bool:
     """Closed with an internal identity and latin-square induced table."""
     if len(s) < 2 or not is_closed(s):
         return False
-    if local_identity(s) is None:
-        return False
-    t = s.parent.table
-    mem = s.members
-    want = frozenset(mem)
-    for x in mem:
-        if frozenset(t[x][y] for y in mem) != want:
-            return False
-        if frozenset(t[y][x] for y in mem) != want:
-            return False
-    return True
+    return local_identity(s) is not None and _is_latin(s.parent.table, s.members)
 
 
 PREDICATE_REGISTRY[SubsetPredicate.IS_GROUP] = subset_is_group
@@ -575,6 +556,8 @@ PREDICATE_REGISTRY[SubsetPredicate.IS_SUBGROUPOID] = is_closed
 
 
 def evaluate_predicate(pred, s: Subset) -> bool:
+    """A species is None (every subset), a SubsetPredicate or any callable
+    from Subset to bool."""
     if pred is None:
         return True
     if isinstance(pred, SubsetPredicate):
@@ -582,22 +565,9 @@ def evaluate_predicate(pred, s: Subset) -> bool:
         if fn is None:
             raise ParameterError(f"predicate {pred} has no registered implementation")
         return fn(s)
-    if isinstance(pred, CustomPredicate):
-        return pred.fn(s)
     if callable(pred):
         return pred(s)
     raise ParameterError(f"not a subset predicate: {pred!r}")
-
-
-@dataclass(frozen=True)
-class ClosedSubsets:
-    items: tuple          # Subsets, sorted lexicographically by member list
-
-    def __iter__(self):
-        return iter(self.items)
-
-    def __len__(self):
-        return len(self.items)
 
 
 def _closed_lattice(m: FiniteMagma):
@@ -640,14 +610,14 @@ def _closed_lattice(m: FiniteMagma):
 
 
 def enumerate_closed_subsets(m: FiniteMagma, pred=None,
-                             include_full: bool = False,
-                             include_trivial: bool = False) -> ClosedSubsets:
-    """All proper nontrivial closed subsets satisfying pred.
+                             include_full: bool = False) -> tuple:
+    """All proper nontrivial closed subsets satisfying pred, as a tuple of
+    Subsets in lexicographic order of their member lists.
 
     Excludes the empty set, the full universe and the singleton {identity}
-    unless include_full / include_trivial re-admit the latter two (used by
-    the union-structure machinery, where a component of a proper N-subset
-    may coincide with the whole component).
+    unless include_full re-admits the latter two (used by the
+    union-structure machinery, where a component of a proper N-subset may
+    coincide with the whole component).
 
     The search is complete at every order; a carrier with more than
     MAX_CLOSED_SUBSETS closed subsets raises ResourceLimitError.
@@ -656,17 +626,15 @@ def enumerate_closed_subsets(m: FiniteMagma, pred=None,
     if candidates is None:
         candidates = m._subset_cache["closed"] = _closed_lattice(m)
     full = tuple(range(m.order))
-    skip_singletons = () if include_trivial else ((m.identity,),) if m.identity is not None else ()
+    trivial = (m.identity,)
     items = []
     for mem in candidates:
-        if mem == full and not include_full:
-            continue
-        if mem in skip_singletons:
+        if not include_full and (mem == full or mem == trivial):
             continue
         s = Subset._of_closed(m, mem)
         if evaluate_predicate(pred, s):
             items.append(s)
-    return ClosedSubsets(tuple(items))
+    return tuple(items)
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +676,7 @@ def nuclei(m: FiniteMagma) -> NucleiReport:
 
 
 def _require_loop(m: FiniteMagma, what: str):
-    if m.identity is None or not latin_square_check(m):
+    if not classify_basic(m).is_loop:
         raise PreconditionError(f"{what} requires a loop (latin square with identity)")
 
 
@@ -764,8 +732,7 @@ def double_coset(m: FiniteMagma, a: Subset, b: Subset, x: int) -> DoubleCosetRes
     """All left-associated products (ai*x)*bj."""
     t = m.table
     vals = {t[t[ai][x]][bj] for ai in a.members for bj in b.members}
-    assoc = check_identity_law(m, IdentityLaw.ASSOCIATIVE).holds
-    return DoubleCosetResult(Subset(m, vals), assoc)
+    return DoubleCosetResult(Subset(m, vals), classify_basic(m).is_semigroup)
 
 
 def _set_right(t, mem, x):

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .magma import (CustomPredicate, FiniteMagma, IdentityLaw, ParameterError,
-                    PreconditionError, Subset, SubsetPredicate,
-                    PREDICATE_REGISTRY, check_identity_law,
+from .magma import (FiniteMagma, ParameterError, PreconditionError, Subset,
+                    SubsetPredicate, PREDICATE_REGISTRY, classify_basic,
                     enumerate_closed_subsets, generated_closure, is_closed,
                     is_ideal, local_identity, require_order, subset_is_group,
                     subset_is_loop, subset_is_semigroup)
@@ -206,10 +205,6 @@ PREDICATE_REGISTRY[SubsetPredicate.IS_LEFT_IDEAL] = lambda s: is_ideal(s.parent,
 PREDICATE_REGISTRY[SubsetPredicate.IS_RIGHT_IDEAL] = lambda s: is_ideal(s.parent, s, "right")
 
 
-NEUTRO_UNITAL = CustomPredicate("neutro_unital", is_neutro_unital)
-NEUTRO_SUBSEMIGROUP = CustomPredicate("neutro_subsemigroup", is_neutro_subsemigroup)
-
-
 def group_or_s_subsemigroup(s: Subset) -> bool:
     """A group, or a semigroup that properly contains a purely-real group of
     size >= 2 without being a group itself."""
@@ -218,10 +213,16 @@ def group_or_s_subsemigroup(s: Subset) -> bool:
     return subset_is_semigroup(s) and has_real_subgroup(s)
 
 
-GROUP_OR_S_SUBSEMIGROUP = CustomPredicate("group_or_s_subsemigroup", group_or_s_subsemigroup)
-NEUTRO_UNITAL_OR_SUBGROUP = CustomPredicate(
-    "neutro_unital_or_subgroup", lambda s: is_neutro_unital(s) or subset_is_group(s))
-S_NEUTRO_SUBLOOP = CustomPredicate("s_neutrosophic_subloop", is_s_neutrosophic_subloop)
+def neutro_unital_or_subgroup(s: Subset) -> bool:
+    return is_neutro_unital(s) or subset_is_group(s)
+
+
+# the species handles of the book's union structures
+NEUTRO_UNITAL = is_neutro_unital
+NEUTRO_SUBSEMIGROUP = is_neutro_subsemigroup
+GROUP_OR_S_SUBSEMIGROUP = group_or_s_subsemigroup
+NEUTRO_UNITAL_OR_SUBGROUP = neutro_unital_or_subgroup
+S_NEUTRO_SUBLOOP = is_s_neutrosophic_subloop
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +255,7 @@ def neutrosophic_ideal_check(s: Subset, mode: str = "plain") -> bool:
     principal: s is the two-sided absorptive closure of one of its elements.
     """
     m = s.parent
-    if not check_identity_law(m, IdentityLaw.ASSOCIATIVE).holds:
+    if not classify_basic(m).is_semigroup:
         raise PreconditionError("neutrosophic ideals are defined on semigroup carriers")
     if mode == "plain":
         return _plain_neutro_ideal(m, s)
@@ -265,8 +266,7 @@ def neutrosophic_ideal_check(s: Subset, mode: str = "plain") -> bool:
     if mode in ("maximal", "minimal"):
         if not _plain_neutro_ideal(m, s):
             return False
-        found = enumerate_closed_subsets(
-            m, CustomPredicate("neutro_ideal", lambda x: _plain_neutro_ideal(m, x)))
+        found = enumerate_closed_subsets(m, lambda x: _plain_neutro_ideal(m, x))
         mem = set(s.members)
         if mode == "maximal":
             return not any(mem < set(j.members) for j in found)

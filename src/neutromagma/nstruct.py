@@ -15,94 +15,48 @@ from itertools import combinations, product
 from math import prod
 from typing import Optional, Sequence
 
-from .classify import (CauchyReport, ClassReport, SKind, Witness,
+from .classify import (CARRIER_KINDS, ClassReport, SKind, Witness,
                        _cauchy_verdict, _cauchy_witnesses, detect_s_kind,
                        sylow_verdict, verdict_of)
 from .magma import (FiniteMagma, ParameterError, PartialMap,
-                    PreconditionError, ResourceLimitError, Subset,
-                    check_homomorphism, classify_basic,
+                    ResourceLimitError, Subset, check_homomorphism,
                     enumerate_closed_subsets, evaluate_predicate, is_closed,
                     submagma)
-from .neutro import has_real_subgroup
 
 DEFAULT_COMBINATION_CAP = 10 ** 6
 
 
-# declared kind -> verification predicate
-def _v_group(m):
-    return classify_basic(m).is_group
-
-
-def _v_semigroup(m):
-    return classify_basic(m).is_semigroup
-
-
-def _v_loop(m):
-    return classify_basic(m).is_loop
-
-
-def _v_groupoid(m):
-    return True
-
-
-def _v_neutro(m):
-    return m.has_neutro()
-
-
-def _v_neutro_semigroup(m):
-    return m.has_neutro() and _v_semigroup(m)
-
-
-def _v_neutro_loop(m):
-    # tagged doublings are not loops; the untagged part must be one
-    if not m.has_neutro():
-        return False
-    reals = [i for i in range(m.order) if not m.neutro_mask[i]]
-    if not reals:
-        return False
-    try:
-        return classify_basic(submagma(m, reals)).is_loop
-    except PreconditionError:
-        return False
-
-
-def _v_neutro_group(m):
-    # carries I and some purely-real subset is a group of size >= 2
-    return m.has_neutro() and has_real_subgroup(m.full_subset())
-
-
-def _v_skind(kind):
-    return lambda m: detect_s_kind(m, kind).holds
+def _verifier(kind: str):
+    """The base kinds' whole-carrier rules are CARRIER_KINDS; an s-* kind is
+    the SKind of the same name and holds when detect_s_kind finds a witness."""
+    if kind in CARRIER_KINDS:
+        return CARRIER_KINDS[kind]
+    s_kind = SKind(kind.replace("-", "_"))
+    return lambda m: detect_s_kind(m, s_kind).holds
 
 
 # declared kind -> (verification predicate, family buckets used by the
 # N-kind classifier)
-KINDS = {
-    "group": (_v_group, ("group",)),
-    "semigroup": (_v_semigroup, ("semigroup",)),
-    "loop": (_v_loop, ("loop",)),
-    "groupoid": (_v_groupoid, ("groupoid",)),
-    "neutrosophic-group": (_v_neutro_group, ("group", "neutro-group")),
-    "neutrosophic-semigroup": (_v_neutro_semigroup,
-                               ("semigroup", "neutro-semigroup")),
-    "neutrosophic-loop": (_v_neutro_loop, ("loop", "neutro-loop")),
-    "neutrosophic-groupoid": (_v_neutro, ("groupoid", "neutro-groupoid")),
-    "s-semigroup": (_v_skind(SKind.S_SEMIGROUP), ("semigroup", "s-semigroup")),
-    "s-loop": (_v_skind(SKind.S_LOOP), ("loop", "s-loop")),
-    "s-groupoid": (_v_skind(SKind.S_GROUPOID), ("groupoid", "s-groupoid")),
-    "s-neutrosophic-group": (_v_skind(SKind.S_NEUTROSOPHIC_GROUP),
-                             ("group", "neutro-group", "s-neutro-group")),
-    "strong-s-neutrosophic-group": (_v_skind(SKind.STRONG_S_NEUTROSOPHIC_GROUP),
-                                    ("group", "neutro-group", "s-neutro-group")),
-    "s-neutrosophic-semigroup": (_v_skind(SKind.S_NEUTROSOPHIC_SEMIGROUP),
-                                 ("semigroup", "neutro-semigroup",
-                                  "s-neutro-semigroup")),
-    "s-neutrosophic-loop": (_v_skind(SKind.S_NEUTROSOPHIC_LOOP),
-                            ("loop", "neutro-loop", "s-neutro-loop")),
-    "s-neutrosophic-groupoid": (_v_skind(SKind.S_NEUTROSOPHIC_GROUPOID),
-                                ("groupoid", "neutro-groupoid",
-                                 "s-neutro-groupoid")),
-}
+KINDS = {kind: (_verifier(kind), families) for kind, families in {
+    "group": ("group",),
+    "semigroup": ("semigroup",),
+    "loop": ("loop",),
+    "groupoid": ("groupoid",),
+    "neutrosophic-group": ("group", "neutro-group"),
+    "neutrosophic-semigroup": ("semigroup", "neutro-semigroup"),
+    "neutrosophic-loop": ("loop", "neutro-loop"),
+    "neutrosophic-groupoid": ("groupoid", "neutro-groupoid"),
+    "s-semigroup": ("semigroup", "s-semigroup"),
+    "s-loop": ("loop", "s-loop"),
+    "s-groupoid": ("groupoid", "s-groupoid"),
+    "s-neutrosophic-group": ("group", "neutro-group", "s-neutro-group"),
+    "strong-s-neutrosophic-group": ("group", "neutro-group", "s-neutro-group"),
+    "s-neutrosophic-semigroup": ("semigroup", "neutro-semigroup",
+                                 "s-neutro-semigroup"),
+    "s-neutrosophic-loop": ("loop", "neutro-loop", "s-neutro-loop"),
+    "s-neutrosophic-groupoid": ("groupoid", "neutro-groupoid",
+                                "s-neutro-groupoid"),
+}.items()}
 
 
 class NStructure:
@@ -293,9 +247,8 @@ def _component_candidates(comp: FiniteMagma, species, allow_empty: bool):
     Unlike the magma-level enumeration, the full component and singletons are
     admitted: a proper N-subset may fill a component completely (the union
     stays proper as long as some other component does not)."""
-    found = enumerate_closed_subsets(comp, species, include_full=True,
-                                     include_trivial=True)
-    items = [s.members for s in found.items]
+    items = [s.members for s in enumerate_closed_subsets(comp, species,
+                                                         include_full=True)]
     if allow_empty:
         items = [()] + items
     return items
@@ -469,7 +422,7 @@ def n_sylow(ns: NStructure, per_component_species, variant: str = "standard",
     return ClassReport(verdict, wits, tuple(notes))
 
 
-def n_cauchy(ns: NStructure) -> CauchyReport:
+def n_cauchy(ns: NStructure) -> ClassReport:
     """Element orders are taken inside each component (to its identity and
     neutrosophic identity); divisibility is against the union order."""
     wits = []
@@ -478,7 +431,7 @@ def n_cauchy(ns: NStructure) -> CauchyReport:
         wits.extend(_cauchy_witnesses(comp, ns.order, lambda x: (ci, x)))
         if comp.identity is None:
             notes.append(f"component {ci}: no identity, real orders skipped")
-    return CauchyReport(_cauchy_verdict(wits), tuple(wits), tuple(notes))
+    return ClassReport(_cauchy_verdict(wits), tuple(wits), tuple(notes))
 
 
 @dataclass(frozen=True)
@@ -513,10 +466,8 @@ def tuple_sylow(ns: NStructure, primes, per_component_species,
             return TupleSylowReport(False, None, tuple(primes))
         target = p ** alpha
         sub = submagma(comp, ambient)
-        found = enumerate_closed_subsets(sub, species,
-                                         include_full=True, include_trivial=True)
         hit = None
-        for s in found.items:
+        for s in enumerate_closed_subsets(sub, species, include_full=True):
             if len(s) == target:
                 hit = tuple(ambient[j] for j in s.members)
                 break

@@ -74,7 +74,10 @@ def nstructure_to_dict(ns: NStructure) -> dict:
 def nstructure_from_dict(doc: dict) -> NStructure:
     with _malformed("N-structure"):
         comps = [magma_from_dict(c) for c in doc["components"]]
-        return NStructure(comps, doc["declared_kinds"], doc.get("name", ""))
+        name = doc.get("name", "")
+        if type(name) is not str:
+            raise ParameterError(f"N-structure name {name!r} is not a string")
+        return NStructure(comps, doc["declared_kinds"], name)
 
 
 def save_magma(m: FiniteMagma, path):

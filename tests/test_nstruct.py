@@ -73,7 +73,7 @@ def test_enumerate_n_substructures():
         assert nm.subset_is_group(nm.Subset(ns.components[1], p.per_component[1])) \
             or p.per_component[1] == tuple(range(6))
     # a species nothing satisfies empties the whole cartesian product
-    none = nm.CustomPredicate("never", lambda s: False)
+    none = lambda s: False
     subs = nm.enumerate_n_substructures(ns, [none, SP.IS_GROUP])
     assert subs == []
 
@@ -318,7 +318,7 @@ def test_n_sylow_against_product(name, nonempty):
 
 def test_n_sylow_vacuous_and_species_count():
     ns = biloop()
-    none = nm.CustomPredicate("never", lambda s: False)
+    none = lambda s: False
     rep = nm.n_sylow(ns, [none, C])
     assert rep.verdict == Verdict3.VACUOUS and rep.witnesses == ()
     # empty components admitted: only the all-empty combination would be left

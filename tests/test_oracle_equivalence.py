@@ -118,7 +118,7 @@ def test_closed_lattice_against_powerset_scan():
         m = nm.FiniteMagma([[rng.randrange(k) for _ in range(k)] for _ in range(k)])
         want = [mem for r in range(1, k + 1) for mem in combinations(range(k), r)
                 if all(m.table[x][y] in mem for x in mem for y in mem)]
-        got = nm.enumerate_closed_subsets(m, include_full=True, include_trivial=True)
+        got = nm.enumerate_closed_subsets(m, include_full=True)
         assert [s.members for s in got] == sorted(want), m.table
 
 
@@ -155,7 +155,7 @@ def bfs_closed_lattice(m):
 
 
 def lattice(m):
-    found = nm.enumerate_closed_subsets(m, include_full=True, include_trivial=True)
+    found = nm.enumerate_closed_subsets(m, include_full=True)
     return [s.members for s in found]
 
 

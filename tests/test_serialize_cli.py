@@ -267,9 +267,11 @@ def test_tagged_flag(tmp_path):
     ("nstruct", '{"components": 5, "declared_kinds": []}'),
     ("nstruct", "no json"),
     ("classify", '{"table": [[0, 1], [1, 0]], "kind": 5}'),
+    ("nstruct", '{"name": 5, "components": [{"table": [[0]]}, {"table": [[0]]}], '
+                '"declared_kinds": ["group", "group"]}'),
 ], ids=["float-entry", "str-entry", "str-identity", "bool-table", "int-in-mask",
         "int-labels", "truncated-json", "int-row", "no-components",
-        "int-components", "not-json", "int-kind"])
+        "int-components", "not-json", "int-kind", "int-name"])
 def test_cli_malformed_documents(tmp_path, capsys, command, text):
     path = tmp_path / "doc.json"
     path.write_text(text)
