@@ -98,7 +98,10 @@ class FiniteMagma:
         self._divs = None         # (left, right) division tables
         self._maps = None         # (row maps, column maps) for the law scan
         self._basic = None        # the BasicReport of classify_basic
-        self._subset_cache = {}   # pure memo of the closed-subset lattice
+        # pure memo: "closed" -> the closed-subset lattice; (SubsetPredicate,
+        # include_full) -> the member tuples that species keeps.  Tuples, not
+        # Subsets, so the cache holds no reference back to this carrier.
+        self._subset_cache = {}
 
     def op(self, x: int, y: int) -> int:
         if not (0 <= x < self.order and 0 <= y < self.order):
@@ -113,10 +116,7 @@ class FiniteMagma:
 
     def subset(self, members: Iterable) -> "Subset":
         """Build a Subset from indices or labels."""
-        idx = []
-        for m in members:
-            idx.append(m if isinstance(m, int) else self.index(m))
-        return Subset(self, idx)
+        return Subset(self, [self.index(m) if type(m) is str else m for m in members])
 
     def full_subset(self) -> "Subset":
         return Subset(self, range(self.order))
@@ -168,6 +168,13 @@ def require_order(k: int, what: str) -> None:
         raise ResourceLimitError(f"{what} has more than MAX_ORDER = {MAX_ORDER} elements")
 
 
+def _require_index(m: FiniteMagma, i, what: str) -> None:
+    """Raise ParameterError unless i is an element index of m: an int, not a
+    bool or a float, in [0, order), as the table validator requires."""
+    if type(i) is not int or not 0 <= i < m.order:
+        raise ParameterError(f"{what} {i!r} is not an index in [0,{m.order})")
+
+
 def _find_identity(t, dom) -> Optional[int]:
     """First e in dom with e*x = x*e = x for every x in dom, or None."""
     for e in dom:
@@ -183,12 +190,11 @@ class Subset:
     __slots__ = ("parent", "members", "_closed")
 
     def __init__(self, parent: FiniteMagma, members: Iterable[int]):
-        mem = sorted(set(members))
+        mem = list(members)
         for i in mem:
-            if not (0 <= i < parent.order):
-                raise ParameterError(f"subset member {i} out of range")
+            _require_index(parent, i, "subset member")
         self.parent = parent
-        self.members = tuple(mem)
+        self.members = tuple(sorted(set(mem)))
         self._closed = False      # closedness is not known; is_closed scans
 
     @classmethod
@@ -454,12 +460,16 @@ def classify_basic(m: FiniteMagma) -> BasicReport:
 # ---------------------------------------------------------------------------
 # substructure machinery
 
-def _close(t, mask, members, new):
+def _close(t, mask, members, new, stop=0):
     """Least closed superset of a closed set plus `new`, as (bitmask, member list).
 
     `members` lists the bits of `mask` and is closed already, so only pairs
     with at least one added element are multiplied: each added element meets
     every member before it in the list, on both sides.
+
+    The closure returns early, as a part of the least closed superset, once a
+    product adds an element whose bit is in `stop`; so the result holds a bit
+    of `stop` exactly when the whole closure does.
     """
     members = list(members)
     i = len(members)
@@ -475,10 +485,14 @@ def _close(t, mask, members, new):
             if not mask >> v & 1:
                 mask |= 1 << v
                 members.append(v)
+                if stop >> v & 1:
+                    return mask, members
             v = t[b][a]
             if not mask >> v & 1:
                 mask |= 1 << v
                 members.append(v)
+                if stop >> v & 1:
+                    return mask, members
         i += 1
     return mask, members
 
@@ -489,8 +503,7 @@ def generated_closure(m: FiniteMagma, gens: Sequence[int]) -> Subset:
     if not gens:
         raise ParameterError("generator list is empty")
     for g in gens:
-        if not (0 <= g < m.order):
-            raise ParameterError(f"generator {g} out of range")
+        _require_index(m, g, "generator")
     return Subset._of_closed(m, tuple(sorted(_close(m.table, 0, (), gens)[1])))
 
 
@@ -533,13 +546,20 @@ def subset_is_group(s: Subset) -> bool:
     for x in mem:
         if not any(t[x][y] == e and t[y][x] == e for y in mem):
             return False
-    return _law_failure(s.parent, IdentityLaw.ASSOCIATIVE, mem) is None
+    return _is_associative_on(s)
 
 
 def subset_is_semigroup(s: Subset) -> bool:
     """Closed and associative under the induced operation, |s| >= 2."""
-    return (len(s) >= 2 and is_closed(s)
-            and _law_failure(s.parent, IdentityLaw.ASSOCIATIVE, s.members) is None)
+    return len(s) >= 2 and is_closed(s) and _is_associative_on(s)
+
+
+def _is_associative_on(s: Subset) -> bool:
+    """Whether the operation is associative on s.  Every subset of a
+    semigroup inherits the law, which is universal, so only subsets of a
+    non-associative carrier are scanned."""
+    return (classify_basic(s.parent).is_semigroup
+            or _law_failure(s.parent, IdentityLaw.ASSOCIATIVE, s.members) is None)
 
 
 def subset_is_loop(s: Subset) -> bool:
@@ -578,7 +598,9 @@ def _closed_lattice(m: FiniteMagma):
     reached by adding element w is extended by each x > w outside C to
     D = closure(C | {x}).  D is emitted only from the C that agrees with it
     below x (the canonicity test), so each closed set is made exactly once.
-    A failed test stores D as N[x] and is inherited by C's children: a child
+    The closure stops at the first element it adds below x and outside C,
+    where the test has failed.  That partial closure, a subset of D holding
+    such an element, is stored as N[x] and inherited by C's children: a child
     that lacks a bit of N[x] below x would fail the same test, so it skips x
     without a closure.  Raises ResourceLimitError past MAX_CLOSED_SUBSETS.
     """
@@ -593,9 +615,10 @@ def _closed_lattice(m: FiniteMagma):
             if mask >> x & 1:
                 continue
             low = (1 << x) - 1
-            if fails[x] & low & ~mask:
+            stop = low & ~mask
+            if fails[x] & stop:
                 continue
-            d, d_members = _close(t, mask, members, (x,))
+            d, d_members = _close(t, mask, members, (x,), stop)
             if (d ^ mask) & low:
                 fails[x] = d
                 continue
@@ -620,11 +643,17 @@ def enumerate_closed_subsets(m: FiniteMagma, pred=None,
     coincide with the whole component).
 
     The search is complete at every order; a carrier with more than
-    MAX_CLOSED_SUBSETS closed subsets raises ResourceLimitError.
+    MAX_CLOSED_SUBSETS closed subsets raises ResourceLimitError.  The answer
+    for a SubsetPredicate is memoized per carrier; a callable species is
+    evaluated afresh on every call, since it may hold state.
     """
-    candidates = m._subset_cache.get("closed")
+    cache = m._subset_cache
+    key = (pred, include_full) if isinstance(pred, SubsetPredicate) else None
+    if key in cache:
+        return tuple(Subset._of_closed(m, mem) for mem in cache[key])
+    candidates = cache.get("closed")
     if candidates is None:
-        candidates = m._subset_cache["closed"] = _closed_lattice(m)
+        candidates = cache["closed"] = _closed_lattice(m)
     full = tuple(range(m.order))
     trivial = (m.identity,)
     items = []
@@ -634,6 +663,8 @@ def enumerate_closed_subsets(m: FiniteMagma, pred=None,
         s = Subset._of_closed(m, mem)
         if evaluate_predicate(pred, s):
             items.append(s)
+    if key is not None:
+        cache[key] = tuple(s.members for s in items)
     return tuple(items)
 
 
@@ -712,8 +743,7 @@ def commutator_subloop(m: FiniteMagma) -> Subset:
 
 def cosets(m: FiniteMagma, h: Subset, a: int, side: str = "right") -> Subset:
     """The translate {h*a} (right) or {a*h} (left); no partition is assumed."""
-    if not (0 <= a < m.order):
-        raise ParameterError("coset representative out of range")
+    _require_index(m, a, "coset representative")
     t = m.table
     if side == "right":
         return Subset(m, {t[x][a] for x in h.members})

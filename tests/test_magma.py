@@ -1,6 +1,9 @@
 """Core table operations, identity laws and substructure search."""
 
+import gc
+import random
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
@@ -220,6 +223,110 @@ def test_closed_subset_cap_raises(monkeypatch):
     with pytest.raises(nm.ResourceLimitError, match="more than 5"):
         nm.enumerate_closed_subsets(m)
     assert "closed" not in m._subset_cache
+    with pytest.raises(nm.ResourceLimitError, match="more than 5"):
+        nm.enumerate_closed_subsets(m, SP.IS_SEMIGROUP)
+    assert m._subset_cache == {}
+
+
+def test_species_memo_returns_fresh_equal_subsets():
+    m = nm.zmod_mult(12)
+    for pred, fn in nm.magma.PREDICATE_REGISTRY.items():
+        for include_full in (False, True):
+            first = nm.enumerate_closed_subsets(m, pred, include_full)
+            again = nm.enumerate_closed_subsets(m, pred, include_full)
+            assert first == again
+            assert all(a is not b for a, b in zip(first, again))
+            assert m._subset_cache[(pred, include_full)] == tuple(s.members for s in first)
+            # a plain callable of the same species is never memoized
+            fresh = nm.zmod_mult(12)
+            assert ([s.members for s in nm.enumerate_closed_subsets(fresh, fn, include_full)]
+                    == [s.members for s in first])
+            assert list(fresh._subset_cache) == ["closed"]
+
+
+def test_callable_species_is_evaluated_on_every_call():
+    m = nm.zmod_mult(12)
+    seen = []
+
+    def species(s):
+        seen.append(s.members)
+        return nm.subset_is_group(s)
+
+    first = nm.enumerate_closed_subsets(m, species)
+    calls = len(seen)
+    assert calls > 0 and first
+    assert nm.enumerate_closed_subsets(m, species) == first
+    assert len(seen) == 2 * calls
+    assert list(m._subset_cache) == ["closed"]
+
+
+def test_memoized_carrier_is_freed_without_the_cycle_collector():
+    # the memo holds member tuples, not Subsets pointing back at the
+    # carrier, so dropping the carrier frees it by reference counting alone
+    class Tracked(nm.FiniteMagma):
+        __slots__ = ("__weakref__",)
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        m = Tracked(nm.zmod_mult(12).table)
+        found = nm.enumerate_closed_subsets(m, SP.IS_GROUP)
+        assert found and (SP.IS_GROUP, False) in m._subset_cache
+        ref = weakref.ref(m)
+        del m, found
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _brute_semigroup(t, mem):
+    return len(mem) >= 2 and all(t[t[x][y]][z] == t[x][t[y][z]]
+                                 for x in mem for y in mem for z in mem)
+
+
+def _brute_group(t, mem):
+    if not _brute_semigroup(t, mem):
+        return False
+    ids = [e for e in mem if all(t[e][x] == x == t[x][e] for x in mem)]
+    return bool(ids) and all(any(t[x][y] == ids[0] == t[y][x] for y in mem) for x in mem)
+
+
+@pytest.mark.parametrize("build, associative", [
+    (lambda: nm.zmod_mult(12), True),
+    (lambda: nm.symmetric_semigroup(2), True),
+    (lambda: nm.cyclic(8), True),
+    (lambda: nm.zn_full_neutro(3), True),
+    (lambda: nm.ln(7, 2), False),
+    (lambda: nm.zn(5, 2, 3), False),
+], ids=["zmod_mult(12)", "symmetric_semigroup(2)", "cyclic(8)", "zn_full_neutro(3)",
+        "ln(7,2)", "zn(5,2,3)"])
+def test_group_and_semigroup_species_against_triple_loop(build, associative, monkeypatch):
+    m = build()
+    assert nm.classify_basic(m).is_semigroup is associative
+    scans = []
+    law_failure = nm.magma._law_failure
+
+    def counted(*args):
+        scans.append(args)
+        return law_failure(*args)
+
+    monkeypatch.setattr(nm.magma, "_law_failure", counted)
+    for s in nm.enumerate_closed_subsets(m, include_full=True):
+        assert nm.subset_is_semigroup(s) == _brute_semigroup(m.table, s.members), s
+        assert nm.subset_is_group(s) == _brute_group(m.table, s.members), s
+    # subsets of a semigroup inherit associativity without a scan
+    assert bool(scans) is not associative
+
+
+def test_group_and_semigroup_species_against_triple_loop_on_random_tables():
+    rng = random.Random(20061018)
+    for _ in range(100):
+        k = rng.randint(2, 6)
+        m = nm.FiniteMagma([[rng.randrange(k) for _ in range(k)] for _ in range(k)])
+        for s in nm.enumerate_closed_subsets(m, include_full=True):
+            assert nm.subset_is_semigroup(s) == _brute_semigroup(m.table, s.members), m.table
+            assert nm.subset_is_group(s) == _brute_group(m.table, s.members), m.table
 
 
 def test_closed_subset_cap_on_constant_product():
@@ -317,6 +424,31 @@ def test_cosets():
         images = [m.op(x, a) for x in h.members]
         assert len(c) <= len(h)
         assert (len(c) == len(h)) == (len(set(images)) == len(images))
+
+
+@pytest.mark.parametrize("bad", [True, False, 3.0, "g", None],
+                         ids=["True", "False", "3.0", "str", "None"])
+def test_element_indices_are_ints(bad):
+    # as for table entries, a bool, a float or a string is not an index
+    m = nm.cyclic(6)
+    h = nm.Subset(m, [0, 3])
+    with pytest.raises(nm.ParameterError, match="subset member"):
+        nm.Subset(m, [0, bad])
+    if type(bad) is not str:        # FiniteMagma.subset reads a string as a label
+        with pytest.raises(nm.ParameterError, match="subset member"):
+            m.subset([0, bad])
+    with pytest.raises(nm.ParameterError, match="generator"):
+        nm.generated_closure(m, [bad])
+    with pytest.raises(nm.ParameterError, match="coset representative"):
+        nm.cosets(m, h, bad)
+    for i in (-1, 6):
+        with pytest.raises(nm.ParameterError):
+            nm.Subset(m, [i])
+        with pytest.raises(nm.ParameterError):
+            nm.generated_closure(m, [i])
+        with pytest.raises(nm.ParameterError):
+            nm.cosets(m, h, i)
+    assert m.subset(["1", 3, "g"]).members == (0, 1, 3)
 
 
 def test_double_coset():

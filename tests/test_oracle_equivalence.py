@@ -193,6 +193,77 @@ def test_closed_lattice_against_breadth_first_search_on_random_tables():
     assert total > 10_000
 
 
+def oracle_closure(t, members):
+    """Least closed superset of members, by products until a fixed point."""
+    s = set(members)
+    while True:
+        more = {t[a][b] for a in s for b in s} - s
+        if not more:
+            return s
+        s |= more
+
+
+def test_cut_closure_against_full_closure():
+    # _close(..., stop) may return a part of the closure, but it must hold a
+    # stop bit exactly when the whole closure does, and it is the whole
+    # closure whenever the closure holds no stop bit (stop = 0 included)
+    rng = random.Random(SEED + 23)
+    cuts = 0
+    for _ in range(400):
+        k = rng.randint(1, 12)
+        t = [[rng.randrange(k) for _ in range(k)] for _ in range(k)]
+        c = sorted(oracle_closure(t, rng.sample(range(k), rng.randint(0, min(2, k)))))
+        outside = [x for x in range(k) if x not in c]
+        if not outside:
+            continue
+        x = rng.choice(outside)
+        mask = sum(1 << v for v in c)
+        full = sum(1 << v for v in oracle_closure(t, c + [x]))
+        for stop in (0, rng.getrandbits(k), rng.getrandbits(k) & ~mask):
+            d, members = nm.magma._close(t, mask, c, (x,), stop)
+            assert d == sum(1 << v for v in set(members)) and len(members) == len(set(members))
+            assert d & full == d and mask | 1 << x == (mask | 1 << x) & d
+            assert bool(d & stop) == bool(full & stop)
+            if not full & stop:
+                assert d == full
+            cuts += d != full
+        assert nm.magma._close(t, mask, c, (x,)) == nm.magma._close(t, mask, c, (x,), 0)
+        assert nm.magma._close(t, mask, c, (x,))[0] == full
+    assert cuts > 100
+
+
+def test_random_lattices_take_cut_closures_and_inherited_skips(monkeypatch):
+    # run the breadth-first comparison on random tables above with _close
+    # wrapped: record every closure the lattice asks for, then rebuild the
+    # FCbO tree from the canonical ones (a node reached by adding x scans
+    # from x + 1) to count the pairs (C, x) it skipped through an inherited
+    # failure
+    close = nm.magma._close
+    calls = []
+
+    def recorded(t, mask, members, new, stop=0):
+        d, d_members = close(t, mask, members, new, stop)
+        calls.append((t, mask, new[0], d, stop, close(t, mask, members, new)[0]))
+        return d, d_members
+
+    monkeypatch.setattr(nm.magma, "_close", recorded)
+    test_closed_lattice_against_breadth_first_search_on_random_tables()
+    cut = skipped = 0
+    scans = {}      # (table, node mask) -> (first x scanned, every x closed)
+    for t, mask, x, d, stop, full in calls:
+        scans.setdefault((id(t), 0), [0, set()])
+        scans.setdefault((id(t), mask), [None, set()])[1].add(x)
+        cut += d != full
+        if not d & stop:        # canonical: d is a node that scans from x + 1
+            scans.setdefault((id(t), d), [None, set()])[0] = x + 1
+    tables = {id(t): len(t) for t, *_ in calls}
+    for (tid, mask), (y, closed) in scans.items():
+        wanted = {x for x in range(y, tables[tid]) if not mask >> x & 1}
+        assert closed <= wanted
+        skipped += len(wanted - closed)
+    assert cut > 100 and skipped > 1000, (cut, skipped)
+
+
 def test_isomorphism_finds_random_relabelings():
     # a copy relabelled by a random permutation pi has table
     # copy[pi(x)][pi(y)] = pi(x*y); the map found must be a bijective
