@@ -13,9 +13,9 @@ from typing import Optional
 
 from .constructors import factorize
 from .magma import (FiniteMagma, IdentityLaw, PreconditionError, Subset,
-                    SubsetPredicate, check_identity_law, classify_basic,
-                    cosets, element_orders, enumerate_closed_subsets,
-                    is_closed, submagma)
+                    SubsetPredicate, _is_latin, check_identity_law,
+                    classify_basic, cosets, element_orders,
+                    enumerate_closed_subsets, is_closed, local_identity)
 from .neutro import (NEUTRO_SUBSEMIGROUP, has_real_subgroup,
                      is_neutrosophic_subgroup, is_pseudo_neutrosophic_subgroup)
 
@@ -54,13 +54,10 @@ def _neutro_loop(m: FiniteMagma) -> bool:
     # tagged doublings are not loops; the untagged part must be one
     if not m.has_neutro():
         return False
-    reals = [i for i in range(m.order) if not m.neutro_mask[i]]
-    if not reals:
-        return False
-    try:
-        return classify_basic(submagma(m, reals)).is_loop
-    except PreconditionError:
-        return False
+    reals = Subset(m, [i for i in range(m.order) if not m.neutro_mask[i]])
+    return (len(reals) > 0 and is_closed(reals)
+            and local_identity(reals) is not None
+            and _is_latin(m.table, reals.members))
 
 
 # declared carrier kind -> whether a whole carrier is of that kind

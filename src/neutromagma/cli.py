@@ -27,49 +27,52 @@ from .nstruct import (check_combination_count, classify_n_kind, n_cauchy,
 from .serialize import (load_magma, load_nstructure, magma_to_dict,
                         save_magma)
 
-SPECIES = {p.value.replace("_", "-"): p for p in SubsetPredicate}
+# the species names: each member name without "IS_", aliases included
+SPECIES = {name[3:].lower().replace("_", "-"): p
+           for name, p in SubsetPredicate.__members__.items()}
+
+
+def _product(args):
+    if not (args.left and args.right):
+        raise ParameterError("family product needs --left and --right")
+    return direct_product(load_magma(args.left), load_magma(args.right))
+
+
+# family name -> builder from the parsed arguments
+FAMILIES = {
+    "ln": lambda a: ln(a.n, a.m),
+    "zn": lambda a: zn(a.n, a.t, a.u, a.zclass),
+    "zmod": lambda a: zmod_mult(a.n),
+    "cyclic": lambda a: cyclic(a.n),
+    "sym": lambda a: symmetric_group(a.n),
+    "alt": lambda a: alternating(a.n),
+    "dihedral": lambda a: dihedral(a.n),
+    "symsemi": lambda a: symmetric_semigroup(a.n),
+    "zn-full-neutro": lambda a: zn_full_neutro(a.n),
+    "zn-line-neutro": lambda a: zn_line_neutro(a.n),
+    "zn-units-neutro": lambda a: zn_units_neutro(a.n),
+    "zn-affine-neutro": lambda a: zn_affine_neutro(a.n, a.t, a.u),
+    "product": _product,
+}
+
+
+def _emit(doc) -> int:
+    json.dump(doc, sys.stdout, indent=1)
+    sys.stdout.write("\n")
+    return 0
 
 
 def _construct(args) -> int:
-    fam = args.family
-    if fam == "ln":
-        m = ln(args.n, args.m)
-    elif fam == "zn":
-        m = zn(args.n, args.t, args.u, args.zclass)
-    elif fam == "zmod":
-        m = zmod_mult(args.n)
-    elif fam == "cyclic":
-        m = cyclic(args.n)
-    elif fam == "sym":
-        m = symmetric_group(args.n)
-    elif fam == "alt":
-        m = alternating(args.n)
-    elif fam == "dihedral":
-        m = dihedral(args.n)
-    elif fam == "symsemi":
-        m = symmetric_semigroup(args.n)
-    elif fam == "zn-full-neutro":
-        m = zn_full_neutro(args.n)
-    elif fam == "zn-line-neutro":
-        m = zn_line_neutro(args.n)
-    elif fam == "zn-units-neutro":
-        m = zn_units_neutro(args.n)
-    elif fam == "zn-affine-neutro":
-        m = zn_affine_neutro(args.n, args.t, args.u)
-    elif fam == "product":
-        if not (args.left and args.right):
-            raise ParameterError("family product needs --left and --right")
-        m = direct_product(load_magma(args.left), load_magma(args.right))
-    else:
-        raise ParameterError(f"unknown family {fam!r}")
+    build = FAMILIES.get(args.family)
+    if build is None:
+        raise ParameterError(f"unknown family {args.family!r}")
+    m = build(args)
     if args.tagged:
         m = extend_tagged(m)
     if args.out:
         save_magma(m, args.out)
-    else:
-        json.dump(magma_to_dict(m), sys.stdout, indent=1)
-        sys.stdout.write("\n")
-    return 0
+        return 0
+    return _emit(magma_to_dict(m))
 
 
 def _classify(args) -> int:
@@ -82,7 +85,7 @@ def _classify(args) -> int:
         except PreconditionError as exc:
             laws[law.value] = f"undefined ({exc})"
     s_flags = {k.value: detect_s_kind(m, k).holds for k in SKind}
-    doc = {
+    return _emit({
         "kind": m.kind_tag,
         "order": m.order,
         "is_semigroup": basic.is_semigroup,
@@ -93,10 +96,7 @@ def _classify(args) -> int:
         "inverses_exist": basic.inverses_exist,
         "laws": laws,
         "s_flags": s_flags,
-    }
-    json.dump(doc, sys.stdout, indent=1)
-    sys.stdout.write("\n")
-    return 0
+    })
 
 
 def _subset_from_args(m, spec):
@@ -107,30 +107,22 @@ def _subset_from_args(m, spec):
 def _subsets(args) -> int:
     m = load_magma(args.path)
     found = enumerate_closed_subsets(m, SPECIES[args.species])
-    doc = {"species": args.species, "subsets": [s.labels() for s in found]}
-    json.dump(doc, sys.stdout, indent=1)
-    sys.stdout.write("\n")
-    return 0
+    return _emit({"species": args.species, "subsets": [s.labels() for s in found]})
 
 
 def _cosets(args) -> int:
     m = load_magma(args.path)
     h = _subset_from_args(m, args.subset)
     c = cosets(m, h, m.index(args.element), args.side)
-    json.dump({"coset": c.labels()}, sys.stdout, indent=1)
-    sys.stdout.write("\n")
-    return 0
+    return _emit({"coset": c.labels()})
 
 
 def _conjugate(args) -> int:
     m = load_magma(args.path)
     ws = conjugate_witnesses(m, _subset_from_args(m, args.h1),
                              _subset_from_args(m, args.h2))
-    doc = {"witnesses": [{"element": m.labels[w.index],
-                          "equations": list(w.equations)} for w in ws]}
-    json.dump(doc, sys.stdout, indent=1)
-    sys.stdout.write("\n")
-    return 0
+    return _emit({"witnesses": [{"element": m.labels[w.index],
+                                 "equations": list(w.equations)} for w in ws]})
 
 
 def _engine(args) -> int:
@@ -141,9 +133,7 @@ def _engine(args) -> int:
         rep = sylow_classify(m, SPECIES[args.species], args.variant)
     else:
         rep = cauchy_classify(m)
-    json.dump(rep.to_dict(), sys.stdout, indent=1)
-    sys.stdout.write("\n")
-    return 0
+    return _emit(rep.to_dict())
 
 
 def _nstruct(args) -> int:
@@ -173,9 +163,7 @@ def _nstruct(args) -> int:
                 doc["report"] = rep.to_dict()
             else:
                 doc["report"] = n_sylow(ns, species).to_dict()
-    json.dump(doc, sys.stdout, indent=1, default=str)
-    sys.stdout.write("\n")
-    return 0
+    return _emit(doc)
 
 
 def _atlas(args) -> int:

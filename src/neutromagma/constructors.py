@@ -154,36 +154,6 @@ def zn_class_size(n: int, cls: str = "zstar") -> int:
 # ---------------------------------------------------------------------------
 # standard structures
 
-def zmod_mult(n: int) -> FiniteMagma:
-    """Z_n under multiplication modulo n (a monoid with identity 1)."""
-    if n < 1:
-        raise ParameterError("modulus must be positive")
-    require_order(n, f"zmod_mult({n})")
-    table = [[(a * b) % n for b in range(n)] for a in range(n)]
-    return FiniteMagma(table, kind_tag=f"zmod_mult({n})")
-
-
-def cyclic(n: int) -> FiniteMagma:
-    """The cyclic group {g | g^n = 1}, labeled 1, g, g^2, ..."""
-    if n < 1:
-        raise ParameterError("order must be positive")
-    require_order(n, f"cyclic({n})")
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    labels = ["1"] + ["g" if i == 1 else f"g^{i}" for i in range(1, n)]
-    return FiniteMagma(table, labels=labels, kind_tag=f"cyclic({n})")
-
-
-def _perm_label(p):
-    return "".join(str(v + 1) for v in p)
-
-
-def _perm_table(perms):
-    index = {p: i for i, p in enumerate(perms)}
-    n = len(perms[0])
-    table = [[index[tuple(p[q[i]] for i in range(n))] for q in perms] for p in perms]
-    return table
-
-
 def _check_n(n: int, order, what: str):
     """Reject n < 1 and an n whose carrier, of order(n) >= n elements, would
     pass MAX_ORDER; n is capped first, so a huge n is never multiplied out."""
@@ -192,12 +162,34 @@ def _check_n(n: int, order, what: str):
     require_order(order(min(n, MAX_ORDER + 1)), f"{what}({n})")
 
 
+def zmod_mult(n: int) -> FiniteMagma:
+    """Z_n under multiplication modulo n (a monoid with identity 1)."""
+    _check_n(n, lambda n: n, "zmod_mult")
+    table = [[(a * b) % n for b in range(n)] for a in range(n)]
+    return FiniteMagma(table, kind_tag=f"zmod_mult({n})")
+
+
+def cyclic(n: int) -> FiniteMagma:
+    """The cyclic group {g | g^n = 1}, labeled 1, g, g^2, ..."""
+    _check_n(n, lambda n: n, "cyclic")
+    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    labels = ["1"] + ["g" if i == 1 else f"g^{i}" for i in range(1, n)]
+    return FiniteMagma(table, labels=labels, kind_tag=f"cyclic({n})")
+
+
+def _composition(maps, kind_tag: str) -> FiniteMagma:
+    """The maps of {0..n-1}, given as image tuples, under composition
+    (p*q)(i) = p(q(i)), labeled by their images in one-line notation."""
+    index = {p: i for i, p in enumerate(maps)}
+    table = [[index[tuple(p[i] for i in q)] for q in maps] for p in maps]
+    return FiniteMagma(table, labels=["".join(str(v + 1) for v in p) for p in maps],
+                       kind_tag=kind_tag)
+
+
 def symmetric_group(n: int) -> FiniteMagma:
     """S_n on one-line labels, composition (p*q)(i) = p(q(i))."""
     _check_n(n, factorial, "symmetric_group")
-    perms = sorted(permutations(range(n)))
-    return FiniteMagma(_perm_table(perms), labels=[_perm_label(p) for p in perms],
-                       kind_tag=f"symmetric_group({n})")
+    return _composition(sorted(permutations(range(n))), f"symmetric_group({n})")
 
 
 def _parity(p):
@@ -219,18 +211,15 @@ def _parity(p):
 def alternating(n: int) -> FiniteMagma:
     """A_n, even permutations only."""
     _check_n(n, lambda n: max(1, factorial(n) // 2), "alternating")
-    perms = sorted(p for p in permutations(range(n)) if _parity(p) == 0)
-    return FiniteMagma(_perm_table(perms), labels=[_perm_label(p) for p in perms],
-                       kind_tag=f"alternating({n})")
+    return _composition(sorted(p for p in permutations(range(n)) if _parity(p) == 0),
+                        f"alternating({n})")
 
 
 def dihedral(n: int) -> FiniteMagma:
     """The dihedral group of order 2n: a^2 = b^n = 1, bab = a.
 
     Elements a^i b^j with i in {0,1}, j in [0,n); b^j a = a b^(-j)."""
-    if n < 1:
-        raise ParameterError("dihedral needs n >= 1")
-    require_order(2 * n, f"dihedral({n})")
+    _check_n(n, lambda n: 2 * n, "dihedral")
     elems = [(i, j) for i in range(2) for j in range(n)]
     index = {e: k for k, e in enumerate(elems)}
 
@@ -257,11 +246,8 @@ def dihedral(n: int) -> FiniteMagma:
 def symmetric_semigroup(n: int) -> FiniteMagma:
     """S(n): all n^n self-maps of {1..n} under composition."""
     _check_n(n, lambda n: n ** n, "symmetric_semigroup")
-    maps = sorted(product(range(n), repeat=n))
-    index = {f: i for i, f in enumerate(maps)}
-    table = [[index[tuple(f[g[i]] for i in range(n))] for g in maps] for f in maps]
-    return FiniteMagma(table, labels=[_perm_label(f) for f in maps],
-                       kind_tag=f"symmetric_semigroup({n})")
+    return _composition(sorted(product(range(n), repeat=n)),
+                        f"symmetric_semigroup({n})")
 
 
 def direct_product(m1: FiniteMagma, m2: FiniteMagma) -> FiniteMagma:

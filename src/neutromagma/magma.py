@@ -104,8 +104,8 @@ class FiniteMagma:
         self._subset_cache = {}
 
     def op(self, x: int, y: int) -> int:
-        if not (0 <= x < self.order and 0 <= y < self.order):
-            raise ParameterError(f"index out of range: op({x},{y}) on order {self.order}")
+        _require_index(self, x, "operand")
+        _require_index(self, y, "operand")
         return self.table[x][y]
 
     def index(self, label: str) -> int:
@@ -144,6 +144,8 @@ class FiniteMagma:
 
     def left_division(self, a: int, c: int) -> int:
         """The unique y with a*y = c (requires the row of a to be a permutation)."""
+        _require_index(self, a, "operand")
+        _require_index(self, c, "operand")
         ld, _ = self._divisions()
         y = ld[a][c]
         if y is None:
@@ -152,6 +154,8 @@ class FiniteMagma:
 
     def right_division(self, c: int, b: int) -> int:
         """The unique x with x*b = c (requires the column of b to be a permutation)."""
+        _require_index(self, c, "operand")
+        _require_index(self, b, "operand")
         _, rd = self._divisions()
         x = rd[c][b]
         if x is None:
@@ -515,7 +519,8 @@ class SubsetPredicate(Enum):
     IS_SUBGROUPOID = "subgroupoid"
     IS_NEUTROSOPHIC_SUBGROUP = "neutrosophic_subgroup"
     IS_PSEUDO_NEUTROSOPHIC_SUBGROUP = "pseudo_neutrosophic_subgroup"
-    IS_S_NEUTROSOPHIC_SUB = "s_neutrosophic_sub"
+    # another name for IS_NEUTROSOPHIC_SUBGROUP
+    IS_S_NEUTROSOPHIC_SUB = "neutrosophic_subgroup"
     IS_IDEAL = "ideal"
     IS_LEFT_IDEAL = "left_ideal"
     IS_RIGHT_IDEAL = "right_ideal"
@@ -581,10 +586,7 @@ def evaluate_predicate(pred, s: Subset) -> bool:
     if pred is None:
         return True
     if isinstance(pred, SubsetPredicate):
-        fn = PREDICATE_REGISTRY.get(pred)
-        if fn is None:
-            raise ParameterError(f"predicate {pred} has no registered implementation")
-        return fn(s)
+        return PREDICATE_REGISTRY[pred](s)
     if callable(pred):
         return pred(s)
     raise ParameterError(f"not a subset predicate: {pred!r}")
@@ -698,11 +700,11 @@ def nuclei(m: FiniteMagma) -> NucleiReport:
     middle = [a for a in rng if all(t[t[x][a]][y] == t[x][t[a][y]] for x in rng for y in rng)]
     right = [a for a in rng if all(t[t[x][y]][a] == t[x][t[y][a]] for x in rng for y in rng)]
     nucleus = sorted(set(left) & set(middle) & set(right))
-    commutant = [a for a in rng if all(t[a][x] == t[x][a] for x in rng)]
-    centre = sorted(set(nucleus) & set(commutant))
+    commutant = center(m)
+    centre = sorted(set(nucleus) & set(commutant.members))
     return NucleiReport(
         left=Subset(m, left), middle=Subset(m, middle), right=Subset(m, right),
-        nucleus=Subset(m, nucleus), commutant=Subset(m, commutant),
+        nucleus=Subset(m, nucleus), commutant=commutant,
         centre=Subset(m, centre))
 
 
@@ -773,46 +775,31 @@ def _set_left(t, x, mem):
     return frozenset(t[x][v] for v in mem)
 
 
-def is_normal(m: FiniteMagma, h: Subset, mode: str, quantifier_range: str = "definition") -> bool:
-    """Normality of a closed subset.
-
-    subgroup mode: gHg^-1 = H for all g (carrier must be a group).
-    subloop / subgroupoid modes check xH = Hx, (Hx)y = H(xy), y(xH) = (yx)H;
-    the subloop form quantifies x, y over the carrier, the subgroupoid form
-    over the subset itself.  quantifier_range overrides with "carrier" or
-    "subset".
-    """
+def is_normal(m: FiniteMagma, h: Subset, mode: str) -> bool:
+    """Normality of a closed subset H: xH = Hx, (Hx)y = H(xy) and
+    y(xH) = (yx)H for all x, y in the range of the mode.  subloop: x and y
+    range over the carrier; subgroupoid: over H itself; subgroup: as subloop,
+    on a group carrier only, where xH = Hx is the classical gHg^-1 = H."""
     if not is_closed(h):
         raise PreconditionError("normality is only defined for closed subsets")
+    if mode not in ("subgroup", "subloop", "subgroupoid"):
+        raise ParameterError(f"unknown normality mode {mode!r}")
+    basic = classify_basic(m)
+    if mode == "subgroup" and not basic.is_group:
+        raise PreconditionError("subgroup normality requires a group carrier")
     t = m.table
     mem = h.members
-    memset = frozenset(mem)
-    if mode == "subgroup":
-        basic = classify_basic(m)
-        if not basic.is_group:
-            raise PreconditionError("subgroup normality requires a group carrier")
-        inv = two_sided_inverses(m)
-        for g in range(m.order):
-            gi = inv[g]
-            if frozenset(t[t[g][n]][gi] for n in mem) != memset:
-                return False
-        return True
-    if mode not in ("subloop", "subgroupoid"):
-        raise ParameterError(f"unknown normality mode {mode!r}")
-    if quantifier_range == "definition":
-        quantifier_range = "carrier" if mode == "subloop" else "subset"
-    dom = range(m.order) if quantifier_range == "carrier" else mem
+    dom = mem if mode == "subgroupoid" else range(m.order)
     for x in dom:
-        if _set_left(t, x, mem) != _set_right(t, mem, x):
+        hx, xh = _set_right(t, mem, x), _set_left(t, x, mem)
+        if hx != xh:
             return False
-    for x in dom:
-        hx = _set_right(t, mem, x)
-        for y in dom:
-            if frozenset(t[v][y] for v in hx) != _set_right(t, mem, t[x][y]):
-                return False
-            xh = _set_left(t, x, mem)
-            if frozenset(t[y][v] for v in xh) != _set_left(t, t[y][x], mem):
-                return False
+        # on a semigroup the other two conditions follow from associativity
+        if not basic.is_semigroup and any(
+                frozenset(t[v][y] for v in hx) != _set_right(t, mem, t[x][y])
+                or frozenset(t[y][v] for v in xh) != _set_left(t, t[y][x], mem)
+                for y in dom):
+            return False
     return True
 
 
@@ -831,11 +818,10 @@ def literal_xhy_normal(m: FiniteMagma, h: Subset) -> bool:
     return True
 
 
-def is_simple(m: FiniteMagma, mode: str = "subgroupoid",
-              quantifier_range: str = "definition") -> bool:
+def is_simple(m: FiniteMagma, mode: str = "subgroupoid") -> bool:
     """No nontrivial (size >= 2) proper normal closed subset exists."""
     for s in enumerate_closed_subsets(m):
-        if len(s) >= 2 and is_normal(m, s, mode, quantifier_range):
+        if len(s) >= 2 and is_normal(m, s, mode):
             return False
     return True
 
@@ -883,6 +869,8 @@ def conjugate_witnesses(m: FiniteMagma, h1: Subset, h2: Subset):
 
 def conjugate_pair(m: FiniteMagma, x: int, y: int):
     """Least (a, b) in lexicographic order with a*x = y*b, or None."""
+    _require_index(m, x, "element")
+    _require_index(m, y, "element")
     t = m.table
     for a in range(m.order):
         ax = t[a][x]
@@ -904,6 +892,7 @@ def element_orders(m: FiniteMagma, x: int) -> ElementOrders:
     Powers are left-associated: x^(j+1) = x^j * x.  An order is absent when
     no such k <= m.order exists or the respective identity is not set.
     """
+    _require_index(m, x, "element")
     t = m.table
     real = None
     neutro = None
@@ -1016,6 +1005,7 @@ def is_isomorphic(m1: FiniteMagma, m2: FiniteMagma):
 
 def right_regular_representation(m: FiniteMagma, a: int):
     """The column permutation x -> x*a as an index tuple."""
+    _require_index(m, a, "element")
     col = tuple(m.table[x][a] for x in range(m.order))
     if len(set(col)) != m.order:
         raise PreconditionError(

@@ -58,11 +58,18 @@ def extend_tagged(base: FiniteMagma) -> FiniteMagma:
         kind_tag=f"tagged({base.kind_tag})")
 
 
-def _residue_carrier(n: int, elems, kind_tag: str) -> FiniteMagma:
-    """The residue product on elems, which must be closed under it and hold
-    1 and I; shared by the multiplicative residue carriers."""
+def _residue_check(n: int, order: int, what: str):
+    """Reject n < 2 and a residue carrier of `order` elements past MAX_ORDER."""
+    if n < 2:
+        raise ParameterError("residue carrier needs n >= 2")
+    require_order(order, what)
+
+
+def _residue_carrier(elems, product, kind_tag: str) -> FiniteMagma:
+    """The carrier on elems under product(x, y), which gives x*y as an (a, b)
+    pair; elems must be closed under it and hold I."""
     index = {(r.a, r.b): i for i, r in enumerate(elems)}
-    table = [[index[(p := x.mul(y, n)).a, p.b] for y in elems] for x in elems]
+    table = [[index[product(x, y)] for y in elems] for x in elems]
     return FiniteMagma(
         table, labels=[r.label() for r in elems],
         neutro_mask=[r.b != 0 for r in elems],
@@ -70,53 +77,48 @@ def _residue_carrier(n: int, elems, kind_tag: str) -> FiniteMagma:
         kind_tag=kind_tag)
 
 
+def _residue_product(n: int):
+    """The multiplicative residue product, as a product for _residue_carrier."""
+    return lambda x, y: ((p := x.mul(y, n)).a, p.b)
+
+
 def zn_full_neutro(n: int) -> FiniteMagma:
     """The full multiplicative carrier {a + bI : a, b in Z_n} of order n^2."""
-    if n < 2:
-        raise ParameterError("residue carrier needs n >= 2")
-    require_order(n * n, f"zn_full_neutro({n})")
+    tag = f"zn_full_neutro({n})"
+    _residue_check(n, n * n, tag)
     elems = [NeutroResidue(a, b) for a in range(n) for b in range(n)]
-    return _residue_carrier(n, elems, f"zn_full_neutro({n})")
+    return _residue_carrier(elems, _residue_product(n), tag)
 
 
 def zn_line_neutro(n: int) -> FiniteMagma:
     """The order 2n-1 carrier {0, 1, ..., n-1, I, 2I, ..., (n-1)I}; the
     identification 0I = 0 keeps it closed under the residue product."""
-    if n < 2:
-        raise ParameterError("residue carrier needs n >= 2")
-    require_order(2 * n - 1, f"zn_line_neutro({n})")
+    tag = f"zn_line_neutro({n})"
+    _residue_check(n, 2 * n - 1, tag)
     elems = [NeutroResidue(a, 0) for a in range(n)] + \
             [NeutroResidue(0, b) for b in range(1, n)]
-    return _residue_carrier(n, elems, f"zn_line_neutro({n})")
+    return _residue_carrier(elems, _residue_product(n), tag)
 
 
 def zn_units_neutro(n: int) -> FiniteMagma:
     """The zero-free line carrier {1..n-1, I..(n-1)I}, closed only for prime n."""
-    if n < 2:
-        raise ParameterError("residue carrier needs n >= 2")
-    require_order(2 * n - 2, f"zn_units_neutro({n})")
+    tag = f"zn_units_neutro({n})"
+    _residue_check(n, 2 * n - 2, tag)
     for d in range(2, n):
         if n % d == 0:
             raise ParameterError(f"zero-free carrier needs a prime modulus, got {n}")
     elems = [NeutroResidue(a, 0) for a in range(1, n)] + \
             [NeutroResidue(0, b) for b in range(1, n)]
-    return _residue_carrier(n, elems, f"zn_units_neutro({n})")
+    return _residue_carrier(elems, _residue_product(n), tag)
 
 
 def zn_affine_neutro(n: int, t: int, u: int) -> FiniteMagma:
     """The groupoid (a+bI) * (c+dI) = t(a+bI) + u(c+dI) on the full carrier."""
-    if n < 2:
-        raise ParameterError("residue carrier needs n >= 2")
-    require_order(n * n, f"zn_affine_neutro({n},{t},{u})")
+    tag = f"zn_affine_neutro({n},{t},{u})"
+    _residue_check(n, n * n, tag)
     elems = [NeutroResidue(a, b) for a in range(n) for b in range(n)]
-    index = {(r.a, r.b): i for i, r in enumerate(elems)}
-    table = [[index[((t * x.a + u * y.a) % n, (t * x.b + u * y.b) % n)]
-              for y in elems] for x in elems]
-    return FiniteMagma(
-        table, labels=[r.label() for r in elems],
-        neutro_mask=[r.b != 0 for r in elems],
-        neutro_identity=index[(0, 1)],
-        kind_tag=f"zn_affine_neutro({n},{t},{u})")
+    return _residue_carrier(
+        elems, lambda x, y: ((t * x.a + u * y.a) % n, (t * x.b + u * y.b) % n), tag)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +201,6 @@ def is_s_neutrosophic_subloop(s: Subset) -> bool:
 
 PREDICATE_REGISTRY[SubsetPredicate.IS_NEUTROSOPHIC_SUBGROUP] = is_neutrosophic_subgroup
 PREDICATE_REGISTRY[SubsetPredicate.IS_PSEUDO_NEUTROSOPHIC_SUBGROUP] = is_pseudo_neutrosophic_subgroup
-PREDICATE_REGISTRY[SubsetPredicate.IS_S_NEUTROSOPHIC_SUB] = is_neutrosophic_subgroup
 PREDICATE_REGISTRY[SubsetPredicate.IS_IDEAL] = lambda s: is_ideal(s.parent, s, "two_sided")
 PREDICATE_REGISTRY[SubsetPredicate.IS_LEFT_IDEAL] = lambda s: is_ideal(s.parent, s, "left")
 PREDICATE_REGISTRY[SubsetPredicate.IS_RIGHT_IDEAL] = lambda s: is_ideal(s.parent, s, "right")

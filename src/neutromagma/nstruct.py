@@ -19,9 +19,9 @@ from .classify import (CARRIER_KINDS, ClassReport, SKind, Witness,
                        _cauchy_verdict, _cauchy_witnesses, detect_s_kind,
                        sylow_verdict, verdict_of)
 from .magma import (FiniteMagma, ParameterError, PartialMap,
-                    ResourceLimitError, Subset, check_homomorphism,
-                    enumerate_closed_subsets, evaluate_predicate, is_closed,
-                    submagma)
+                    ResourceLimitError, Subset, _require_index,
+                    check_homomorphism, enumerate_closed_subsets,
+                    evaluate_predicate, is_closed, submagma)
 
 DEFAULT_COMBINATION_CAP = 10 ** 6
 
@@ -108,11 +108,10 @@ class NSubset:
         if len(per_component) != parent.n:
             raise ParameterError("per_component length must match component count")
         for comp, mem in zip(parent.components, per_component):
-            mem = tuple(sorted(set(mem)))
+            mem = list(mem)
             for i in mem:
-                if not (0 <= i < comp.order):
-                    raise ParameterError("NSubset member out of range")
-            pcs.append(mem)
+                _require_index(comp, i, "NSubset member")
+            pcs.append(tuple(sorted(set(mem))))
         self.parent = parent
         self.per_component = tuple(pcs)
 
@@ -493,11 +492,10 @@ def n_coset(ns: NStructure, h: NSubset, a) -> NSubset:
     """Right-translate the component containing a; other components pass
     through unchanged."""
     ci, ei = a
-    if not (0 <= ci < ns.n):
-        raise ParameterError("component index out of range")
+    if type(ci) is not int or not 0 <= ci < ns.n:
+        raise ParameterError(f"component index {ci!r} is not an index in [0,{ns.n})")
     comp = ns.components[ci]
-    if not (0 <= ei < comp.order):
-        raise ParameterError("element index out of range")
+    _require_index(comp, ei, "element")
     parts = list(h.per_component)
     parts[ci] = tuple(sorted({comp.table[x][ei] for x in parts[ci]}))
     return NSubset(ns, parts)

@@ -37,12 +37,10 @@ def test_enumeration_matches_powerset_at_order_10():
 def test_normality_quantifier_ranges_both_exposed():
     m = nm.zn(5, 2, 3)
     zero = nm.Subset(m, [0])
-    # the subset-ranged reading accepts {0}, the carrier-ranged one rejects it
-    assert nm.is_normal(m, zero, "subgroupoid", quantifier_range="subset")
-    assert not nm.is_normal(m, zero, "subgroupoid", quantifier_range="carrier")
-    # the per-definition default for subgroupoid mode is the subset range
-    assert nm.is_normal(m, zero, "subgroupoid") == \
-        nm.is_normal(m, zero, "subgroupoid", quantifier_range="subset")
+    # subgroupoid mode quantifies over the subset and accepts {0}; subloop
+    # mode quantifies over the carrier and rejects it
+    assert nm.is_normal(m, zero, "subgroupoid")
+    assert not nm.is_normal(m, zero, "subloop")
 
 
 def test_literal_xhy_normal_is_its_own_predicate():

@@ -448,6 +448,18 @@ def test_element_indices_are_ints(bad):
             nm.generated_closure(m, [i])
         with pytest.raises(nm.ParameterError):
             nm.cosets(m, h, i)
+    # the element arguments of every other public entry point
+    for i in (-1, 6, bad):
+        for call in (lambda: m.op(i, 1), lambda: m.op(1, i),
+                     lambda: m.left_division(i, 1), lambda: m.left_division(1, i),
+                     lambda: m.right_division(i, 1), lambda: m.right_division(1, i),
+                     lambda: nm.element_orders(m, i),
+                     lambda: nm.right_regular_representation(m, i),
+                     lambda: nm.conjugate_pair(m, i, 1), lambda: nm.conjugate_pair(m, 1, i),
+                     lambda: nm.principal_isotope(m, i, 1),
+                     lambda: nm.principal_isotope(m, 1, i)):
+            with pytest.raises(nm.ParameterError, match="is not an index"):
+                call()
     assert m.subset(["1", 3, "g"]).members == (0, 1, 3)
 
 

@@ -182,6 +182,21 @@ def test_n_coset():
     assert set(moved.per_component[1]) == {comp1.index("1"), comp1.index("g^3")}
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, -1, 12],
+                         ids=["True", "1.0", "-1", "12"])
+def test_n_level_indices_are_ints(bad):
+    # member, component and element indices are ints in range, not bools
+    # or floats, as for the subsets of one carrier
+    ns = biloop()
+    h = nm.NSubset(ns, [(0,), (0,)])
+    with pytest.raises(nm.ParameterError, match="NSubset member"):
+        nm.NSubset(ns, [(0, bad), (0,)])
+    with pytest.raises(nm.ParameterError, match="component index"):
+        nm.n_coset(ns, h, (bad, 1))
+    with pytest.raises(nm.ParameterError, match="element"):
+        nm.n_coset(ns, h, (0, bad))
+
+
 def test_n_homomorphism_check():
     g = nm.cyclic(5)
     ident = nm.PartialMap(g, g, tuple((i, i) for i in range(5)))

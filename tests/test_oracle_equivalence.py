@@ -82,10 +82,12 @@ def oracle_law(m, law, dom):
 EQUATIONAL_LAWS = [law for law in Law if law not in (Law.WIP, Law.BRUCK_INVERSE)]
 
 
-def oracle_normal_subloop(m, mem):
+def oracle_normal_subloop(m, mem, rng=None):
+    """The three translate conditions, each scanned for all x, y in rng (the
+    carrier by default), with no shortcut for associative carriers."""
     t = m.table
     ms = set(mem)
-    rng = range(m.order)
+    rng = range(m.order) if rng is None else rng
 
     def lmul(x, s):
         return {t[x][v] for v in s}
@@ -422,6 +424,86 @@ def test_normality_against_definition():
         for mem in oracle_closed_subsets(m):
             s = nm.Subset(m, mem)
             assert nm.is_normal(m, s, "subloop") == oracle_normal_subloop(m, mem)
+
+
+def oracle_normal_conjugation(m, mem):
+    """The classical rule for a group carrier: gHg^-1 = H for every g."""
+    t, e, rng = m.table, m.identity, range(m.order)
+    inv = {g: next(y for y in rng if t[g][y] == e == t[y][g]) for g in rng}
+    return all({t[t[g][v]][inv[g]] for v in mem} == set(mem) for g in rng)
+
+
+NORMALITY_CARRIERS = {
+    "symmetric_group(3)": lambda: nm.symmetric_group(3),
+    "symmetric_group(4)": lambda: nm.symmetric_group(4),
+    "alternating(4)": lambda: nm.alternating(4),
+    "dihedral(4)": lambda: nm.dihedral(4),
+    "dihedral(5)": lambda: nm.dihedral(5),
+    "cyclic(6)": lambda: nm.cyclic(6),
+    "zmod_mult(12)": lambda: nm.zmod_mult(12),
+    "symmetric_semigroup(2)": lambda: nm.symmetric_semigroup(2),
+    "zn_full_neutro(3)": lambda: nm.zn_full_neutro(3),
+    "ln(5, 2)": lambda: nm.ln(5, 2),
+    "ln(7, 3)": lambda: nm.ln(7, 3),
+    "zn(5, 2, 3)": lambda: nm.zn(5, 2, 3),
+    "zn(8, 3, 5)": lambda: nm.zn(8, 3, 5),
+}
+
+
+@pytest.mark.parametrize("build", NORMALITY_CARRIERS.values(), ids=NORMALITY_CARRIERS)
+def test_normality_modes_against_conjugation_and_full_scan(build):
+    # subloop mode quantifies over the carrier, subgroupoid mode over the
+    # subset; subgroup mode is subloop mode on a group carrier, where it
+    # agrees with the conjugation rule
+    m = build()
+    group = nm.classify_basic(m).is_group
+    for s in nm.enumerate_closed_subsets(m, include_full=True):
+        mem = s.members
+        over_carrier = oracle_normal_subloop(m, mem)
+        assert nm.is_normal(m, s, "subloop") == over_carrier
+        assert nm.is_normal(m, s, "subgroupoid") == oracle_normal_subloop(m, mem, mem)
+        if group:
+            assert nm.is_normal(m, s, "subgroup") == over_carrier \
+                == oracle_normal_conjugation(m, mem)
+        else:
+            with pytest.raises(nm.PreconditionError, match="group carrier"):
+                nm.is_normal(m, s, "subgroup")
+
+
+def test_commutant_is_center():
+    carriers = [build() for build in NORMALITY_CARRIERS.values()] + MAGMAS
+    for m in carriers:
+        if m.identity is not None:
+            assert nm.nuclei(m).commutant == nm.center(m)
+
+
+def oracle_neutro_loop(m):
+    """The neutrosophic-loop kind as a loop test on the induced magma of
+    the real part."""
+    reals = [i for i in range(m.order) if not m.neutro_mask[i]]
+    if not m.has_neutro() or not reals:
+        return False
+    try:
+        return nm.classify_basic(nm.submagma(m, reals)).is_loop
+    except nm.PreconditionError:
+        return False
+
+
+def test_neutro_loop_kind_against_induced_magma():
+    from neutromagma.classify import _neutro_loop
+    from test_kind_truth_table import CARRIERS
+    for build in CARRIERS.values():
+        m = build()
+        assert _neutro_loop(m) == oracle_neutro_loop(m)
+    # a real part of one element is a trivial loop exactly when idempotent
+    mask = [False, True]
+    assert _neutro_loop(nm.FiniteMagma([[0, 1], [1, 1]], neutro_mask=mask))
+    assert not _neutro_loop(nm.FiniteMagma([[1, 1], [1, 1]], neutro_mask=mask))
+    rng = random.Random(SEED)
+    for m in MAGMAS:
+        mask = [rng.random() < 0.4 for _ in range(m.order)]
+        r = nm.FiniteMagma(m.table, neutro_mask=mask)
+        assert _neutro_loop(r) == oracle_neutro_loop(r)
 
 
 def test_group_subsets_against_definition():

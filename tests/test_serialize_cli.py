@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import neutromagma as nm
+from neutromagma import cli
 from neutromagma.cli import main
 from neutromagma.serialize import (load_magma, magma_from_dict, magma_to_dict,
                                    nstructure_from_dict, nstructure_to_dict,
@@ -259,6 +260,71 @@ def test_cli_construct_zn_and_product(tmp_path, capsys):
                  "--left", str(a), "--right", str(b)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["order"] == 6
+
+
+# family -> (its construct arguments, the library call they stand for)
+FAMILY_CASES = {
+    "ln": (["--n", "7", "--m", "3"], lambda: nm.ln(7, 3)),
+    "zn": (["--n", "6", "--t", "3", "--u", "4", "--class", "zdoublestar"],
+           lambda: nm.zn(6, 3, 4, "zdoublestar")),
+    "zmod": (["--n", "6"], lambda: nm.zmod_mult(6)),
+    "cyclic": (["--n", "5"], lambda: nm.cyclic(5)),
+    "sym": (["--n", "3"], lambda: nm.symmetric_group(3)),
+    "alt": (["--n", "4"], lambda: nm.alternating(4)),
+    "dihedral": (["--n", "4"], lambda: nm.dihedral(4)),
+    "symsemi": (["--n", "2"], lambda: nm.symmetric_semigroup(2)),
+    "zn-full-neutro": (["--n", "3"], lambda: nm.zn_full_neutro(3)),
+    "zn-line-neutro": (["--n", "4"], lambda: nm.zn_line_neutro(4)),
+    "zn-units-neutro": (["--n", "5"], lambda: nm.zn_units_neutro(5)),
+    "zn-affine-neutro": (["--n", "3", "--t", "2", "--u", "1"],
+                         lambda: nm.zn_affine_neutro(3, 2, 1)),
+    "product": (["--left", "{c2}", "--right", "{c3}"],
+                lambda: nm.direct_product(nm.cyclic(2), nm.cyclic(3))),
+}
+
+
+def test_every_family_has_a_construct_case():
+    assert sorted(FAMILY_CASES) == sorted(cli.FAMILIES)
+
+
+@pytest.mark.parametrize("family, tagged",
+                         [(f, False) for f in FAMILY_CASES] + [("cyclic", True)])
+def test_cli_construct_prints_the_library_magma(tmp_path, capsys, family, tagged):
+    c2, c3 = tmp_path / "c2.json", tmp_path / "c3.json"
+    nm.save_magma(nm.cyclic(2), c2)
+    nm.save_magma(nm.cyclic(3), c3)
+    args, build = FAMILY_CASES[family]
+    args = [a.format(c2=c2, c3=c3) for a in args] + ["--tagged"] * tagged
+    assert main(["construct", "--family", family, *args]) == 0
+    m = nm.extend_tagged(build()) if tagged else build()
+    assert capsys.readouterr().out == json.dumps(magma_to_dict(m), indent=1) + "\n"
+
+
+def test_cli_species_names():
+    assert sorted(cli.SPECIES) == [
+        "group", "ideal", "left-ideal", "loop", "neutrosophic-subgroup",
+        "pseudo-neutrosophic-subgroup", "right-ideal", "s-neutrosophic-sub",
+        "semigroup", "subgroupoid"]
+
+
+def test_species_alias_answers_as_its_target(tmp_path, capsys):
+    # s-neutrosophic-sub is another name for neutrosophic-subgroup: the same
+    # subsets and Lagrange report, and one memo entry between the two names
+    out = tmp_path / "line8.json"
+    nm.save_magma(nm.zn_line_neutro(8), out)
+    docs = {}
+    for name in ("s-neutrosophic-sub", "neutrosophic-subgroup"):
+        assert main(["subsets", str(out), "--species", name]) == 0
+        subsets = json.loads(capsys.readouterr().out)["subsets"]
+        assert main(["lagrange", str(out), "--species", name]) == 0
+        docs[name] = (subsets, capsys.readouterr().out)
+    assert docs["s-neutrosophic-sub"] == docs["neutrosophic-subgroup"]
+    assert docs["s-neutrosophic-sub"][0]
+    m = nm.zn_line_neutro(8)
+    for name in ("s-neutrosophic-sub", "neutrosophic-subgroup"):
+        nm.enumerate_closed_subsets(m, cli.SPECIES[name])
+    assert [k for k in m._subset_cache if k != "closed"] == [
+        (nm.SubsetPredicate.IS_NEUTROSOPHIC_SUBGROUP, False)]
 
 
 def test_tagged_flag(tmp_path):
