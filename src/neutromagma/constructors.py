@@ -155,10 +155,10 @@ def zn_class_size(n: int, cls: str = "zstar") -> int:
 # standard structures
 
 def _check_n(n: int, order, what: str):
-    """Reject n < 1 and an n whose carrier, of order(n) >= n elements, would
-    pass MAX_ORDER; n is capped first, so a huge n is never multiplied out."""
-    if n < 1:
-        raise ParameterError(f"{what} needs n >= 1, got {n}")
+    """Reject an n that is not an int >= 1, or whose carrier of order(n) >= n
+    elements would pass MAX_ORDER; n is capped first, so is never multiplied out."""
+    if type(n) is not int or n < 1:
+        raise ParameterError(f"{what} needs an integer n >= 1, got {n!r}")
     require_order(order(min(n, MAX_ORDER + 1)), f"{what}({n})")
 
 

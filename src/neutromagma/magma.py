@@ -337,9 +337,17 @@ _LAWS = {
 }
 
 
-def _law_failure(m: FiniteMagma, law: IdentityLaw, dom: tuple) -> Optional[tuple]:
-    """First tuple over dom in lexicographic order at which an equational law
-    fails, or None when it holds on dom."""
+# Laws equating two bracketings of one word (WIP: (xy)z = e gives x(yz) = e): by
+# general associativity each holds on any domain of a semigroup.  Commutativity,
+# idempotence and the Bruck inverse law stay out: they fail in S3, Z2 and S3.
+_BRACKETING_LAWS = frozenset(IdentityLaw[name] for name in (
+    "ASSOCIATIVE", "MOUFANG1", "MOUFANG2", "MOUFANG3", "BOL", "BRUCK_IDENTITY", "WIP",
+    "LEFT_ALTERNATIVE", "RIGHT_ALTERNATIVE", "P_GROUPOID"))
+
+
+def _law_failure(m: FiniteMagma, law: IdentityLaw, dom) -> Optional[tuple]:
+    """First tuple over dom (a tuple or range) in lexicographic order at which
+    an equational law fails, or None when it holds on dom."""
     if m._maps is None:
         pad = bytes(256 - m.order)    # bytes past the order are never looked up
         m._maps = ([bytes(row) + pad for row in m.table],
@@ -386,13 +394,15 @@ def check_identity_law(m: FiniteMagma, law: IdentityLaw,
 
     `domain` restricts the quantifiers (default: full universe); intermediate
     products are always taken in m.  BRUCK_INVERSE and WIP require m.identity
-    and two-sided inverses on the domain.
+    and two-sided inverses on the domain.  On a semigroup the bracketing laws
+    hold without a scan.
     """
     t = m.table
     dom = tuple(range(m.order)) if domain is None else tuple(domain.members)
 
+    if law in (IdentityLaw.BRUCK_INVERSE, IdentityLaw.WIP):
+        inv = _all_inverses(m, dom)     # raises before the semigroup shortcut
     if law is IdentityLaw.BRUCK_INVERSE:
-        inv = _all_inverses(m, dom)
         for x in dom:
             for y in dom:
                 p = t[x][y]
@@ -401,9 +411,9 @@ def check_identity_law(m: FiniteMagma, law: IdentityLaw,
                 if inv[p] != t[inv[x]][inv[y]]:
                     return LawResult(False, (x, y))
         return LawResult(True, None)
-
+    if law in _BRACKETING_LAWS and classify_basic(m).is_semigroup:
+        return LawResult(True, None)
     if law is IdentityLaw.WIP:
-        _all_inverses(m, dom)
         e = m.identity
         for x in dom:
             for y in dom:
@@ -445,8 +455,9 @@ def classify_basic(m: FiniteMagma) -> BasicReport:
     """Semigroup, loop and group flags of the carrier, computed once per carrier."""
     if m._basic is not None:
         return m._basic
-    assoc = check_identity_law(m, IdentityLaw.ASSOCIATIVE).holds
-    comm = check_identity_law(m, IdentityLaw.COMMUTATIVE).holds
+    # the law scan itself: check_identity_law reads this report
+    assoc = _law_failure(m, IdentityLaw.ASSOCIATIVE, range(m.order)) is None
+    comm = _law_failure(m, IdentityLaw.COMMUTATIVE, range(m.order)) is None
     e = m.identity
     loop = e is not None and latin_square_check(m)
     inverses = e is not None and len(two_sided_inverses(m)) == m.order
@@ -775,6 +786,16 @@ def _set_left(t, x, mem):
     return frozenset(t[x][v] for v in mem)
 
 
+def _check_normality_mode(m: FiniteMagma, mode: str) -> BasicReport:
+    """classify_basic(m), once the mode and its carrier precondition are checked."""
+    if mode not in ("subgroup", "subloop", "subgroupoid"):
+        raise ParameterError(f"unknown normality mode {mode!r}")
+    basic = classify_basic(m)
+    if mode == "subgroup" and not basic.is_group:
+        raise PreconditionError("subgroup normality requires a group carrier")
+    return basic
+
+
 def is_normal(m: FiniteMagma, h: Subset, mode: str) -> bool:
     """Normality of a closed subset H: xH = Hx, (Hx)y = H(xy) and
     y(xH) = (yx)H for all x, y in the range of the mode.  subloop: x and y
@@ -782,11 +803,7 @@ def is_normal(m: FiniteMagma, h: Subset, mode: str) -> bool:
     on a group carrier only, where xH = Hx is the classical gHg^-1 = H."""
     if not is_closed(h):
         raise PreconditionError("normality is only defined for closed subsets")
-    if mode not in ("subgroup", "subloop", "subgroupoid"):
-        raise ParameterError(f"unknown normality mode {mode!r}")
-    basic = classify_basic(m)
-    if mode == "subgroup" and not basic.is_group:
-        raise PreconditionError("subgroup normality requires a group carrier")
+    basic = _check_normality_mode(m, mode)
     t = m.table
     mem = h.members
     dom = mem if mode == "subgroupoid" else range(m.order)
@@ -820,6 +837,7 @@ def literal_xhy_normal(m: FiniteMagma, h: Subset) -> bool:
 
 def is_simple(m: FiniteMagma, mode: str = "subgroupoid") -> bool:
     """No nontrivial (size >= 2) proper normal closed subset exists."""
+    _check_normality_mode(m, mode)
     for s in enumerate_closed_subsets(m):
         if len(s) >= 2 and is_normal(m, s, mode):
             return False

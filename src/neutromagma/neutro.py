@@ -58,11 +58,11 @@ def extend_tagged(base: FiniteMagma) -> FiniteMagma:
         kind_tag=f"tagged({base.kind_tag})")
 
 
-def _residue_check(n: int, order: int, what: str):
-    """Reject n < 2 and a residue carrier of `order` elements past MAX_ORDER."""
-    if n < 2:
-        raise ParameterError("residue carrier needs n >= 2")
-    require_order(order, what)
+def _residue_check(n: int, order, what: str):
+    """Reject an n that is not an int >= 2, or whose order(n) passes MAX_ORDER."""
+    if type(n) is not int or n < 2:
+        raise ParameterError(f"residue carrier needs an integer n >= 2, got {n!r}")
+    require_order(order(n), what)
 
 
 def _residue_carrier(elems, product, kind_tag: str) -> FiniteMagma:
@@ -85,7 +85,7 @@ def _residue_product(n: int):
 def zn_full_neutro(n: int) -> FiniteMagma:
     """The full multiplicative carrier {a + bI : a, b in Z_n} of order n^2."""
     tag = f"zn_full_neutro({n})"
-    _residue_check(n, n * n, tag)
+    _residue_check(n, lambda n: n * n, tag)
     elems = [NeutroResidue(a, b) for a in range(n) for b in range(n)]
     return _residue_carrier(elems, _residue_product(n), tag)
 
@@ -94,7 +94,7 @@ def zn_line_neutro(n: int) -> FiniteMagma:
     """The order 2n-1 carrier {0, 1, ..., n-1, I, 2I, ..., (n-1)I}; the
     identification 0I = 0 keeps it closed under the residue product."""
     tag = f"zn_line_neutro({n})"
-    _residue_check(n, 2 * n - 1, tag)
+    _residue_check(n, lambda n: 2 * n - 1, tag)
     elems = [NeutroResidue(a, 0) for a in range(n)] + \
             [NeutroResidue(0, b) for b in range(1, n)]
     return _residue_carrier(elems, _residue_product(n), tag)
@@ -103,7 +103,7 @@ def zn_line_neutro(n: int) -> FiniteMagma:
 def zn_units_neutro(n: int) -> FiniteMagma:
     """The zero-free line carrier {1..n-1, I..(n-1)I}, closed only for prime n."""
     tag = f"zn_units_neutro({n})"
-    _residue_check(n, 2 * n - 2, tag)
+    _residue_check(n, lambda n: 2 * n - 2, tag)
     for d in range(2, n):
         if n % d == 0:
             raise ParameterError(f"zero-free carrier needs a prime modulus, got {n}")
@@ -115,7 +115,9 @@ def zn_units_neutro(n: int) -> FiniteMagma:
 def zn_affine_neutro(n: int, t: int, u: int) -> FiniteMagma:
     """The groupoid (a+bI) * (c+dI) = t(a+bI) + u(c+dI) on the full carrier."""
     tag = f"zn_affine_neutro({n},{t},{u})"
-    _residue_check(n, n * n, tag)
+    _residue_check(n, lambda n: n * n, tag)
+    if not all(type(c) is int and 0 <= c < n for c in (t, u)):
+        raise ParameterError(f"{tag} needs integers t, u in [0,{n})")
     elems = [NeutroResidue(a, b) for a in range(n) for b in range(n)]
     return _residue_carrier(
         elems, lambda x, y: ((t * x.a + u * y.a) % n, (t * x.b + u * y.b) % n), tag)

@@ -109,6 +109,18 @@ def test_size_guards():
         nm.alternating(6)
 
 
+@pytest.mark.parametrize("build, args", [
+    (nm.cyclic, (2.0,)), (nm.zmod_mult, (2.5,)), (nm.dihedral, (True,)),
+    (nm.symmetric_group, ("3",)), (nm.zn_full_neutro, (2.0,)),
+    (nm.zn_line_neutro, (True,)), (nm.zn_units_neutro, ("5",)),
+    (nm.zn_affine_neutro, (3, 5, 1)), (nm.zn_affine_neutro, (3, 1.5, 1)),
+    (nm.zn_affine_neutro, (3, 1, -1)), (nm.zn_affine_neutro, (3, 1, True)),
+])
+def test_constructors_reject_non_integer_parameters(build, args):
+    with pytest.raises(nm.ParameterError):
+        build(*args)
+
+
 def test_factorize():
     assert nm.factorize(360) == [(2, 3), (3, 2), (5, 1)]
     assert nm.factorize(31) == [(31, 1)]

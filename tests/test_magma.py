@@ -491,6 +491,16 @@ def test_is_normal():
         assert nm.is_simple(nm.zn(n, t, u))
 
 
+def test_is_simple_checks_its_mode_and_carrier_first():
+    # zn(5,2,3) has no closed subset that is_normal would be asked about
+    with pytest.raises(nm.PreconditionError):
+        nm.is_simple(nm.zn(5, 2, 3), "subgroup")
+    with pytest.raises(nm.ParameterError):
+        nm.is_simple(nm.zn(5, 2, 3), "bogus")
+    assert nm.is_simple(nm.cyclic(5), "subgroup")
+    assert not nm.is_simple(nm.symmetric_group(3), "subgroup")
+
+
 def test_is_ideal():
     z6 = nm.zmod_mult(6)
     assert nm.is_ideal(z6, z6.subset(["0", "2", "4"]), "two_sided")

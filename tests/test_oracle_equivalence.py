@@ -367,22 +367,40 @@ def test_ideals_against_definition():
                 assert nm.is_ideal(m, s, side) == oracle_is_ideal(m, mem, side)
 
 
-def test_laws_against_triple_loops():
-    # (holds, witness) of every equational law, over the whole carrier and
-    # over a random domain, on random tables and relabelled cyclic groups
-    rng = random.Random(SEED + 13)
+def relabelled(table, rng):
+    """The table under a random permutation of its elements."""
+    k = len(table)
+    perm = list(range(k))
+    rng.shuffle(perm)
+    out = [[0] * k for _ in range(k)]
+    for a in range(k):
+        for b in range(k):
+            out[perm[a]][perm[b]] = perm[table[a][b]]
+    return out
+
+
+def law_tables(rng):
+    """Random tables and relabelled cyclic groups, then relabelled
+    associative carriers that are not commutative or not groups."""
     for i in range(400):
         k = rng.randint(1, 7)
         if i % 4 == 0:
-            perm = list(range(k))
-            rng.shuffle(perm)
-            table = [[0] * k for _ in range(k)]
-            for a in range(k):
-                for b in range(k):
-                    table[perm[a]][perm[b]] = perm[(a + b) % k]
+            yield relabelled([[(a + b) % k for b in range(k)] for a in range(k)], rng)
         else:
-            table = [[rng.randrange(k) for _ in range(k)] for _ in range(k)]
+            yield [[rng.randrange(k) for _ in range(k)] for _ in range(k)]
+    semigroups = [nm.symmetric_group(3), nm.symmetric_semigroup(2),
+                  nm.direct_product(nm.symmetric_semigroup(2), nm.cyclic(2))]
+    for m in semigroups + [nm.zmod_mult(k) for k in range(1, 8)]:
+        yield relabelled(m.table, rng)
+
+
+def test_laws_against_triple_loops():
+    # (holds, witness) of every equational law, over the whole carrier and
+    # over a random domain
+    rng = random.Random(SEED + 13)
+    for table in law_tables(rng):
         m = nm.FiniteMagma(table)
+        k = m.order
         sub = nm.Subset(m, rng.sample(range(k), rng.randint(0, k)))
         for domain, dom in ((None, range(k)), (sub, sub.members)):
             for law in EQUATIONAL_LAWS:
@@ -392,31 +410,65 @@ def test_laws_against_triple_loops():
                     (table, law, dom)
 
 
+def oracle_wip(m):
+    """The first (x, y, z) in lexicographic order with (xy)z = e and
+    x(yz) != e, or None."""
+    e, t = m.identity, m.table
+    for x, y, z in product(range(m.order), repeat=3):
+        if t[t[x][y]][z] == e and t[x][t[y][z]] != e:
+            return (x, y, z)
+    return None
+
+
 def test_wip_against_definition():
-    checked = 0
-    for m in MAGMAS:
+    # the random pool rarely has full inverses; the family loops and the
+    # groups always do
+    rng = random.Random(SEED + 17)
+    groups = [nm.FiniteMagma(relabelled(g.table, rng))
+              for g in (nm.symmetric_group(3), nm.dihedral(4))]
+    for m in MAGMAS + [nm.ln(5, 2), nm.ln(7, 3)] + groups:
         if m.identity is None:
             continue
-        inv = nm.two_sided_inverses(m)
-        if len(inv) != m.order:
+        if len(nm.two_sided_inverses(m)) != m.order:
             with pytest.raises(nm.PreconditionError):
                 nm.check_identity_law(m, Law.WIP)
             continue
-        e = m.identity
-        t = m.table
-        want = all(t[x][t[y][z]] == e
-                   for x in range(m.order) for y in range(m.order)
-                   for z in range(m.order) if t[t[x][y]][z] == e)
-        assert nm.check_identity_law(m, Law.WIP).holds == want
-        checked += 1
-    # the random pool rarely has full inverses; the family loops always do
-    for n, mm in [(5, 2), (7, 3)]:
-        loop = nm.ln(n, mm)
-        e, t = loop.identity, loop.table
-        want = all(t[x][t[y][z]] == e
-                   for x in range(loop.order) for y in range(loop.order)
-                   for z in range(loop.order) if t[t[x][y]][z] == e)
-        assert nm.check_identity_law(loop, Law.WIP).holds == want
+        want = oracle_wip(m)
+        got = nm.check_identity_law(m, Law.WIP)
+        assert (got.holds, got.witness) == (want is None, want), m.table
+
+
+def test_bracketing_laws_answered_from_associativity(monkeypatch):
+    # on a semigroup the ten laws that rebracket one word run no scan; the
+    # other three each fail on S3 or Z2, so none of them may join the ten
+    from neutromagma import magma
+    s3, z2 = nm.symmetric_group(3), nm.cyclic(2)
+    carriers = [s3, z2, nm.symmetric_semigroup(2), nm.zmod_mult(6)]
+    for m in carriers:
+        assert nm.classify_basic(m).is_semigroup    # its own scan, made once
+    scans = []
+    law_failure = magma._law_failure
+
+    def counting(m, law, dom):
+        scans.append(law)
+        return law_failure(m, law, dom)
+
+    monkeypatch.setattr(magma, "_law_failure", counting)
+    others = {Law.COMMUTATIVE, Law.IDEMPOTENT, Law.BRUCK_INVERSE}
+    for m in carriers:
+        for domain in (None, nm.Subset(m, range(0, m.order, 2))):
+            for law in set(Law) - others:
+                if law is Law.WIP and not nm.classify_basic(m).is_group:
+                    with pytest.raises(nm.PreconditionError):
+                        nm.check_identity_law(m, law, domain=domain)
+                    continue
+                assert nm.check_identity_law(m, law, domain=domain) == \
+                    nm.LawResult(True, None)
+    assert scans == []
+    assert not nm.check_identity_law(s3, Law.COMMUTATIVE).holds
+    assert not nm.check_identity_law(z2, Law.IDEMPOTENT).holds
+    assert not nm.check_identity_law(s3, Law.BRUCK_INVERSE).holds
+    assert scans == [Law.COMMUTATIVE, Law.IDEMPOTENT]
 
 
 def test_normality_against_definition():

@@ -362,7 +362,8 @@ def test_cli_malformed_documents(tmp_path, capsys, command, text):
 
 
 @pytest.mark.parametrize("probe", ["product-no-operands", "product-no-right",
-                                   "product-no-left", "unknown-species"])
+                                   "product-no-left", "unknown-species",
+                                   "affine-coefficient"])
 def test_cli_usage_errors(tmp_path, capsys, probe):
     c2, ns = tmp_path / "c2.json", tmp_path / "ns.json"
     nm.save_magma(nm.cyclic(2), c2)
@@ -374,6 +375,8 @@ def test_cli_usage_errors(tmp_path, capsys, probe):
         "product-no-left": ["construct", "--family", "product", "--right", str(c2)],
         "unknown-species": ["nstruct", str(ns), "--engine", "lagrange",
                             "--species", "group,bogus"],
+        "affine-coefficient": ["construct", "--family", "zn-affine-neutro",
+                               "--n", "3", "--t", "5", "--u", "1"],
     }[probe]
     assert main(args) == 2
     err = capsys.readouterr().err
