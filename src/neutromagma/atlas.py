@@ -1,5 +1,5 @@
 """Atlas generation: one classification record per family member, with a
-footer cross-checking member counts against the closed-form class sizes.
+footer cross-checking counts the records imply against closed forms.
 
 Every flag is computed by a direct engine call on the member's table; no
 formula shortcut ever fills a column.
@@ -11,9 +11,12 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from math import prod
+from typing import NamedTuple
 
 from .classify import SKind, cauchy_classify, detect_s_kind, lagrange_classify, sylow_classify
-from .constructors import ln, ln_admissible, ln_count, zn, zn_class_size, zn_params
+from .constructors import (factorize, ln, ln_admissible, ln_count, zmod_mult,
+                           zn, zn_class_size, zn_params)
 from .magma import (FiniteMagma, IdentityLaw, ParameterError,
                     PreconditionError, SubsetPredicate, check_identity_law,
                     classify_basic)
@@ -50,6 +53,37 @@ class AtlasRecord:
             out.append(int(self.s_flags[col]))
         out.extend([self.lagrange_verdict, self.sylow_verdict, self.cauchy_verdict])
         return out
+
+    def to_dict(self):
+        return {"family": self.family, "params": self.params, "order": self.order,
+                "flags": {k: bool(v) for k, v in self.flags.items()},
+                "s_flags": {k: bool(v) for k, v in self.s_flags.items()},
+                "lagrange_verdict": self.lagrange_verdict,
+                "sylow_verdict": self.sylow_verdict,
+                "cauchy_verdict": self.cauchy_verdict}
+
+
+class ZmodRecord(NamedTuple):
+    """zmod_mult(n): its idempotent count, the order of its largest subgroup
+    holding 1, whether it is an S-semigroup, and its group-species Lagrange
+    witness count and verdict."""
+    family: str
+    params: str
+    order: int
+    idempotents: int
+    unit_group: int
+    s_semigroup: bool
+    subgroups: int
+    lagrange_verdict: str
+
+    def row(self):
+        return [int(v) if type(v) is bool else v for v in self]
+
+    def to_dict(self):
+        return self._asdict()
+
+
+ZMOD_COLUMNS = list(ZmodRecord._fields)
 
 
 def _law_flag(m, law):
@@ -108,10 +142,33 @@ def atlas_zn(n_values, cls="zstar"):
     return records, footer
 
 
-def render_csv(records, footer) -> str:
+def atlas_zmod(n_values):
+    """Records for zmod_mult(n) over the given n, plus two footer pairs per n
+    from the Chinese remainder theorem: Z_n has 2^omega(n) idempotents, and
+    its largest subgroup holding 1 is the unit group, of order phi(n).  For
+    n >= 2 the carrier is no loop, so both species queries are directed."""
+    records = []
+    footer = []
+    for n in n_values:
+        m = zmod_mult(n)
+        s_semigroup = detect_s_kind(m, SKind.S_SEMIGROUP).holds
+        rep = lagrange_classify(m, SubsetPredicate.IS_GROUP)
+        idempotents = sum(m.table[x][x] == x for x in range(n))
+        # a subgroup holding 1 has identity 1; {1} alone is no witness
+        units = max((w.order for w in rep.witnesses if 1 % n in w.subset), default=1)
+        records.append(ZmodRecord("zmod", f"n={n}", n, idempotents, units, s_semigroup,
+                                  len(rep.witnesses), rep.verdict.value))
+        primes = factorize(n)
+        footer.append((f"n={n} idempotents", idempotents, 2 ** len(primes)))
+        footer.append((f"n={n} unit_group", units,
+                       prod((p - 1) * p ** (a - 1) for p, a in primes)))
+    return records, footer
+
+
+def render_csv(records, footer, columns=ATLAS_COLUMNS) -> str:
     buf = io.StringIO()
     w = csv.writer(buf)
-    w.writerow(ATLAS_COLUMNS)
+    w.writerow(columns)
     for r in records:
         w.writerow(r.row())
     for name, count, formula in footer:
@@ -122,14 +179,7 @@ def render_csv(records, footer) -> str:
 
 def render_json(records, footer) -> str:
     doc = {
-        "records": [
-            {"family": r.family, "params": r.params, "order": r.order,
-             "flags": {k: bool(v) for k, v in r.flags.items()},
-             "s_flags": {k: bool(v) for k, v in r.s_flags.items()},
-             "lagrange_verdict": r.lagrange_verdict,
-             "sylow_verdict": r.sylow_verdict,
-             "cauchy_verdict": r.cauchy_verdict}
-            for r in records],
+        "records": [r.to_dict() for r in records],
         "footer": [
             {"name": n, "count": c, "formula": f, "match": c == f}
             for n, c, f in footer],

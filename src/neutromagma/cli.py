@@ -168,15 +168,20 @@ def _nstruct(args) -> int:
 
 def _atlas(args) -> int:
     ns = atlas_mod.parse_range(args.n)
+    columns = atlas_mod.ATLAS_COLUMNS
     if args.family == "ln":
         ns = [n for n in ns if n > 3 and n % 2 == 1]
         records, footer = atlas_mod.atlas_ln(ns)
     elif args.family == "zn":
         records, footer = atlas_mod.atlas_zn(ns, args.zclass)
+    elif args.family == "zmod":
+        records, footer = atlas_mod.atlas_zmod(ns)
+        columns = atlas_mod.ZMOD_COLUMNS
     else:
-        raise ParameterError(f"atlas supports families ln and zn, got {args.family!r}")
+        raise ParameterError(
+            f"atlas supports families ln, zn and zmod, got {args.family!r}")
     text = atlas_mod.render_json(records, footer) if args.format == "json" \
-        else atlas_mod.render_csv(records, footer)
+        else atlas_mod.render_csv(records, footer, columns)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

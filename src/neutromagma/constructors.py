@@ -30,10 +30,18 @@ def factorize(n: int):
     return out
 
 
+def _require_ints(what: str, **params):
+    """Reject a family parameter that is not an int, or is a bool."""
+    for name, v in params.items():
+        if type(v) is not int:
+            raise ParameterError(f"{what} needs an integer {name}, got {v!r}")
+
+
 # ---------------------------------------------------------------------------
 # the loop family of order n+1
 
 def _ln_check(n: int, m: int):
+    _require_ints("loop family", n=n, m=m)
     if n <= 3 or n % 2 == 0:
         raise ParameterError(f"loop family needs odd n > 3, got n={n}")
     if not (1 < m < n):
@@ -66,6 +74,7 @@ def ln(n: int, m: int) -> FiniteMagma:
 
 
 def ln_admissible(n: int):
+    _require_ints("loop family", n=n)
     if n <= 3 or n % 2 == 0:
         raise ParameterError(f"loop family needs odd n > 3, got n={n}")
     return [m for m in range(2, n) if gcd(m, n) == 1 and gcd(m - 1, n) == 1]
@@ -99,6 +108,7 @@ ZN_CLASSES = ("z", "zstar", "zdoublestar", "ztriplestar")
 
 
 def _zn_check(n: int, t: int, u: int, cls: str):
+    _require_ints("groupoid family", n=n, t=t, u=u)
     if n < 3:
         raise ParameterError(f"groupoid family needs n >= 3, got {n}")
     if cls not in ZN_CLASSES:
@@ -123,6 +133,7 @@ def zn(n: int, t: int, u: int, cls: str = "zstar") -> FiniteMagma:
 
 def zn_params(n: int, cls: str = "zstar"):
     """All admissible (t, u) pairs of the class, lexicographically."""
+    _require_ints("groupoid family", n=n)
     if cls == "z":
         return [(t, u) for t in range(1, n) for u in range(1, n)
                 if t != u and gcd(t, u) == 1]
@@ -138,6 +149,7 @@ def zn_params(n: int, cls: str = "zstar"):
 def zn_class_size(n: int, cls: str = "zstar") -> int:
     """Class size: the (n-1)(n-2) formula is exact for zstar; the z class is
     counted by gcd sieve (the formula is only an upper bound there)."""
+    _require_ints("groupoid family", n=n)
     if n < 3:
         raise ParameterError(f"groupoid family needs n >= 3, got {n}")
     if cls == "zstar":

@@ -603,39 +603,52 @@ def evaluate_predicate(pred, s: Subset) -> bool:
     raise ParameterError(f"not a subset predicate: {pred!r}")
 
 
-def _closed_lattice(m: FiniteMagma):
-    """Every nonempty closed subset as a sorted member tuple, in lexicographic order.
+def _closed_lattice(m: FiniteMagma, seed=(), ground=None, budget=None):
+    """Every nonempty closed set C with seed <= C <= ground, as sorted member
+    tuples in lexicographic order.
+
+    `seed` is a closed set (the lattice starts from the empty one) and
+    `ground` a bitmask of elements, the whole carrier when None.
 
     Fast Close-by-One (Kuznetsov 1993; Outrata and Vychodil, Information
-    Sciences 185, 2012), depth first from the empty set.  A closed set C
-    reached by adding element w is extended by each x > w outside C to
-    D = closure(C | {x}).  D is emitted only from the C that agrees with it
-    below x (the canonicity test), so each closed set is made exactly once.
-    The closure stops at the first element it adds below x and outside C,
-    where the test has failed.  That partial closure, a subset of D holding
-    such an element, is stored as N[x] and inherited by C's children: a child
-    that lacks a bit of N[x] below x would fail the same test, so it skips x
-    without a closure.  Raises ResourceLimitError past MAX_CLOSED_SUBSETS.
+    Sciences 185, 2012), depth first from the seed.  A closed set C reached
+    by adding element w is extended by each x > w in the ground set and
+    outside C to D = closure(C | {x}).  D is emitted only from the C that
+    agrees with it below x (the canonicity test), so each closed set is made
+    exactly once, and only if it stays in the ground set.  The closure stops
+    at the first element it adds below x and outside C, or outside the
+    ground set, where D has already failed.  That partial closure, a subset
+    of D holding such an element, is stored as N[x] and inherited by C's
+    children: a child's closure with x would hold it too, so the child skips
+    x without a closure.  Dropping the sets that leave the ground set loses
+    none inside it: FCbO reaches a closed D from a parent that is a closed
+    subset of D.  Raises ResourceLimitError past `budget` sets
+    (MAX_CLOSED_SUBSETS when None).
     """
     t = m.table
     k = m.order
-    found = []
-    stack = [(0, (), 0, [0] * k)]
+    outside = 0 if ground is None else ((1 << k) - 1) & ~ground
+    if budget is None:
+        budget = MAX_CLOSED_SUBSETS
+    root = sum(1 << x for x in seed)
+    found = [list(seed)] if seed else []
+    stack = [(root, tuple(seed), 0, [0] * k)]
     while stack:
         mask, members, y, inherited = stack.pop()
         fails = list(inherited)
+        skip = mask | outside
         for x in range(y, k):
-            if mask >> x & 1:
+            if skip >> x & 1:
                 continue
             low = (1 << x) - 1
-            stop = low & ~mask
+            stop = low & ~mask | outside
             if fails[x] & stop:
                 continue
             d, d_members = _close(t, mask, members, (x,), stop)
-            if (d ^ mask) & low:
+            if d & stop:
                 fails[x] = d
                 continue
-            if len(found) >= MAX_CLOSED_SUBSETS:
+            if len(found) >= budget:
                 raise ResourceLimitError(
                     f"more than {MAX_CLOSED_SUBSETS} closed subsets in a carrier "
                     f"of order {k}")
@@ -643,6 +656,46 @@ def _closed_lattice(m: FiniteMagma):
             # popped only after this loop ends, so it inherits every failure
             stack.append((d, d_members, x + 1, fails))
     return sorted(tuple(sorted(members)) for members in found)
+
+
+def _loop_ground(t, e):
+    """The x with ex = xe = x that have a right and a left inverse to e among
+    those elements: every subloop with identity e lies among them, since
+    xy = e and zx = e are solvable in it."""
+    near = [x for x in range(len(t)) if t[e][x] == x and t[x][e] == x]
+    return [x for x in near if any(t[x][y] == e for y in near)
+            and any(t[z][x] == e for z in near)]
+
+
+def _group_ground(t, e):
+    """G_e, the x of _loop_ground(t, e) with a two-sided inverse there: every
+    subgroup with identity e lies in it.  In a semigroup G_e is the maximal
+    subgroup at e, Green's H-class of e (Clifford and Preston I, 1961, 2.2)."""
+    near = _loop_ground(t, e)
+    return [x for x in near if any(t[x][y] == e and t[y][x] == e for y in near)]
+
+
+# species -> the elements a species subset with idempotent identity e lies in
+_GROUNDS = {
+    SubsetPredicate.IS_GROUP: _group_ground,
+    SubsetPredicate.IS_LOOP: _loop_ground,
+}
+
+
+def _directed_subsets(m: FiniteMagma, ground_of):
+    """The closed sets C with {e} <= C <= ground_of(table, e) for some
+    idempotent e, sorted; the sets searched over all e count toward
+    MAX_CLOSED_SUBSETS together."""
+    t = m.table
+    found = set()
+    searched = 0
+    for e in range(m.order):
+        if t[e][e] == e:
+            ground = sum(1 << x for x in ground_of(t, e))
+            sets = _closed_lattice(m, (e,), ground, MAX_CLOSED_SUBSETS - searched)
+            searched += len(sets)
+            found.update(sets)
+    return sorted(found)
 
 
 def enumerate_closed_subsets(m: FiniteMagma, pred=None,
@@ -655,18 +708,26 @@ def enumerate_closed_subsets(m: FiniteMagma, pred=None,
     union-structure machinery, where a component of a proper N-subset may
     coincide with the whole component).
 
-    The search is complete at every order; a carrier with more than
-    MAX_CLOSED_SUBSETS closed subsets raises ResourceLimitError.  The answer
-    for a SubsetPredicate is memoized per carrier; a callable species is
-    evaluated afresh on every call, since it may hold state.
+    The search is complete at every order.  IS_GROUP and IS_LOOP on a
+    carrier that is not a loop are searched per idempotent e, inside the
+    elements their subsets with identity e can hold (_GROUNDS); every other
+    species filters the carrier's lattice of closed subsets.  More than
+    MAX_CLOSED_SUBSETS closed subsets searched raises ResourceLimitError.
+    The answer for a SubsetPredicate is memoized per carrier; a callable
+    species is evaluated afresh on every call, since it may hold state.
     """
     cache = m._subset_cache
     key = (pred, include_full) if isinstance(pred, SubsetPredicate) else None
     if key in cache:
         return tuple(Subset._of_closed(m, mem) for mem in cache[key])
-    candidates = cache.get("closed")
-    if candidates is None:
-        candidates = cache["closed"] = _closed_lattice(m)
+    if key is not None and pred in _GROUNDS and not classify_basic(m).is_loop:
+        # in a loop e is the only idempotent and every nonempty closed set
+        # holds it, so the lattice, built once per carrier, serves instead
+        candidates = _directed_subsets(m, _GROUNDS[pred])
+    else:
+        candidates = cache.get("closed")
+        if candidates is None:
+            candidates = cache["closed"] = _closed_lattice(m)
     full = tuple(range(m.order))
     trivial = (m.identity,)
     items = []

@@ -1,5 +1,7 @@
 """Smarandache detection and the Lagrange / Sylow / Cauchy engines."""
 
+from math import gcd
+
 import pytest
 
 import neutromagma as nm
@@ -13,6 +15,22 @@ def test_detect_s_semigroup():
     # carrier gate: a loop is not a semigroup
     assert not nm.detect_s_kind(nm.ln(5, 2), SKind.S_SEMIGROUP).holds
     assert nm.classify_basic(nm.zmod_mult(7)).is_semigroup
+
+
+@pytest.mark.parametrize("n, subgroups, verdict", [
+    (60, 48, Verdict3.WEAK), (128, 16, Verdict3.FULL),
+    (210, 180, Verdict3.WEAK), (256, 19, Verdict3.FULL),
+])
+def test_zmod_mult_subgroups_past_the_lattice_cap(n, subgroups, verdict):
+    # Z_n under multiplication has more than MAX_CLOSED_SUBSETS closed
+    # subsets here, so a search that filters the lattice raised; subgroups
+    # are found per idempotent, and the unit group is the first witness
+    m = nm.zmod_mult(n)
+    det = nm.detect_s_kind(m, SKind.S_SEMIGROUP)
+    assert det.holds and det.witness.members == tuple(x for x in range(n) if gcd(x, n) == 1)
+    rep = nm.lagrange_classify(m, SP.IS_GROUP)
+    assert len(rep.witnesses) == subgroups and rep.verdict is verdict
+    assert "closed" not in m._subset_cache
 
 
 def test_detect_s_loop_and_groupoid():

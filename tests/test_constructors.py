@@ -121,6 +121,19 @@ def test_constructors_reject_non_integer_parameters(build, args):
         build(*args)
 
 
+@pytest.mark.parametrize("build, args", [
+    (nm.zn, (5.0, 2, 3)), (nm.zn, ("5", 2, 3)), (nm.zn, (5, 2.0, 3)),
+    (nm.zn, (5, 2, True)), (nm.ln, (5.0, 2)), (nm.ln, (5, 2.0)),
+    (nm.ln, (True, 2)), (nm.ln_class, (5.0,)), (nm.ln_admissible, (5.0,)),
+    (nm.zn_params, (5.0,)), (nm.zn_params, (5.0, "z")),
+    (nm.zn_class_size, (5.0,)), (nm.zn_class_size, (True,)),
+])
+def test_family_parameters_must_be_ints(build, args):
+    # each once raised a raw TypeError or reached the table validator
+    with pytest.raises(nm.ParameterError, match="needs an integer"):
+        build(*args)
+
+
 def test_factorize():
     assert nm.factorize(360) == [(2, 3), (3, 2), (5, 1)]
     assert nm.factorize(31) == [(31, 1)]

@@ -11,6 +11,7 @@ import pytest
 
 import neutromagma as nm
 from neutromagma import IdentityLaw as Law
+from neutromagma import corpus
 
 SEED = 20060131
 N_MAGMAS = 50
@@ -623,3 +624,196 @@ def test_real_subgroup_against_subset_scan():
                 assert nm.has_real_subgroup(s) == want, (table, mask, mem)
                 positives += want
     assert positives > 1000
+
+
+DIRECTED = (nm.SubsetPredicate.IS_GROUP, nm.SubsetPredicate.IS_LOOP)
+
+
+def check_directed_species(m):
+    """For IS_GROUP and IS_LOOP, with include_full False and True, the answer
+    on a fresh copy of m (the directed search unless m is a loop) against
+    m's lattice filtered by the plain callable, which is never directed; and
+    the directed candidates themselves, filtered the same way, also on loops.
+    Returns the number of species subsets found."""
+    fresh = nm.FiniteMagma(m.table)
+    full = tuple(range(m.order))
+    found = 0
+    for pred in DIRECTED:
+        keep = nm.magma.PREDICATE_REGISTRY[pred]
+        want = [s.members for s in nm.enumerate_closed_subsets(m, keep, include_full=True)]
+        assert [s.members for s in nm.enumerate_closed_subsets(fresh, pred, True)] == want
+        proper = [mem for mem in want if mem not in (full, (m.identity,))]
+        assert [s.members for s in nm.enumerate_closed_subsets(fresh, pred)] == proper
+        direct = nm.magma._directed_subsets(m, nm.magma._GROUNDS[pred])
+        assert [mem for mem in direct if keep(nm.Subset(m, mem))] == want
+        found += len(want)
+    assert ("closed" in fresh._subset_cache) == nm.classify_basic(m).is_loop
+    return found
+
+
+def oracle_semigroup_subgroups(m):
+    """Every subgroup of a finite semigroup, from Green's theorem (Clifford
+    and Preston I, 2.2): those with identity e are the subgroups of the
+    H-class of e, the x with xS1 = eS1 and S1x = S1e, so they are found as
+    closed subsets of that class taken as a carrier of its own."""
+    t = m.table
+    k = m.order
+    right = [frozenset(t[x]) | {x} for x in range(k)]
+    left = [frozenset(t[s][x] for s in range(k)) | {x} for x in range(k)]
+    out = set()
+    for e in range(k):
+        if t[e][e] == e:
+            h = [x for x in range(k) if right[x] == right[e] and left[x] == left[e]]
+            for s in nm.enumerate_closed_subsets(nm.submagma(m, h), include_full=True):
+                if len(s) >= 2:
+                    out.add(tuple(h[i] for i in s.members))
+    return sorted(out)
+
+
+def corpus_carriers(monkeypatch):
+    """Every distinct table the book corpus builds, from an empty carrier cache."""
+    built = []
+    init = nm.FiniteMagma.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(nm.FiniteMagma, "__init__", recorded)
+    monkeypatch.setattr(corpus, "_CACHE", {})
+    corpus.run_corpus()
+    monkeypatch.undo()
+    return list({m.table: m for m in built}.values())
+
+
+def test_directed_species_on_corpus_carriers(monkeypatch):
+    carriers = corpus_carriers(monkeypatch)
+    assert len(carriers) > 50
+    capped = 0
+    for m in carriers:
+        if nm.classify_basic(m).is_semigroup:
+            fresh = nm.FiniteMagma(m.table)
+            groups = nm.enumerate_closed_subsets(fresh, nm.SubsetPredicate.IS_GROUP, True)
+            assert [s.members for s in groups] == oracle_semigroup_subgroups(m), m
+        if m.order > 64:
+            # the order-81 and order-225 residue carriers have more than
+            # MAX_CLOSED_SUBSETS closed subsets, so no lattice to compare
+            # with; the Green's-class oracle checked their subgroups
+            capped += 1
+            continue
+        check_directed_species(m)
+    assert capped == 2
+
+
+def test_directed_species_on_atlas_members():
+    found = 0
+    members = [nm.ln(n, m) for n in range(5, 32, 2) for m in nm.ln_admissible(n)]
+    members += [nm.zn(n, t, u) for n in range(3, 13) for t, u in nm.zn_params(n)]
+    assert len(members) == 172 + 440
+    for m in members:
+        found += check_directed_species(m)
+    assert found > 500
+
+
+@pytest.mark.parametrize("n", [6, 12, 20, 24, 30, 36, 48])
+def test_directed_species_on_zmod_mult(n):
+    m = nm.zmod_mult(n)
+    assert check_directed_species(m) > 0
+    groups = nm.enumerate_closed_subsets(m, nm.SubsetPredicate.IS_GROUP, True)
+    assert [s.members for s in groups] == oracle_semigroup_subgroups(m)
+
+
+def random_semigroup_table(rng):
+    """A semigroup of order <= 7 by construction: the closure of one or two
+    random self-maps of {0..d-1} under composition, half the time with an
+    identity adjoined, relabelled at random."""
+    while True:
+        d = rng.randint(1, 4)
+        gens = {tuple(rng.randrange(d) for _ in range(d)) for _ in range(rng.randint(1, 2))}
+        maps = set(gens)
+        todo = list(gens)
+        while todo and len(maps) <= 7:
+            p = todo.pop()
+            for q in list(maps):
+                for r in (tuple(p[i] for i in q), tuple(q[i] for i in p)):
+                    if r not in maps:
+                        maps.add(r)
+                        todo.append(r)
+        if len(maps) <= 7:
+            break
+    maps = sorted(maps)
+    if len(maps) < 7 and rng.random() < 0.5:
+        maps.append(None)            # the adjoined identity
+    index = {p: i for i, p in enumerate(maps)}
+
+    def compose(p, q):
+        return q if p is None else p if q is None else tuple(p[i] for i in q)
+
+    return relabelled([[index[compose(p, q)] for q in maps] for p in maps], rng)
+
+
+def random_loop_table(rng, b):
+    """A random loop on 0..b-1 with identity 0, by randomized backtracking."""
+    t = [[i if r == 0 else r if i == 0 else None for i in range(b)] for r in range(b)]
+    cells = [(r, c) for r in range(1, b) for c in range(1, b)]
+
+    def fill(n):
+        if n == len(cells):
+            return True
+        r, c = cells[n]
+        for v in rng.sample(range(b), b):
+            if v not in t[r] and all(row[c] != v for row in t):
+                t[r][c] = v
+                if fill(n + 1):
+                    return True
+                t[r][c] = None
+        return False
+
+    fill(0)
+    return t
+
+
+def random_magma_table(rng):
+    """A random table of order <= 7, sometimes with an identity row and
+    column and sometimes with a random loop of order <= 5 planted on a few
+    elements (of order 5 it may be no group, or have one-sided inverses)."""
+    k = rng.randint(1, 7)
+    table = [[rng.randrange(k) for _ in range(k)] for _ in range(k)]
+    if rng.random() < 0.3:
+        e = rng.randrange(k)
+        for x in range(k):
+            table[e][x] = x
+            table[x][e] = x
+    if rng.random() < 0.5:
+        block = rng.sample(range(k), rng.randint(1, min(5, k)))
+        loop = random_loop_table(rng, len(block))
+        for i, a in enumerate(block):
+            for j, b in enumerate(block):
+                table[a][b] = block[loop[i][j]]
+    return table
+
+
+def test_directed_species_on_random_tables():
+    # 400 tables, the even draws associative by construction
+    rng = random.Random(SEED + 29)
+    found = semigroups = 0
+    for i in range(400):
+        table = random_semigroup_table(rng) if i % 2 == 0 else random_magma_table(rng)
+        m = nm.FiniteMagma(table)
+        semigroups += nm.classify_basic(m).is_semigroup
+        found += check_directed_species(m)
+    assert semigroups >= 200 and found > 250, (semigroups, found)
+
+
+def test_directed_search_cap_raises_and_caches_nothing(monkeypatch):
+    # zmod_mult(30) has 8 idempotents and 20 subgroups of two or more
+    # elements, so a cap of 10 stops the directed search partway
+    monkeypatch.setattr(nm.magma, "MAX_CLOSED_SUBSETS", 10)
+    m = nm.zmod_mult(30)
+    for pred in DIRECTED:
+        with pytest.raises(nm.ResourceLimitError, match="more than 10 closed subsets"):
+            nm.enumerate_closed_subsets(m, pred)
+    assert m._subset_cache == {}
+    monkeypatch.setattr(nm.magma, "MAX_CLOSED_SUBSETS", 100)
+    assert len(nm.enumerate_closed_subsets(m, nm.SubsetPredicate.IS_GROUP)) == 20
+    assert list(m._subset_cache) == [(nm.SubsetPredicate.IS_GROUP, False)]

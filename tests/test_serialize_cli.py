@@ -212,6 +212,47 @@ def test_cli_atlas(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("family,")
 
 
+def test_cli_atlas_zmod(tmp_path, capsys, monkeypatch):
+    # every zmod_mult(n), n >= 2, is searched per idempotent only, and the
+    # footer checks 2^omega(n) idempotents and a unit group of order phi(n)
+    lattice = nm.magma._closed_lattice
+    seeds = []
+
+    def recorded(m, seed=(), *args):
+        seeds.append(seed)
+        return lattice(m, seed, *args)
+
+    monkeypatch.setattr(nm.magma, "_closed_lattice", recorded)
+    out = tmp_path / "zmod.csv"
+    assert main(["atlas", "--family", "zmod", "--n", "2..30", "--out", str(out)]) == 0
+    assert seeds and all(seeds)
+    lines = out.read_text().splitlines()
+    assert lines[0] == ("family,params,order,idempotents,unit_group,s_semigroup,"
+                        "subgroups,lagrange_verdict")
+    assert lines[11] == "zmod,n=12,12,4,4,1,6,full"
+    assert lines[29] == "zmod,n=30,30,8,8,1,20,weak"
+    footer = lines[30:]
+    assert len(footer) == 58 and all(l.endswith(",match") for l in footer)
+    assert footer[20:22] == ["#count n=12 idempotents,4,4,match",
+                             "#count n=12 unit_group,4,4,match"]
+    assert main(["atlas", "--family", "zmod", "--n", "60", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["records"] == [{"family": "zmod", "params": "n=60", "order": 60,
+                               "idempotents": 8, "unit_group": 16, "s_semigroup": True,
+                               "subgroups": 48, "lagrange_verdict": "weak"}]
+    assert [f["formula"] for f in doc["footer"]] == [8, 16]
+    assert main(["atlas", "--family", "zmod", "--n", "257"]) == 2
+
+
+def test_cli_subgroups_of_zmod_mult_60(tmp_path, capsys):
+    # more than MAX_CLOSED_SUBSETS closed subsets, 48 of them groups
+    path = tmp_path / "zmod60.json"
+    nm.save_magma(nm.zmod_mult(60), path)
+    assert main(["subsets", str(path), "--species", "group"]) == 0
+    found = json.loads(capsys.readouterr().out)["subsets"]
+    assert len(found) == 48 and found[0][:3] == ["1", "7", "11"]
+
+
 @pytest.mark.parametrize("family, spec, golden", [
     ("ln", "5..31", "atlas_ln_5_31.csv"),
     ("zn", "3..12", "atlas_zn_3_12.csv"),
