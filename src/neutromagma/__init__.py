@@ -22,13 +22,12 @@ from .constructors import (alternating, cyclic, dihedral, direct_product,
                            zn_params)
 from .neutro import (GROUP_OR_S_SUBSEMIGROUP, NEUTRO_SUBSEMIGROUP,
                      NEUTRO_UNITAL, NEUTRO_UNITAL_OR_SUBGROUP,
-                     S_NEUTRO_SUBLOOP, NeutroResidue,
-                     extend_tagged, has_real_subgroup, is_neutro_subsemigroup,
-                     is_neutro_unital, is_neutrosophic_subgroup,
-                     is_neutrosophic_subset, is_pseudo_neutrosophic_subgroup,
-                     is_s_neutrosophic_subloop, neutrosophic_ideal_check,
-                     real_part, zn_affine_neutro, zn_full_neutro,
-                     zn_line_neutro, zn_units_neutro)
+                     S_NEUTRO_SUBLOOP, extend_tagged, has_real_subgroup,
+                     is_neutro_subsemigroup, is_neutro_unital,
+                     is_neutrosophic_subgroup, is_neutrosophic_subset,
+                     is_pseudo_neutrosophic_subgroup, is_s_neutrosophic_subloop,
+                     neutrosophic_ideal_check, real_part, zn_affine_neutro,
+                     zn_full_neutro, zn_line_neutro, zn_units_neutro)
 from .classify import (ClassReport, HyperReport, SDetection, SKind,
                        Verdict3, Witness, cauchy_classify, detect_s_kind,
                        lagrange_classify, s_cosets, s_hyper_and_simple,

@@ -13,8 +13,8 @@ from typing import Optional
 
 from .constructors import factorize
 from .magma import (FiniteMagma, IdentityLaw, PreconditionError, Subset,
-                    SubsetPredicate, _is_latin, check_identity_law,
-                    classify_basic, cosets, element_orders,
+                    SubsetPredicate, _is_latin, _require_subset,
+                    check_identity_law, classify_basic, cosets, element_orders,
                     enumerate_closed_subsets, is_closed, local_identity)
 from .neutro import (NEUTRO_SUBSEMIGROUP, has_real_subgroup,
                      is_neutrosophic_subgroup, is_pseudo_neutrosophic_subgroup)
@@ -253,6 +253,8 @@ def cauchy_classify(m: FiniteMagma, relative_to: Optional[Subset] = None) -> Cla
     An element is Cauchy when its order to the identity divides o(m) (or
     o(relative_to) in the relative mode), and Cauchy-neutrosophic when its
     order to the neutrosophic identity divides the same denominator."""
+    if relative_to is not None:
+        _require_subset(m, relative_to, "relative_to")
     denom = m.order if relative_to is None else len(relative_to)
     notes = []
     if m.identity is None:

@@ -234,6 +234,13 @@ class Subset:
         return f"Subset({{{', '.join(self.labels())}}})"
 
 
+def _require_subset(m: FiniteMagma, s, what: str) -> None:
+    """Raise ParameterError unless s is a Subset of m, or of a carrier with
+    m's table, whose member indices then name the same elements of m."""
+    if not isinstance(s, Subset) or (s.parent is not m and s.parent.table != m.table):
+        raise ParameterError(f"{what} is not a subset of {m.kind_tag or 'the magma'}")
+
+
 def is_closed(s: Subset) -> bool:
     if s._closed:
         return True
@@ -398,6 +405,8 @@ def check_identity_law(m: FiniteMagma, law: IdentityLaw,
     hold without a scan.
     """
     t = m.table
+    if domain is not None:
+        _require_subset(m, domain, "domain")
     dom = tuple(range(m.order)) if domain is None else tuple(domain.members)
 
     if law in (IdentityLaw.BRUCK_INVERSE, IdentityLaw.WIP):
@@ -817,6 +826,7 @@ def commutator_subloop(m: FiniteMagma) -> Subset:
 
 def cosets(m: FiniteMagma, h: Subset, a: int, side: str = "right") -> Subset:
     """The translate {h*a} (right) or {a*h} (left); no partition is assumed."""
+    _require_subset(m, h, "coset subset")
     _require_index(m, a, "coset representative")
     t = m.table
     if side == "right":
@@ -834,6 +844,9 @@ class DoubleCosetResult:
 
 def double_coset(m: FiniteMagma, a: Subset, b: Subset, x: int) -> DoubleCosetResult:
     """All left-associated products (ai*x)*bj."""
+    _require_subset(m, a, "left subset")
+    _require_subset(m, b, "right subset")
+    _require_index(m, x, "double coset element")
     t = m.table
     vals = {t[t[ai][x]][bj] for ai in a.members for bj in b.members}
     return DoubleCosetResult(Subset(m, vals), classify_basic(m).is_semigroup)
@@ -862,6 +875,7 @@ def is_normal(m: FiniteMagma, h: Subset, mode: str) -> bool:
     y(xH) = (yx)H for all x, y in the range of the mode.  subloop: x and y
     range over the carrier; subgroupoid: over H itself; subgroup: as subloop,
     on a group carrier only, where xH = Hx is the classical gHg^-1 = H."""
+    _require_subset(m, h, "normality subset")
     if not is_closed(h):
         raise PreconditionError("normality is only defined for closed subsets")
     basic = _check_normality_mode(m, mode)
@@ -887,6 +901,7 @@ def literal_xhy_normal(m: FiniteMagma, h: Subset) -> bool:
     Kept under its own name and deliberately not equated with is_normal: as
     written the condition forces near-degenerate subsets, so the engine
     implements it verbatim rather than guessing intent."""
+    _require_subset(m, h, "translate subset")
     t = m.table
     memset = frozenset(h.members)
     for x in range(m.order):
@@ -907,6 +922,7 @@ def is_simple(m: FiniteMagma, mode: str = "subgroupoid") -> bool:
 
 def is_ideal(m: FiniteMagma, p: Subset, side: str = "two_sided") -> bool:
     """Ideal test; p must be closed (the subgroupoid condition)."""
+    _require_subset(m, p, "ideal subset")
     if not is_closed(p):
         raise PreconditionError("ideal test requires a closed subset")
     t = m.table
@@ -931,6 +947,7 @@ class ConjugateWitness:
 def conjugate_witnesses(m: FiniteMagma, h1: Subset, h2: Subset):
     """All x with x*h1 = h2*x or h1*x = x*h2 (setwise), annotated per equation."""
     for h in (h1, h2):
+        _require_subset(m, h, "conjugacy subset")
         if not is_closed(h):
             raise PreconditionError("conjugacy witnesses need closed subsets")
     t = m.table

@@ -8,32 +8,11 @@ only reals and pure I-multiples, identifying 0I with 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .magma import (FiniteMagma, ParameterError, PreconditionError, Subset,
                     SubsetPredicate, PREDICATE_REGISTRY, classify_basic,
                     enumerate_closed_subsets, generated_closure, is_closed,
                     is_ideal, local_identity, require_order, subset_is_group,
                     subset_is_loop, subset_is_semigroup)
-
-
-@dataclass(frozen=True)
-class NeutroResidue:
-    """A residue pair a + bI over Z_n; neutrosophic iff b != 0."""
-    a: int
-    b: int
-
-    def mul(self, other: "NeutroResidue", n: int) -> "NeutroResidue":
-        # I^2 = I: (a+bI)(c+dI) = ac + (ad+bc+bd)I
-        return NeutroResidue((self.a * other.a) % n,
-                             (self.a * other.b + self.b * other.a + self.b * other.b) % n)
-
-    def label(self) -> str:
-        a, b = self.a, self.b
-        if b == 0:
-            return str(a)
-        istr = "I" if b == 1 else f"{b}I"
-        return istr if a == 0 else f"{a}+{istr}"
 
 
 def extend_tagged(base: FiniteMagma) -> FiniteMagma:
@@ -65,28 +44,39 @@ def _residue_check(n: int, order, what: str):
     require_order(order(n), what)
 
 
+def _residue_label(a: int, b: int) -> str:
+    """a + bI written as "3", "I", "4I" or "2+3I"."""
+    if b == 0:
+        return str(a)
+    istr = "I" if b == 1 else f"{b}I"
+    return istr if a == 0 else f"{a}+{istr}"
+
+
 def _residue_carrier(elems, product, kind_tag: str) -> FiniteMagma:
-    """The carrier on elems under product(x, y), which gives x*y as an (a, b)
-    pair; elems must be closed under it and hold I."""
-    index = {(r.a, r.b): i for i, r in enumerate(elems)}
+    """The carrier on the (a, b) pairs elems under product(x, y), which gives
+    x*y as an (a, b) pair; elems must be closed under it and hold I = (0, 1)."""
+    index = {r: i for i, r in enumerate(elems)}
     table = [[index[product(x, y)] for y in elems] for x in elems]
     return FiniteMagma(
-        table, labels=[r.label() for r in elems],
-        neutro_mask=[r.b != 0 for r in elems],
+        table, labels=[_residue_label(a, b) for a, b in elems],
+        neutro_mask=[b != 0 for _, b in elems],
         neutro_identity=index[(0, 1)],
         kind_tag=kind_tag)
 
 
 def _residue_product(n: int):
     """The multiplicative residue product, as a product for _residue_carrier."""
-    return lambda x, y: ((p := x.mul(y, n)).a, p.b)
+    def product(x, y):
+        (a, b), (c, d) = x, y
+        return (a * c) % n, (a * d + b * c + b * d) % n
+    return product
 
 
 def zn_full_neutro(n: int) -> FiniteMagma:
     """The full multiplicative carrier {a + bI : a, b in Z_n} of order n^2."""
     tag = f"zn_full_neutro({n})"
     _residue_check(n, lambda n: n * n, tag)
-    elems = [NeutroResidue(a, b) for a in range(n) for b in range(n)]
+    elems = [(a, b) for a in range(n) for b in range(n)]
     return _residue_carrier(elems, _residue_product(n), tag)
 
 
@@ -95,8 +85,7 @@ def zn_line_neutro(n: int) -> FiniteMagma:
     identification 0I = 0 keeps it closed under the residue product."""
     tag = f"zn_line_neutro({n})"
     _residue_check(n, lambda n: 2 * n - 1, tag)
-    elems = [NeutroResidue(a, 0) for a in range(n)] + \
-            [NeutroResidue(0, b) for b in range(1, n)]
+    elems = [(a, 0) for a in range(n)] + [(0, b) for b in range(1, n)]
     return _residue_carrier(elems, _residue_product(n), tag)
 
 
@@ -107,8 +96,7 @@ def zn_units_neutro(n: int) -> FiniteMagma:
     for d in range(2, n):
         if n % d == 0:
             raise ParameterError(f"zero-free carrier needs a prime modulus, got {n}")
-    elems = [NeutroResidue(a, 0) for a in range(1, n)] + \
-            [NeutroResidue(0, b) for b in range(1, n)]
+    elems = [(a, 0) for a in range(1, n)] + [(0, b) for b in range(1, n)]
     return _residue_carrier(elems, _residue_product(n), tag)
 
 
@@ -118,9 +106,9 @@ def zn_affine_neutro(n: int, t: int, u: int) -> FiniteMagma:
     _residue_check(n, lambda n: n * n, tag)
     if not all(type(c) is int and 0 <= c < n for c in (t, u)):
         raise ParameterError(f"{tag} needs integers t, u in [0,{n})")
-    elems = [NeutroResidue(a, b) for a in range(n) for b in range(n)]
+    elems = [(a, b) for a in range(n) for b in range(n)]
     return _residue_carrier(
-        elems, lambda x, y: ((t * x.a + u * y.a) % n, (t * x.b + u * y.b) % n), tag)
+        elems, lambda x, y: ((t * x[0] + u * y[0]) % n, (t * x[1] + u * y[1]) % n), tag)
 
 
 # ---------------------------------------------------------------------------

@@ -449,6 +449,9 @@ def tuple_sylow(ns: NStructure, primes, per_component_species,
         raise ParameterError("one prime per component is required")
     if len(per_component_species) != ns.n:
         raise ParameterError("one species per component is required")
+    for p in primes:
+        if type(p) is not int or p < 2:
+            raise ParameterError(f"each prime must be an integer >= 2, got {p!r}")
     choices = []
     for i, (comp, p, species) in enumerate(zip(ns.components, primes,
                                                per_component_species)):

@@ -115,6 +115,17 @@ def test_cauchy_classify():
     assert any(w.qualifies for w in rel.witnesses)    # but they divide 4
 
 
+def test_cauchy_relative_to_is_a_subset_of_the_carrier():
+    m = nm.zn_full_neutro(5)
+    labels = ["1", "4", "I", "4I"]
+    assert nm.cauchy_classify(m, relative_to=nm.zn_full_neutro(5).subset(labels)) == \
+        nm.cauchy_classify(m, relative_to=m.subset(labels))
+    for foreign in (nm.zn_line_neutro(5).subset(["1", "4", "I", "4I"]),
+                    nm.cyclic(4).full_subset(), [0, 1, 2, 3]):
+        with pytest.raises(nm.ParameterError, match="relative_to"):
+            nm.cauchy_classify(m, relative_to=foreign)
+
+
 def test_prime_order_carriers_are_free():
     carriers = [nm.zn_line_neutro(6), nm.zn_line_neutro(7)]
     for m in carriers:

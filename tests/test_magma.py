@@ -457,7 +457,8 @@ def test_element_indices_are_ints(bad):
                      lambda: nm.right_regular_representation(m, i),
                      lambda: nm.conjugate_pair(m, i, 1), lambda: nm.conjugate_pair(m, 1, i),
                      lambda: nm.principal_isotope(m, i, 1),
-                     lambda: nm.principal_isotope(m, 1, i)):
+                     lambda: nm.principal_isotope(m, 1, i),
+                     lambda: nm.double_coset(m, h, h, i)):
             with pytest.raises(nm.ParameterError, match="is not an index"):
                 call()
     assert m.subset(["1", 3, "g"]).members == (0, 1, 3)
@@ -476,6 +477,32 @@ def test_double_coset():
     res = nm.double_coset(nm.zn(5, 2, 3), one_s := nm.Subset(nm.zn(5, 2, 3), [0]),
                           one_s, 2)
     assert not res.associativity_assumed
+
+
+SUBSET_ENTRY_POINTS = {
+    "check_identity_law": lambda m, h: nm.check_identity_law(m, Law.ASSOCIATIVE, domain=h),
+    "cosets": lambda m, h: nm.cosets(m, h, 1),
+    "double_coset_left": lambda m, h: nm.double_coset(m, h, m.subset([0]), 1),
+    "double_coset_right": lambda m, h: nm.double_coset(m, m.subset([0]), h, 1),
+    "is_normal": lambda m, h: nm.is_normal(m, h, "subloop"),
+    "literal_xhy_normal": lambda m, h: nm.literal_xhy_normal(m, h),
+    "is_ideal": lambda m, h: nm.is_ideal(m, h),
+    "conjugate_witnesses_first": lambda m, h: nm.conjugate_witnesses(m, h, m.subset([0])),
+    "conjugate_witnesses_second": lambda m, h: nm.conjugate_witnesses(m, m.subset([0]), h),
+}
+
+
+@pytest.mark.parametrize("call", SUBSET_ENTRY_POINTS.values(), ids=SUBSET_ENTRY_POINTS.keys())
+def test_subset_arguments_belong_to_the_carrier(call):
+    m = nm.cyclic(4)
+    own = call(m, m.subset([0, 2]))
+    # a subset of a separately built carrier with m's table names the same elements
+    assert call(m, nm.cyclic(4).subset([0, 2])) == own
+    for foreign in (nm.cyclic(6).subset([0, 3]),      # another order
+                    nm.zmod_mult(4).subset([0, 2]),    # the same order, another table
+                    (0, 2)):                           # not a Subset
+        with pytest.raises(nm.ParameterError, match="is not a subset of cyclic"):
+            call(m, foreign)
 
 
 def test_is_normal():

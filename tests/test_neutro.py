@@ -7,14 +7,54 @@ import pytest
 import neutromagma as nm
 
 
-def test_residue_arithmetic():
-    i = nm.NeutroResidue(0, 1)
-    assert i.mul(i, 5) == i                       # I * I = I
-    x = nm.NeutroResidue(1, 3)
-    assert x.mul(x, 5) == nm.NeutroResidue(1, 0)  # (1+3I)^2 = 1 mod 5
-    assert nm.NeutroResidue(2, 3).label() == "2+3I"
-    assert nm.NeutroResidue(0, 4).label() == "4I"
-    assert nm.NeutroResidue(3, 1).label() == "3+I"
+def parse_residue(label):
+    """The pair (a, b) of a residue label "3", "I", "4I" or "2+3I"."""
+    a, plus, ib = label.partition("+")
+    if not plus:
+        if not label.endswith("I"):
+            return int(label), 0
+        a, ib = "0", label
+    return int(a), int(ib[:-1] or 1)
+
+
+def residue_product(n):
+    # I^2 = I: (a+bI)(c+dI) = ac + (ad+bc+bd)I
+    return lambda x, y: ((x[0] * y[0]) % n,
+                         (x[0] * y[1] + x[1] * y[0] + x[1] * y[1]) % n)
+
+
+def affine_product(n, t, u):
+    return lambda x, y: ((t * x[0] + u * y[0]) % n, (t * x[1] + u * y[1]) % n)
+
+
+def residue_carriers():
+    for n in range(2, 13):
+        yield nm.zn_full_neutro(n), residue_product(n)
+        yield nm.zn_line_neutro(n), residue_product(n)
+    for n in (2, 3, 5, 7, 11):
+        yield nm.zn_units_neutro(n), residue_product(n)
+    for n in range(2, 7):
+        for t in range(n):
+            for u in range(n):
+                yield nm.zn_affine_neutro(n, t, u), affine_product(n, t, u)
+
+
+def test_residue_formula():
+    for m, product in residue_carriers():
+        pairs = [parse_residue(l) for l in m.labels]
+        index = {p: i for i, p in enumerate(pairs)}
+        assert len(index) == m.order, m.kind_tag
+        for x, px in enumerate(pairs):
+            assert list(m.table[x]) == [index[product(px, py)] for py in pairs], m.kind_tag
+        assert list(m.neutro_mask) == [b != 0 for _, b in pairs]
+        assert m.labels[m.neutro_identity] == "I"
+    m = nm.zn_full_neutro(5)
+    i, x = m.index("I"), m.index("1+3I")
+    assert m.op(i, i) == i                        # I * I = I
+    assert m.labels[m.op(x, x)] == "1"            # (1+3I)^2 = 1 mod 5
+    # elements run a-major, a + bI at index 5a + b
+    assert [m.labels[5 * a + b] for a, b in ((2, 3), (0, 4), (3, 1))] == \
+        ["2+3I", "4I", "3+I"]
 
 
 def test_extend_tagged_structure():

@@ -145,6 +145,19 @@ def test_tuple_sylow_vacuous():
         nm.tuple_sylow(ns, (2, 2), [SP.IS_GROUP])
 
 
+def test_tuple_sylow_primes_are_ints_from_2():
+    ns = nm.build_n_structure([nm.cyclic(4), nm.cyclic(6)], ["group", "group"])
+    species = [SP.IS_GROUP, SP.IS_GROUP]
+    # p = 1 once looped for ever and p = 0 divided by zero
+    for bad in (1, 0, -2, 2.0, True):
+        for primes in ((bad, 2), (2, bad)):
+            with pytest.raises(nm.ParameterError, match="integer >= 2"):
+                nm.tuple_sylow(ns, primes, species)
+    # there is no primality rule: 4 = 4^1 exactly divides 4
+    rep = nm.tuple_sylow(ns, (4, 2), species)
+    assert rep.found and rep.witness.per_component == ((0, 1, 2, 3), (0, 3))
+
+
 def test_tuple_sylow_found():
     ns = biloop()
     rep = nm.tuple_sylow(ns, (2, 3), [nm.S_NEUTRO_SUBLOOP, SP.IS_GROUP])
