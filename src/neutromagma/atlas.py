@@ -10,12 +10,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
-from math import prod
 from typing import NamedTuple
 
 from .classify import SKind, cauchy_classify, detect_s_kind, lagrange_classify, sylow_classify
-from .constructors import (factorize, ln, ln_admissible, ln_count, zmod_mult,
+from .constructors import (_phi, factorize, ln, ln_admissible, ln_count, zmod_mult,
                            zn, zn_class_size, zn_params)
 from .magma import (FiniteMagma, IdentityLaw, ParameterError,
                     PreconditionError, SubsetPredicate, check_identity_law,
@@ -27,15 +25,14 @@ ATLAS_COLUMNS = [
     "left_alt", "right_alt", "wip",
     "moufang", "bol", "bruck",
     "p_groupoid",
-    "s_semigroup", "s_loop", "s_groupoid",
-    "s_neutrosophic_group", "strong_s_neutrosophic_group",
-    "s_neutrosophic_semigroup", "s_neutrosophic_loop", "s_neutrosophic_groupoid",
+    *(k.value for k in SKind),
     "lagrange_verdict", "sylow_verdict", "cauchy_verdict",
 ]
 
 
-@dataclass(frozen=True)
-class AtlasRecord:
+class AtlasRecord(NamedTuple):
+    """A loop or groupoid family member: its law flags and S-kind flags, keyed
+    by their columns, and its Lagrange, Sylow and Cauchy verdicts."""
     family: str
     params: str
     order: int
@@ -44,23 +41,6 @@ class AtlasRecord:
     lagrange_verdict: str
     sylow_verdict: str
     cauchy_verdict: str
-
-    def row(self):
-        out = [self.family, self.params, self.order]
-        for col in ATLAS_COLUMNS[3:13]:
-            out.append(int(self.flags[col]))
-        for col in ATLAS_COLUMNS[13:21]:
-            out.append(int(self.s_flags[col]))
-        out.extend([self.lagrange_verdict, self.sylow_verdict, self.cauchy_verdict])
-        return out
-
-    def to_dict(self):
-        return {"family": self.family, "params": self.params, "order": self.order,
-                "flags": {k: bool(v) for k, v in self.flags.items()},
-                "s_flags": {k: bool(v) for k, v in self.s_flags.items()},
-                "lagrange_verdict": self.lagrange_verdict,
-                "sylow_verdict": self.sylow_verdict,
-                "cauchy_verdict": self.cauchy_verdict}
 
 
 class ZmodRecord(NamedTuple):
@@ -76,14 +56,14 @@ class ZmodRecord(NamedTuple):
     subgroups: int
     lagrange_verdict: str
 
-    def row(self):
-        return [int(v) if type(v) is bool else v for v in self]
 
-    def to_dict(self):
-        return self._asdict()
-
-
-ZMOD_COLUMNS = list(ZmodRecord._fields)
+def _cells(record, columns):
+    """The record's CSV cells under columns: a dict field gives one cell per
+    key, and a bool is written as 0 or 1."""
+    named = {}
+    for field, v in record._asdict().items():
+        named.update(v if isinstance(v, dict) else {field: v})
+    return [int(named[c]) if type(named[c]) is bool else named[c] for c in columns]
 
 
 def _law_flag(m, law):
@@ -109,7 +89,7 @@ def classify_member(family: str, params: str, m: FiniteMagma) -> AtlasRecord:
                   and _law_flag(m, IdentityLaw.BRUCK_INVERSE)),
         "p_groupoid": _law_flag(m, IdentityLaw.P_GROUPOID),
     }
-    s_flags = {f"{k.value}": detect_s_kind(m, k).holds for k in SKind}
+    s_flags = {k.value: detect_s_kind(m, k).holds for k in SKind}
     species = SubsetPredicate.IS_GROUP if basic.is_loop else SubsetPredicate.IS_SEMIGROUP
     lag = lagrange_classify(m, species).verdict.value
     syl = sylow_classify(m, species).verdict.value
@@ -158,10 +138,8 @@ def atlas_zmod(n_values):
         units = max((w.order for w in rep.witnesses if 1 % n in w.subset), default=1)
         records.append(ZmodRecord("zmod", f"n={n}", n, idempotents, units, s_semigroup,
                                   len(rep.witnesses), rep.verdict.value))
-        primes = factorize(n)
-        footer.append((f"n={n} idempotents", idempotents, 2 ** len(primes)))
-        footer.append((f"n={n} unit_group", units,
-                       prod((p - 1) * p ** (a - 1) for p, a in primes)))
+        footer.append((f"n={n} idempotents", idempotents, 2 ** len(factorize(n))))
+        footer.append((f"n={n} unit_group", units, _phi(n)))
     return records, footer
 
 
@@ -170,7 +148,7 @@ def render_csv(records, footer, columns=ATLAS_COLUMNS) -> str:
     w = csv.writer(buf)
     w.writerow(columns)
     for r in records:
-        w.writerow(r.row())
+        w.writerow(_cells(r, columns))
     for name, count, formula in footer:
         w.writerow([f"#count {name}", count, formula,
                     "match" if count == formula else "MISMATCH"])
@@ -179,7 +157,7 @@ def render_csv(records, footer, columns=ATLAS_COLUMNS) -> str:
 
 def render_json(records, footer) -> str:
     doc = {
-        "records": [r.to_dict() for r in records],
+        "records": [r._asdict() for r in records],
         "footer": [
             {"name": n, "count": c, "formula": f, "match": c == f}
             for n, c, f in footer],

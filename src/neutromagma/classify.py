@@ -13,7 +13,7 @@ from typing import Optional
 
 from .constructors import factorize
 from .magma import (FiniteMagma, IdentityLaw, PreconditionError, Subset,
-                    SubsetPredicate, _is_latin, _require_subset,
+                    SubsetPredicate, _closed_lattice, _is_latin, _require_subset,
                     check_identity_law, classify_basic, cosets, element_orders,
                     enumerate_closed_subsets, is_closed, local_identity)
 from .neutro import (NEUTRO_SUBSEMIGROUP, has_real_subgroup,
@@ -297,15 +297,11 @@ def s_hyper_and_simple(m: FiniteMagma) -> HyperReport:
     if len(best) == m.order:
         return HyperReport(best, None, True,
                            ("largest group is the whole carrier; no proper superset",))
-    hyper = _smallest_proper_superset_semigroup(m, best)
+    # in a semigroup every closed set of two or more elements is a subsemigroup
+    above = (Subset._of_closed(m, c) for c in _closed_lattice(m, best.members)
+             if len(best) < len(c) < m.order)
+    hyper = min(above, key=len, default=None)
     return HyperReport(best, hyper, hyper is None)
-
-
-def _smallest_proper_superset_semigroup(m, base: Subset):
-    """Smallest proper subsemigroup strictly containing base."""
-    base_set = set(base.members)
-    return min((s for s in enumerate_closed_subsets(m, SubsetPredicate.IS_SEMIGROUP)
-                if base_set < set(s.members)), key=len, default=None)
 
 
 def s_cosets(m: FiniteMagma, h: Subset, a: int, flavor: str = "plain") -> Subset:

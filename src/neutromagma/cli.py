@@ -166,20 +166,22 @@ def _nstruct(args) -> int:
     return _emit(doc)
 
 
+# atlas family -> (its sweep from the n values and the arguments, its columns)
+_ATLAS = {
+    "ln": (lambda ns, a: atlas_mod.atlas_ln([n for n in ns if n > 3 and n % 2 == 1]),
+           atlas_mod.ATLAS_COLUMNS),
+    "zn": (lambda ns, a: atlas_mod.atlas_zn(ns, a.zclass), atlas_mod.ATLAS_COLUMNS),
+    "zmod": (lambda ns, a: atlas_mod.atlas_zmod(ns), atlas_mod.ZmodRecord._fields),
+}
+
+
 def _atlas(args) -> int:
     ns = atlas_mod.parse_range(args.n)
-    columns = atlas_mod.ATLAS_COLUMNS
-    if args.family == "ln":
-        ns = [n for n in ns if n > 3 and n % 2 == 1]
-        records, footer = atlas_mod.atlas_ln(ns)
-    elif args.family == "zn":
-        records, footer = atlas_mod.atlas_zn(ns, args.zclass)
-    elif args.family == "zmod":
-        records, footer = atlas_mod.atlas_zmod(ns)
-        columns = atlas_mod.ZMOD_COLUMNS
-    else:
+    if args.family not in _ATLAS:
         raise ParameterError(
             f"atlas supports families ln, zn and zmod, got {args.family!r}")
+    sweep, columns = _ATLAS[args.family]
+    records, footer = sweep(ns, args)
     text = atlas_mod.render_json(records, footer) if args.format == "json" \
         else atlas_mod.render_csv(records, footer, columns)
     if args.out:

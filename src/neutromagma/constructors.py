@@ -8,7 +8,7 @@ cross-checked against the enumerating constructors.
 from __future__ import annotations
 
 from itertools import permutations, product
-from math import factorial, gcd
+from math import factorial, gcd, prod
 
 from .magma import MAX_ORDER, FiniteMagma, ParameterError, require_order
 
@@ -28,6 +28,11 @@ def factorize(n: int):
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def _phi(n: int) -> int:
+    """Euler's totient: the product of (p-1)p^(a-1) over n's factorization."""
+    return prod((p - 1) * p ** (a - 1) for p, a in factorize(n))
 
 
 def _require_ints(what: str, **params):
@@ -147,8 +152,9 @@ def zn_params(n: int, cls: str = "zstar"):
 
 
 def zn_class_size(n: int, cls: str = "zstar") -> int:
-    """Class size: the (n-1)(n-2) formula is exact for zstar; the z class is
-    counted by gcd sieve (the formula is only an upper bound there)."""
+    """Class size by closed form.  The z class counts the ordered coprime
+    pairs in [1, n-1]^2, twice the totients of 1..n-1 less the one pair with
+    equal members, (1, 1)."""
     _require_ints("groupoid family", n=n)
     if n < 3:
         raise ParameterError(f"groupoid family needs n >= 3, got {n}")
@@ -159,7 +165,7 @@ def zn_class_size(n: int, cls: str = "zstar") -> int:
     if cls == "ztriplestar":
         return n * n
     if cls == "z":
-        return len(zn_params(n, "z"))
+        return 2 * sum(_phi(j) for j in range(1, n)) - 2
     raise ParameterError(f"unknown class {cls!r}")
 
 

@@ -546,7 +546,7 @@ class SubsetPredicate(Enum):
     IS_RIGHT_IDEAL = "right_ideal"
 
 
-# variant -> callable(Subset) -> bool; neutrosophic entries registered by neutro.py
+# variant -> callable(Subset) -> bool; each entry is registered beside its test
 PREDICATE_REGISTRY: dict = {}
 
 
@@ -938,6 +938,11 @@ def is_ideal(m: FiniteMagma, p: Subset, side: str = "two_sided") -> bool:
     raise ParameterError(f"side must be left/right/two_sided, got {side!r}")
 
 
+PREDICATE_REGISTRY[SubsetPredicate.IS_IDEAL] = lambda s: is_ideal(s.parent, s, "two_sided")
+PREDICATE_REGISTRY[SubsetPredicate.IS_LEFT_IDEAL] = lambda s: is_ideal(s.parent, s, "left")
+PREDICATE_REGISTRY[SubsetPredicate.IS_RIGHT_IDEAL] = lambda s: is_ideal(s.parent, s, "right")
+
+
 @dataclass(frozen=True)
 class ConjugateWitness:
     index: int
@@ -964,7 +969,7 @@ def conjugate_witnesses(m: FiniteMagma, h1: Subset, h2: Subset):
 
 
 def conjugate_pair(m: FiniteMagma, x: int, y: int):
-    """Least (a, b) in lexicographic order with a*x = y*b, or None."""
+    """Least (a, b) in lexicographic order with a*x = y*b; (y, x) is one."""
     _require_index(m, x, "element")
     _require_index(m, y, "element")
     t = m.table
@@ -973,7 +978,6 @@ def conjugate_pair(m: FiniteMagma, x: int, y: int):
         for b in range(m.order):
             if ax == t[y][b]:
                 return (a, b)
-    return None
 
 
 @dataclass(frozen=True)

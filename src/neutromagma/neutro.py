@@ -9,9 +9,9 @@ only reals and pure I-multiples, identifying 0I with 0.
 from __future__ import annotations
 
 from .magma import (FiniteMagma, ParameterError, PreconditionError, Subset,
-                    SubsetPredicate, PREDICATE_REGISTRY, classify_basic,
-                    enumerate_closed_subsets, generated_closure, is_closed,
-                    is_ideal, local_identity, require_order, subset_is_group,
+                    SubsetPredicate, PREDICATE_REGISTRY, _closed_lattice,
+                    classify_basic, generated_closure, is_closed, is_ideal,
+                    local_identity, require_order, subset_is_group,
                     subset_is_loop, subset_is_semigroup)
 
 
@@ -191,9 +191,6 @@ def is_s_neutrosophic_subloop(s: Subset) -> bool:
 
 PREDICATE_REGISTRY[SubsetPredicate.IS_NEUTROSOPHIC_SUBGROUP] = is_neutrosophic_subgroup
 PREDICATE_REGISTRY[SubsetPredicate.IS_PSEUDO_NEUTROSOPHIC_SUBGROUP] = is_pseudo_neutrosophic_subgroup
-PREDICATE_REGISTRY[SubsetPredicate.IS_IDEAL] = lambda s: is_ideal(s.parent, s, "two_sided")
-PREDICATE_REGISTRY[SubsetPredicate.IS_LEFT_IDEAL] = lambda s: is_ideal(s.parent, s, "left")
-PREDICATE_REGISTRY[SubsetPredicate.IS_RIGHT_IDEAL] = lambda s: is_ideal(s.parent, s, "right")
 
 
 def group_or_s_subsemigroup(s: Subset) -> bool:
@@ -241,8 +238,9 @@ def ideal_closure(m: FiniteMagma, g: int):
 def neutrosophic_ideal_check(s: Subset, mode: str = "plain") -> bool:
     """Neutrosophic ideal tests on a semigroup carrier.
 
-    plain: neutrosophic, closed, absorbs two-sidedly.  maximal / minimal
-    quantify over all neutrosophic ideals.
+    plain: neutrosophic, closed, absorbs two-sidedly.  maximal / minimal: a
+    plain one with no other strictly above / inside it but the whole carrier;
+    only the closed sets above / inside it are searched.
     principal: s is the two-sided absorptive closure of one of its elements.
     """
     m = s.parent
@@ -257,9 +255,11 @@ def neutrosophic_ideal_check(s: Subset, mode: str = "plain") -> bool:
     if mode in ("maximal", "minimal"):
         if not _plain_neutro_ideal(m, s):
             return False
-        found = enumerate_closed_subsets(m, lambda x: _plain_neutro_ideal(m, x))
-        mem = set(s.members)
         if mode == "maximal":
-            return not any(mem < set(j.members) for j in found)
-        return not any(set(j.members) < mem for j in found)
+            around = _closed_lattice(m, s.members)
+        else:
+            around = _closed_lattice(m, (), sum(1 << x for x in s.members))
+        skip = (s.members, tuple(range(m.order)))
+        return not any(_plain_neutro_ideal(m, Subset._of_closed(m, c))
+                       for c in around if c not in skip)
     raise ParameterError(f"unknown ideal mode {mode!r}")

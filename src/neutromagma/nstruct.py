@@ -10,10 +10,11 @@ satisfy several kinds and the classification depends on the declared role.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import prod
-from typing import Optional, Sequence
+from typing import Optional
 
 from .classify import (CARRIER_KINDS, ClassReport, SKind, Witness,
                        _cauchy_verdict, _cauchy_witnesses, detect_s_kind,
@@ -129,10 +130,6 @@ class NSubset:
     def order(self):
         return sum(len(p) for p in self.per_component)
 
-    def subsets(self):
-        return [Subset(c, p) if p else None
-                for c, p in zip(self.parent.components, self.per_component)]
-
     def __eq__(self, other):
         return (isinstance(other, NSubset) and other.parent is self.parent
                 and other.per_component == self.per_component)
@@ -145,6 +142,19 @@ class NSubset:
         for c, p in zip(self.parent.components, self.per_component):
             parts.append("{" + ", ".join(c.labels[i] for i in p) + "}")
         return " u ".join(parts)
+
+
+def _require_per_component(ns: NStructure, arg, what: str) -> None:
+    """Raise ParameterError unless arg belongs to ns: an NSubset of ns, or of
+    a structure with ns's component tables, whose member indices then name
+    the same elements of ns; any other arg, such as a species list or primes,
+    must be a sequence with one entry per component."""
+    if isinstance(arg, NSubset):
+        if arg.parent is not ns and ([c.table for c in arg.parent.components]
+                                     != [c.table for c in ns.components]):
+            raise ParameterError(f"{what} is not an N-subset of {ns.name or 'the N-structure'}")
+    elif not isinstance(arg, Sequence) or len(arg) != ns.n:
+        raise ParameterError(f"one {what} per component is required")
 
 
 @dataclass(frozen=True)
@@ -254,8 +264,7 @@ def _component_candidates(comp: FiniteMagma, species, allow_empty: bool):
 
 
 def _candidates(ns: NStructure, per_component_species, require_nonempty_all: bool):
-    if len(per_component_species) != ns.n:
-        raise ParameterError("one species per component is required")
+    _require_per_component(ns, per_component_species, "species")
     return [_component_candidates(comp, species, allow_empty=not require_nonempty_all)
             for comp, species in zip(ns.components, per_component_species)]
 
@@ -310,8 +319,8 @@ def n_subset_is_produced(ns: NStructure, candidate: NSubset,
     (or empty, where empty parts are admitted).  So each part is tested on
     its own, and neither the product nor any component's closed subsets are
     enumerated."""
-    if len(per_component_species) != ns.n:
-        raise ParameterError("one species per component is required")
+    _require_per_component(ns, candidate, "candidate")
+    _require_per_component(ns, per_component_species, "species")
     p = candidate.per_component
     if p == _fulls(ns) or not any(p):
         return False
@@ -445,10 +454,10 @@ def tuple_sylow(ns: NStructure, primes, per_component_species,
     """A component-local Sylow tuple: for each i, a species subset of
     component i of order p_i^a_i where p_i^a_i exactly divides the ambient
     component order (the whole component, or within's component)."""
-    if len(primes) != ns.n:
-        raise ParameterError("one prime per component is required")
-    if len(per_component_species) != ns.n:
-        raise ParameterError("one species per component is required")
+    _require_per_component(ns, primes, "prime")
+    _require_per_component(ns, per_component_species, "species")
+    if within is not None:
+        _require_per_component(ns, within, "within")
     for p in primes:
         if type(p) is not int or p < 2:
             raise ParameterError(f"each prime must be an integer >= 2, got {p!r}")
@@ -494,6 +503,7 @@ def deficit_substructures(ns: NStructure, t: int, per_component_species):
 def n_coset(ns: NStructure, h: NSubset, a) -> NSubset:
     """Right-translate the component containing a; other components pass
     through unchanged."""
+    _require_per_component(ns, h, "coset subset")
     ci, ei = a
     if type(ci) is not int or not 0 <= ci < ns.n:
         raise ParameterError(f"component index {ci!r} is not an index in [0,{ns.n})")

@@ -90,6 +90,10 @@ def test_sylow_classify():
     sup = nm.sylow_classify(nm.zmod_mult(20), SP.IS_GROUP, "super")
     assert sup.verdict == Verdict3.WEAK
     assert any(w.order == 8 for w in sup.witnesses)
+    with pytest.raises(nm.PreconditionError, match="order >= 2"):
+        nm.sylow_classify(nm.cyclic(1), SP.IS_GROUP)
+    with pytest.raises(nm.PreconditionError, match="variant"):
+        nm.sylow_classify(nm.cyclic(12), SP.IS_GROUP, "hyper")
 
 
 def test_sylow_semi_variant():
@@ -113,6 +117,24 @@ def test_cauchy_classify():
     fours = {w.index for w in abs_.witnesses if not w.qualifies}
     assert fours                                      # 2 and 4 never divide 25
     assert any(w.qualifies for w in rel.witnesses)    # but they divide 4
+
+
+def test_cauchy_needs_each_torsion_flavor():
+    # e, a, I, b: a*a = e, so a has real order 2, which divides 4; b*b = a
+    # and a*b = I, so b has neutrosophic order 3, which does not
+    table = [[0, 1, 2, 3], [1, 0, 2, 2], [2, 2, 2, 3], [3, 3, 3, 1]]
+    mask = [False, False, True, True]
+    m = nm.FiniteMagma(table, labels=["e", "a", "I", "b"], neutro_mask=mask,
+                       neutro_identity=2)
+    rep = nm.cauchy_classify(m)
+    assert [(w.index, w.flavor, w.order, w.qualifies) for w in rep.witnesses] == \
+        [(1, "real", 2, True), (3, "neutro", 3, False)]
+    # some element qualifies, but no neutrosophic one: free, not weak
+    assert rep.verdict == Verdict3.FREE and rep.notes == ()
+    bare = nm.FiniteMagma(table, labels=["e", "a", "I", "b"], neutro_mask=mask)
+    rep = nm.cauchy_classify(bare)
+    assert rep.verdict == Verdict3.FULL and len(rep.witnesses) == 1
+    assert rep.notes == ("no neutrosophic identity: neutrosophic orders skipped",)
 
 
 def test_cauchy_relative_to_is_a_subset_of_the_carrier():
@@ -158,6 +180,10 @@ def test_s_hyper_and_simple():
     assert rep.s_simple and rep.notes         # largest group is the carrier
     with pytest.raises(nm.PreconditionError):
         nm.s_hyper_and_simple(nm.ln(5, 2))
+    # a left-zero semigroup, x*y = x, has no subgroup of two or more elements
+    rep = nm.s_hyper_and_simple(nm.FiniteMagma([[x] * 3 for x in range(3)]))
+    assert rep == nm.HyperReport(None, None, True,
+                                 ("no subgroup of size >= 2; trivially simple",))
 
 
 def test_s_cosets():
@@ -169,3 +195,7 @@ def test_s_cosets():
     assert nm.s_cosets(m, M, m.identity, "plain") == M
     with pytest.raises(nm.PreconditionError):
         nm.s_cosets(m, M, 0, "pseudo")        # M has a real subgroup
+    with pytest.raises(nm.PreconditionError, match="plain S-coset"):
+        nm.s_cosets(m, m.subset(["2", "I"]), 0, "plain")    # 2 * 2 = 4
+    with pytest.raises(nm.PreconditionError, match="flavor"):
+        nm.s_cosets(m, M, 0, "strong")

@@ -74,9 +74,12 @@ def test_zn_class_sizes():
     # the coprime class is a strict subfamily: (2,4) and (4,2) drop out
     assert nm.zn_class_size(5, "z") == 10
     assert nm.zn_class_size(5, "z") <= nm.zn_class_size(5, "zstar")
+    # the atlas footer pairs, in every class
     for n in range(3, 13):
-        assert len(nm.zn_params(n, "zstar")) == nm.zn_class_size(n, "zstar")
-        assert len(nm.zn_params(n, "z")) == nm.zn_class_size(n, "z")
+        for cls in nm.constructors.ZN_CLASSES:
+            assert len(nm.zn_params(n, cls)) == nm.zn_class_size(n, cls), (n, cls)
+    for n in range(13, 80):
+        assert len(nm.zn_params(n, "z")) == nm.zn_class_size(n, "z"), n
 
 
 def test_zn_idempotent_example():

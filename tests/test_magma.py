@@ -29,9 +29,16 @@ def test_construction_validation():
                 {"table": [[True, False], [False, True]]},
                 {"table": [[0, 1], [1, 0]], "neutro_mask": [True, 7]},
                 {"table": [[0, 1], [1, 0]], "neutro_mask": [True, True],
-                 "neutro_identity": 1.0}):
+                 "neutro_identity": 1.0},
+                {"table": []}, {"table": [[0, 1]]},
+                {"table": [[0, 1], [1, 0]], "labels": ["a"]},
+                {"table": [[0, 1], [1, 0]], "neutro_mask": [True]},
+                {"table": [[0, 1], [1, 0]], "neutro_mask": [False, True],
+                 "neutro_identity": 0}):
         with pytest.raises(nm.ParameterError):
             nm.FiniteMagma(**bad)
+    with pytest.raises(nm.ParameterError, match="no element labeled 'x'"):
+        m.index("x")
     # a declared identity must be the identity found from the table
     for bad in ({"table": [[1, 1], [1, 1]], "identity": 0},
                 {"table": [[0]], "identity": "x"},
@@ -424,6 +431,25 @@ def test_cosets():
         images = [m.op(x, a) for x in h.members]
         assert len(c) <= len(h)
         assert (len(c) == len(h)) == (len(set(images)) == len(images))
+    # in S3 the left and right translates of a swap subgroup differ
+    g = nm.symmetric_group(3)
+    swap = g.subset(["123", "213"])
+    for a in range(g.order):
+        assert nm.cosets(g, swap, a, "left").members == \
+            tuple(sorted({g.op(a, x) for x in swap.members}))
+    a = g.index("132")
+    assert nm.cosets(g, swap, a, "left") != nm.cosets(g, swap, a, "right")
+    with pytest.raises(nm.ParameterError, match="side"):
+        nm.cosets(g, swap, a, "up")
+
+
+def test_division_needs_a_permutation():
+    m = nm.zmod_mult(4)                # the row and column of 2 repeat 0
+    assert m.left_division(3, 1) == 3 and m.right_division(1, 3) == 3
+    with pytest.raises(nm.PreconditionError, match="row of 2"):
+        m.left_division(2, 1)
+    with pytest.raises(nm.PreconditionError, match="column of 2"):
+        m.right_division(1, 2)
 
 
 @pytest.mark.parametrize("bad", [True, False, 3.0, "g", None],
@@ -534,6 +560,10 @@ def test_is_ideal():
     for (n, t, u) in [(5, 2, 3), (7, 3, 4)]:
         m = nm.zn(n, t, u, "z")
         assert not nm.is_ideal(m, nm.Subset(m, [0]), "two_sided")
+    with pytest.raises(nm.PreconditionError, match="closed"):
+        nm.is_ideal(z6, z6.subset(["2"]))              # 2 * 2 = 4
+    with pytest.raises(nm.ParameterError, match="side"):
+        nm.is_ideal(z6, z6.subset(["0"]), "both")
     m = nm.zn(4, 2, 3)
     dual = nm.zn(4, 3, 2)
     lefts = {s.members for s in nm.enumerate_closed_subsets(m, SP.IS_LEFT_IDEAL)}
@@ -562,6 +592,12 @@ def test_conjugate_pair():
     assert nm.conjugate_pair(c5, 2, 2) == (0, 0)        # (e, e)
     l6 = nm.zn_line_neutro(6)
     assert nm.conjugate_pair(l6, l6.index("3"), l6.index("5")) == (0, 0)
+    # (y, x) solves a*x = y*b, so a pair always exists and is at most it
+    for m in (nm.zn(5, 2, 3), nm.symmetric_semigroup(2), nm.FiniteMagma([[1, 1], [0, 0]])):
+        for x in range(m.order):
+            for y in range(m.order):
+                a, b = nm.conjugate_pair(m, x, y)
+                assert m.op(a, x) == m.op(y, b) and (a, b) <= (y, x)
 
 
 def test_element_orders():
@@ -587,6 +623,10 @@ def test_check_homomorphism():
     assert not nm.check_homomorphism(bad)
     const = nm.PartialMap(g, g, tuple((i, 0) for i in range(5)))
     assert nm.check_homomorphism(const)
+    with pytest.raises(nm.PreconditionError, match="empty"):
+        nm.check_homomorphism(nm.PartialMap(g, g, ()))
+    with pytest.raises(nm.ParameterError, match="mapped twice"):
+        nm.check_homomorphism(nm.PartialMap(g, g, ((1, 1), (1, 2))))
 
 
 def test_homomorphism_neutro_identity_clause():
@@ -615,6 +655,7 @@ def test_is_isomorphic():
     assert nm.is_isomorphic(g, g) == [0, 1, 2, 3]
     klein = nm.direct_product(nm.cyclic(2), nm.cyclic(2))
     assert nm.is_isomorphic(g, klein) is None
+    assert nm.is_isomorphic(g, nm.cyclic(5)) is None        # unequal orders
     assert nm.is_isomorphic(nm.cyclic(6), nm.direct_product(nm.cyclic(2), nm.cyclic(3)))
     with pytest.raises(nm.ResourceLimitError):
         nm.is_isomorphic(nm.symmetric_group(4), nm.symmetric_group(4))

@@ -169,6 +169,8 @@ def test_neutrosophic_ideal_check():
     zero = nm.Subset(z6, [0])
     assert nm.is_ideal(z6, zero, "two_sided")            # {0} is an ideal here
     assert not nm.neutrosophic_ideal_check(zero, "plain")  # but not neutrosophic
+    with pytest.raises(nm.ParameterError, match="mode"):
+        nm.neutrosophic_ideal_check(J, "prime")
     # maximal / minimal quantify over the enumerated neutrosophic ideals
     assert not nm.neutrosophic_ideal_check(J, "minimal") or \
         nm.neutrosophic_ideal_check(J, "minimal") in (True, False)

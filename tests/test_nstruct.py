@@ -210,6 +210,47 @@ def test_n_level_indices_are_ints(bad):
         nm.n_coset(ns, h, (0, bad))
 
 
+def two_groups():
+    return nm.build_n_structure([nm.cyclic(4), nm.cyclic(6)], ["group", "group"])
+
+
+GROUPS = [SP.IS_GROUP, SP.IS_GROUP]
+# entry point -> a call on two_groups() with w, an N-subset of a structure of
+# other tables, or with a bare int where one entry per component is due
+FOREIGN_ARGUMENTS = {
+    "n_coset": lambda ns, w: nm.n_coset(ns, w, (0, 1)),
+    "tuple_sylow-within": lambda ns, w: nm.tuple_sylow(ns, (2, 3), GROUPS, within=w),
+    "tuple_sylow-primes": lambda ns, w: nm.tuple_sylow(ns, 5, GROUPS),
+    "tuple_sylow-species": lambda ns, w: nm.tuple_sylow(ns, (2, 3), 5),
+    "n_subset_is_produced": lambda ns, w: nm.n_subset_is_produced(ns, w, GROUPS),
+    "n_subset_is_produced-species": lambda ns, w: nm.n_subset_is_produced(
+        ns, nm.NSubset(ns, [(0, 2), (0, 3)]), 5),
+    "n_lagrange": lambda ns, w: nm.n_lagrange(ns, 5),
+    "n_sylow": lambda ns, w: nm.n_sylow(ns, 5),
+    "enumerate_n_substructures": lambda ns, w: nm.enumerate_n_substructures(ns, 5),
+    "deficit_substructures": lambda ns, w: nm.deficit_substructures(ns, 1, 5),
+}
+
+
+@pytest.mark.parametrize("call", FOREIGN_ARGUMENTS.values(), ids=FOREIGN_ARGUMENTS)
+def test_n_level_arguments_belong_to_the_structure(call):
+    # w's indices are in range for cyclic(4) and cyclic(6), but name other
+    # elements there; they once answered or raised a raw IndexError/TypeError
+    other = nm.build_n_structure([nm.cyclic(8), nm.cyclic(9)], ["group", "group"])
+    w = nm.NSubset(other, [(0, 2), (0, 3)])
+    with pytest.raises(nm.ParameterError, match="N-subset of|per component"):
+        call(two_groups(), w)
+
+
+def test_n_subsets_of_equal_tables_are_accepted():
+    ns, twin = two_groups(), two_groups()
+    w = nm.NSubset(twin, [(0, 2), (0, 3)])
+    assert nm.n_coset(ns, w, (0, 1)).per_component == ((1, 3), (0, 3))
+    assert nm.n_subset_is_produced(ns, w, GROUPS)
+    rep = nm.tuple_sylow(ns, (2, 2), GROUPS, within=w)
+    assert rep.found and rep.witness.per_component == ((0, 2), (0, 3))
+
+
 def test_n_homomorphism_check():
     g = nm.cyclic(5)
     ident = nm.PartialMap(g, g, tuple((i, i) for i in range(5)))

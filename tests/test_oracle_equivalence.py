@@ -723,26 +723,26 @@ def test_directed_species_on_zmod_mult(n):
     assert [s.members for s in groups] == oracle_semigroup_subgroups(m)
 
 
-def random_semigroup_table(rng):
-    """A semigroup of order <= 7 by construction: the closure of one or two
-    random self-maps of {0..d-1} under composition, half the time with an
+def random_semigroup_table(rng, most=7):
+    """A semigroup of order <= most by construction: the closure of one or
+    two random self-maps of {0..d-1} under composition, half the time with an
     identity adjoined, relabelled at random."""
     while True:
         d = rng.randint(1, 4)
         gens = {tuple(rng.randrange(d) for _ in range(d)) for _ in range(rng.randint(1, 2))}
         maps = set(gens)
         todo = list(gens)
-        while todo and len(maps) <= 7:
+        while todo and len(maps) <= most:
             p = todo.pop()
             for q in list(maps):
                 for r in (tuple(p[i] for i in q), tuple(q[i] for i in p)):
                     if r not in maps:
                         maps.add(r)
                         todo.append(r)
-        if len(maps) <= 7:
+        if len(maps) <= most:
             break
     maps = sorted(maps)
-    if len(maps) < 7 and rng.random() < 0.5:
+    if len(maps) < most and rng.random() < 0.5:
         maps.append(None)            # the adjoined identity
     index = {p: i for i, p in enumerate(maps)}
 
@@ -817,3 +817,107 @@ def test_directed_search_cap_raises_and_caches_nothing(monkeypatch):
     monkeypatch.setattr(nm.magma, "MAX_CLOSED_SUBSETS", 100)
     assert len(nm.enumerate_closed_subsets(m, nm.SubsetPredicate.IS_GROUP)) == 20
     assert list(m._subset_cache) == [(nm.SubsetPredicate.IS_GROUP, False)]
+
+
+# ---------------------------------------------------------------------------
+# the questions about the sets around a known set, against the whole lattice
+# filtered as the engines once answered them
+
+def filtered_hyper_subsemigroup(m, best):
+    """The shortest proper subsemigroup strictly above best, the first in
+    lexicographic order among the shortest, from the carrier's lattice."""
+    base = set(best.members)
+    return min((s for s in nm.enumerate_closed_subsets(m, nm.SubsetPredicate.IS_SEMIGROUP)
+                if base < set(s.members)), key=len, default=None)
+
+
+def filtered_extremal_ideal(m):
+    """check(s, mode) for the maximal and minimal modes: s is a plain
+    neutrosophic ideal and no other one from the carrier's lattice, the full
+    carrier and {identity} aside, lies strictly above / inside it.  ({e} is
+    never a plain ideal of a carrier of two or more elements, since it would
+    absorb x = xe.)"""
+    plain = nm.neutro._plain_neutro_ideal
+    found = [set(j.members) for j in nm.enumerate_closed_subsets(m, lambda x: plain(m, x))]
+
+    def check(s, mode):
+        if not plain(m, s):
+            return False
+        mem = set(s.members)
+        if mode == "maximal":
+            return not any(mem < j for j in found)
+        return not any(j < mem for j in found)
+
+    return check
+
+
+def random_map_semigroups(count, seed):
+    """count semigroups of order <= 24, each with a random neutrosophic mask."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        table = random_semigroup_table(rng, most=24)
+        mask = [rng.random() < 0.5 for _ in table]
+        out.append(nm.FiniteMagma(table, neutro_mask=mask))
+    return out
+
+
+def semigroups_around(monkeypatch):
+    """The corpus semigroups, zmod_mult(n) for n <= 30, small residue and
+    tagged carriers, and 100 random map semigroups of order <= 24."""
+    out = [m for m in corpus_carriers(monkeypatch) if nm.classify_basic(m).is_semigroup]
+    out += [nm.zmod_mult(n) for n in range(1, 31)]
+    out += [nm.zn_full_neutro(n) for n in range(2, 5)]
+    out += [nm.zn_line_neutro(n) for n in range(2, 11)]
+    out += [nm.extend_tagged(nm.zmod_mult(n)) for n in range(2, 9)]
+    out += random_map_semigroups(100, SEED + 31)
+    return list({(m.table, m.neutro_mask): m for m in out}.values())
+
+
+def test_hyper_subsemigroup_against_filtered_lattice(monkeypatch):
+    compared = capped = hypers = 0
+    for m in semigroups_around(monkeypatch):
+        if m.order > 64:
+            # the order-81 and order-225 corpus carriers have more than
+            # MAX_CLOSED_SUBSETS closed subsets: no lattice to filter
+            capped += 1
+            continue
+        rep = nm.s_hyper_and_simple(nm.FiniteMagma(m.table))
+        if rep.largest_group is None or len(rep.largest_group) == m.order:
+            continue
+        want = filtered_hyper_subsemigroup(m, nm.Subset(m, rep.largest_group.members))
+        got = rep.hyper_subsemigroup
+        assert (got and got.members) == (want and want.members), m
+        assert rep.s_simple is (want is None)
+        compared += 1
+        hypers += want is not None
+    assert compared > 70 and hypers > 50 and capped == 2, (compared, hypers, capped)
+
+
+def test_extremal_ideals_against_filtered_lattice(monkeypatch):
+    answers = ideals = 0
+    for m in semigroups_around(monkeypatch):
+        if m.order > 64:
+            continue            # past MAX_CLOSED_SUBSETS: no lattice to filter
+        check = filtered_extremal_ideal(m)
+        for s in nm.enumerate_closed_subsets(m, include_full=True):
+            for mode in ("maximal", "minimal"):
+                want = check(s, mode)
+                assert nm.neutrosophic_ideal_check(s, mode) is want, (m, s, mode)
+                answers += 1
+                ideals += want
+    assert answers > 10000 and ideals > 200, (answers, ideals)
+
+
+def test_hyper_subsemigroup_past_the_lattice_cap():
+    # both lattices pass MAX_CLOSED_SUBSETS; only the sets above the largest
+    # subgroup are searched.  Each hyper subsemigroup is that group and one
+    # element more, so it is the group with the least x that keeps it closed
+    for m, size in ((nm.zn_full_neutro(6), 4), (nm.zmod_mult(60), 16)):
+        rep = nm.s_hyper_and_simple(m)
+        best = rep.largest_group.members
+        assert len(best) == size and not rep.s_simple
+        first = min(x for x in range(m.order) if x not in best
+                    and nm.is_closed(nm.Subset(m, best + (x,))))
+        assert rep.hyper_subsemigroup.members == tuple(sorted(best + (first,)))
+    assert rep.hyper_subsemigroup.labels()[0] == "0"

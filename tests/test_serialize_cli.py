@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import neutromagma as nm
-from neutromagma import cli
+from neutromagma import atlas, cli, constructors
 from neutromagma.cli import main
 from neutromagma.serialize import (load_magma, magma_from_dict, magma_to_dict,
                                    nstructure_from_dict, nstructure_to_dict,
@@ -119,6 +119,13 @@ def test_cli_subsets_and_cosets(tmp_path, capsys):
     assert main(["cosets", str(out), "--subset", "1,6", "--element", "3"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert set(doc["coset"]) == {"3", "4"}
+    # in S3, 132 * {123, 213} = {132, 312} but {123, 213} * 132 = {132, 231}
+    s3 = tmp_path / "s3.json"
+    main(["construct", "--family", "sym", "--n", "3", "--out", str(s3)])
+    for side, coset in (("left", ["132", "312"]), ("right", ["132", "231"])):
+        assert main(["cosets", str(s3), "--subset", "123,213", "--element", "132",
+                     "--side", side]) == 0
+        assert json.loads(capsys.readouterr().out) == {"coset": coset}
 
 
 def test_cli_engines(tmp_path, capsys):
@@ -242,6 +249,20 @@ def test_cli_atlas_zmod(tmp_path, capsys, monkeypatch):
                                "subgroups": 48, "lagrange_verdict": "weak"}]
     assert [f["formula"] for f in doc["footer"]] == [8, 16]
     assert main(["atlas", "--family", "zmod", "--n", "257"]) == 2
+
+
+def test_cli_atlas_z_class_footer_is_a_closed_form(capsys, monkeypatch):
+    # the footer checks the enumerated z class against 2 * sum phi(j) - 2,
+    # so an enumeration that drops a pair reads MISMATCH and exits 1
+    params = constructors.zn_params
+
+    def short(n, cls="zstar"):
+        return params(n, cls)[:-1]
+
+    monkeypatch.setattr(constructors, "zn_params", short)
+    monkeypatch.setattr(atlas, "zn_params", short)
+    assert main(["atlas", "--family", "zn", "--class", "z", "--n", "5"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "#count n=5,9,10,MISMATCH"
 
 
 def test_cli_subgroups_of_zmod_mult_60(tmp_path, capsys):
