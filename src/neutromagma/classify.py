@@ -13,9 +13,10 @@ from typing import Optional
 
 from .constructors import factorize
 from .magma import (FiniteMagma, IdentityLaw, PreconditionError, Subset,
-                    SubsetPredicate, _closed_lattice, _is_latin, _require_subset,
-                    check_identity_law, classify_basic, cosets, element_orders,
-                    enumerate_closed_subsets, is_closed, local_identity)
+                    SubsetPredicate, _closed_lattice, _group_ground, _is_latin,
+                    _require_subset, check_identity_law, classify_basic, cosets,
+                    element_orders, enumerate_closed_subsets, is_closed,
+                    local_identity)
 from .neutro import (NEUTRO_SUBSEMIGROUP, has_real_subgroup,
                      is_neutrosophic_subgroup, is_pseudo_neutrosophic_subgroup)
 
@@ -288,10 +289,12 @@ def s_hyper_and_simple(m: FiniteMagma) -> HyperReport:
     and the induced simplicity verdict (no hyper subsemigroup exists)."""
     if not classify_basic(m).is_semigroup:
         raise PreconditionError("hyper subsemigroups live in semigroup carriers")
-    # items come in lexicographic order, so max/min keep the first of a size
-    groups = enumerate_closed_subsets(m, SubsetPredicate.IS_GROUP, include_full=True)
-    best = max(groups, key=len, default=None)
-    if best is None:
+    # in a semigroup G_e, the maximal subgroup at the idempotent e, is a group
+    # holding every subgroup with identity e; max keeps the first of a size
+    t = m.table
+    groups = sorted(tuple(_group_ground(t, e)) for e in range(m.order) if t[e][e] == e)
+    best = Subset._of_closed(m, max(groups, key=len))
+    if len(best) < 2:
         return HyperReport(None, None, True,
                            ("no subgroup of size >= 2; trivially simple",))
     if len(best) == m.order:

@@ -9,10 +9,11 @@ are reproducible across runs.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 
 class ParameterError(ValueError):
@@ -116,7 +117,9 @@ class FiniteMagma:
 
     def subset(self, members: Iterable) -> "Subset":
         """Build a Subset from indices or labels."""
-        return Subset(self, [self.index(m) if type(m) is str else m for m in members])
+        if isinstance(members, Iterable):    # else Subset raises
+            members = [self.index(m) if type(m) is str else m for m in members]
+        return Subset(self, members)
 
     def full_subset(self) -> "Subset":
         return Subset(self, range(self.order))
@@ -179,6 +182,17 @@ def _require_index(m: FiniteMagma, i, what: str) -> None:
         raise ParameterError(f"{what} {i!r} is not an index in [0,{m.order})")
 
 
+def _require_indices(m: FiniteMagma, items, what: str) -> list:
+    """items as a list, each checked by _require_index; raise ParameterError
+    also when items is not iterable."""
+    if not isinstance(items, Iterable):
+        raise ParameterError(f"{what}s {items!r} are not an iterable")
+    items = list(items)
+    for i in items:
+        _require_index(m, i, what)
+    return items
+
+
 def _find_identity(t, dom) -> Optional[int]:
     """First e in dom with e*x = x*e = x for every x in dom, or None."""
     for e in dom:
@@ -194,9 +208,7 @@ class Subset:
     __slots__ = ("parent", "members", "_closed")
 
     def __init__(self, parent: FiniteMagma, members: Iterable[int]):
-        mem = list(members)
-        for i in mem:
-            _require_index(parent, i, "subset member")
+        mem = _require_indices(parent, members, "subset member")
         self.parent = parent
         self.members = tuple(sorted(set(mem)))
         self._closed = False      # closedness is not known; is_closed scans
@@ -251,7 +263,7 @@ def is_closed(s: Subset) -> bool:
 
 def submagma(m: FiniteMagma, members: Iterable[int], kind_tag: str = "") -> FiniteMagma:
     """The induced magma on a closed subset, reindexed; labels preserved."""
-    mem = sorted(set(members))
+    mem = sorted(set(_require_indices(m, members, "submagma member")))
     pos = {v: i for i, v in enumerate(mem)}
     table = []
     for x in mem:
@@ -375,7 +387,7 @@ def two_sided_inverses(m: FiniteMagma, domain=None) -> dict:
     if m.identity is None:
         raise PreconditionError("no identity element; inverses undefined")
     e = m.identity
-    dom = range(m.order) if domain is None else list(domain)
+    dom = range(m.order) if domain is None else _require_indices(m, domain, "domain member")
     inv = {}
     for x in dom:
         for y in range(m.order):
@@ -523,11 +535,9 @@ def _close(t, mask, members, new, stop=0):
 
 def generated_closure(m: FiniteMagma, gens: Sequence[int]) -> Subset:
     """Least superset of gens closed under the operation."""
-    gens = list(gens)
+    gens = _require_indices(m, gens, "generator")
     if not gens:
         raise ParameterError("generator list is empty")
-    for g in gens:
-        _require_index(m, g, "generator")
     return Subset._of_closed(m, tuple(sorted(_close(m.table, 0, (), gens)[1])))
 
 

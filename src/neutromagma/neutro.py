@@ -9,10 +9,10 @@ only reals and pure I-multiples, identifying 0I with 0.
 from __future__ import annotations
 
 from .magma import (FiniteMagma, ParameterError, PreconditionError, Subset,
-                    SubsetPredicate, PREDICATE_REGISTRY, _closed_lattice,
-                    classify_basic, generated_closure, is_closed, is_ideal,
-                    local_identity, require_order, subset_is_group,
-                    subset_is_loop, subset_is_semigroup)
+                    SubsetPredicate, PREDICATE_REGISTRY, classify_basic,
+                    generated_closure, is_closed, is_ideal, local_identity,
+                    require_order, subset_is_group, subset_is_loop,
+                    subset_is_semigroup)
 
 
 def extend_tagged(base: FiniteMagma) -> FiniteMagma:
@@ -221,45 +221,43 @@ def _plain_neutro_ideal(m: FiniteMagma, s: Subset) -> bool:
 
 
 def ideal_closure(m: FiniteMagma, g: int):
-    """Smallest two-sided absorptive closed set containing g."""
+    """Smallest two-sided absorptive closed set containing g; in a semigroup
+    the principal ideal S1gS1."""
     t = m.table
     seen = {g}
     work = [g]
     while work:
         a = work.pop()
-        for x in range(m.order):
-            for v in (t[x][a], t[a][x]):
-                if v not in seen:
-                    seen.add(v)
-                    work.append(v)
+        new = {row[a] for row in t}.union(t[a]).difference(seen)
+        seen |= new
+        work += new
     return tuple(sorted(seen))
 
 
 def neutrosophic_ideal_check(s: Subset, mode: str = "plain") -> bool:
     """Neutrosophic ideal tests on a semigroup carrier.
 
-    plain: neutrosophic, closed, absorbs two-sidedly.  maximal / minimal: a
-    plain one with no other strictly above / inside it but the whole carrier;
-    only the closed sets above / inside it are searched.
-    principal: s is the two-sided absorptive closure of one of its elements.
+    plain: neutrosophic, closed, absorbs two-sidedly.  principal: a plain one
+    that is the ideal_closure of one of its elements.  maximal / minimal: a
+    plain one with no other strictly above / inside it but the whole carrier.
     """
     m = s.parent
     if not classify_basic(m).is_semigroup:
         raise PreconditionError("neutrosophic ideals are defined on semigroup carriers")
-    if mode == "plain":
-        return _plain_neutro_ideal(m, s)
+    if mode not in ("plain", "principal", "maximal", "minimal"):
+        raise ParameterError(f"unknown ideal mode {mode!r}")
+    if not _plain_neutro_ideal(m, s):
+        return False
+    mem = s.members
     if mode == "principal":
-        if not _plain_neutro_ideal(m, s):
-            return False
-        return any(ideal_closure(m, g) == s.members for g in s.members)
-    if mode in ("maximal", "minimal"):
-        if not _plain_neutro_ideal(m, s):
-            return False
-        if mode == "maximal":
-            around = _closed_lattice(m, s.members)
-        else:
-            around = _closed_lattice(m, (), sum(1 << x for x in s.members))
-        skip = (s.members, tuple(range(m.order)))
-        return not any(_plain_neutro_ideal(m, Subset._of_closed(m, c))
-                       for c in around if c not in skip)
-    raise ParameterError(f"unknown ideal mode {mode!r}")
+        return any(ideal_closure(m, g) == mem for g in mem)
+    if mode == "maximal":
+        # an ideal J with s < J < S holds some g outside s, and so the ideal
+        # s u S1gS1, which is neutrosophic as s is
+        return all(len(set(mem).union(ideal_closure(m, g))) == m.order
+                   for g in set(range(m.order)).difference(mem))
+    if mode == "minimal":
+        # a neutrosophic ideal J < s holds some neutrosophic h, and so the
+        # neutrosophic ideal S1hS1
+        return all(ideal_closure(m, g) == mem for g in mem if m.neutro_mask[g])
+    return True

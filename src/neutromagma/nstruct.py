@@ -20,7 +20,7 @@ from .classify import (CARRIER_KINDS, ClassReport, SKind, Witness,
                        _cauchy_verdict, _cauchy_witnesses, detect_s_kind,
                        sylow_verdict, verdict_of)
 from .magma import (FiniteMagma, ParameterError, PartialMap,
-                    ResourceLimitError, Subset, _require_index,
+                    ResourceLimitError, Subset, _require_index, _require_indices,
                     check_homomorphism, enumerate_closed_subsets,
                     evaluate_predicate, is_closed, submagma)
 
@@ -106,12 +106,10 @@ class NSubset:
 
     def __init__(self, parent: NStructure, per_component):
         pcs = []
-        if len(per_component) != parent.n:
-            raise ParameterError("per_component length must match component count")
+        if not isinstance(per_component, Sequence) or len(per_component) != parent.n:
+            raise ParameterError("one NSubset member list per component is required")
         for comp, mem in zip(parent.components, per_component):
-            mem = list(mem)
-            for i in mem:
-                _require_index(comp, i, "NSubset member")
+            mem = _require_indices(comp, mem, "NSubset member")
             pcs.append(tuple(sorted(set(mem))))
         self.parent = parent
         self.per_component = tuple(pcs)
@@ -504,6 +502,8 @@ def n_coset(ns: NStructure, h: NSubset, a) -> NSubset:
     """Right-translate the component containing a; other components pass
     through unchanged."""
     _require_per_component(ns, h, "coset subset")
+    if not isinstance(a, Sequence) or len(a) != 2:
+        raise ParameterError(f"element {a!r} is not a (component index, element index) pair")
     ci, ei = a
     if type(ci) is not int or not 0 <= ci < ns.n:
         raise ParameterError(f"component index {ci!r} is not an index in [0,{ns.n})")

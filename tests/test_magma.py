@@ -490,6 +490,28 @@ def test_element_indices_are_ints(bad):
     assert m.subset(["1", 3, "g"]).members == (0, 1, 3)
 
 
+# entry point -> (a call on cyclic(6) with a member list that is not iterable
+# or names no element, the message it raises); each once raised a raw
+# TypeError or IndexError
+MALFORMED_MEMBER_LISTS = {
+    "Subset": (lambda m: nm.Subset(m, 5), "subset member"),
+    "FiniteMagma.subset": (lambda m: m.subset(5), "subset member"),
+    "generated_closure": (lambda m: nm.generated_closure(m, 5), "generator"),
+    "submagma": (lambda m: nm.submagma(m, 5), "submagma member"),
+    "submagma-index": (lambda m: nm.submagma(m, [0, 6]), "submagma member 6"),
+    "two_sided_inverses": (lambda m: nm.two_sided_inverses(m, 5), "domain member"),
+    "two_sided_inverses-index": (lambda m: nm.two_sided_inverses(m, [6]),
+                                 "domain member 6"),
+}
+
+
+@pytest.mark.parametrize("call, match", MALFORMED_MEMBER_LISTS.values(),
+                         ids=MALFORMED_MEMBER_LISTS.keys())
+def test_malformed_member_lists(call, match):
+    with pytest.raises(nm.ParameterError, match=match):
+        call(nm.cyclic(6))
+
+
 def test_double_coset():
     g = nm.symmetric_group(3)
     e = g.identity

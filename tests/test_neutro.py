@@ -171,9 +171,8 @@ def test_neutrosophic_ideal_check():
     assert not nm.neutrosophic_ideal_check(zero, "plain")  # but not neutrosophic
     with pytest.raises(nm.ParameterError, match="mode"):
         nm.neutrosophic_ideal_check(J, "prime")
-    # maximal / minimal quantify over the enumerated neutrosophic ideals
-    assert not nm.neutrosophic_ideal_check(J, "minimal") or \
-        nm.neutrosophic_ideal_check(J, "minimal") in (True, False)
+    # {0, 2I, 4I} is a neutrosophic ideal inside J
+    assert nm.neutrosophic_ideal_check(J, "minimal") is False
 
 
 def test_ideal_maximal_minimal_frozen():
@@ -184,6 +183,17 @@ def test_ideal_maximal_minimal_frozen():
     small = line6.subset(["0", "3", "3I"])
     assert nm.neutrosophic_ideal_check(small, "plain")
     assert nm.neutrosophic_ideal_check(small, "minimal") is False
+    # a + bI is index 8a + b; more than MAX_CLOSED_SUBSETS closed sets lie
+    # above pure and inside nonunits, so neither answer lists them
+    full8 = nm.zn_full_neutro(8)
+    pure = nm.Subset(full8, range(8))                   # {0, I, ..., 7I}
+    assert nm.neutrosophic_ideal_check(pure, "maximal") is False
+    # a + bI is a unit iff a and a + b are; the non-units are the ideal where
+    # a or a + b is even
+    nonunits = nm.Subset(full8, [8 * a + b for a in range(8) for b in range(8)
+                                 if a % 2 == 0 or (a + b) % 2 == 0])
+    assert nm.neutrosophic_ideal_check(nonunits, "maximal") is True
+    assert nm.neutrosophic_ideal_check(nonunits, "minimal") is False
 
 
 def test_affine_neutro_carrier():

@@ -210,6 +210,27 @@ def test_n_level_indices_are_ints(bad):
         nm.n_coset(ns, h, (0, bad))
 
 
+# entry point -> (a call on biloop() and h = ({0}, {0}), the message it
+# raises); each once raised a raw TypeError or ValueError from len() or from
+# unpacking
+MALFORMED_N_ARGUMENTS = {
+    "NSubset-int": (lambda ns, h: nm.NSubset(ns, 5), "NSubset member"),
+    "NSubset-iterator": (lambda ns, h: nm.NSubset(ns, iter([(0,), (0,)])), "NSubset member"),
+    "NSubset-int-part": (lambda ns, h: nm.NSubset(ns, [5, (0,)]), "NSubset member"),
+    "n_coset-int": (lambda ns, h: nm.n_coset(ns, h, 5), "element"),
+    "n_coset-1-tuple": (lambda ns, h: nm.n_coset(ns, h, (0,)), "element"),
+    "n_coset-3-tuple": (lambda ns, h: nm.n_coset(ns, h, (0, 1, 2)), "element"),
+}
+
+
+@pytest.mark.parametrize("call, match", MALFORMED_N_ARGUMENTS.values(),
+                         ids=MALFORMED_N_ARGUMENTS.keys())
+def test_malformed_n_level_arguments(call, match):
+    ns = biloop()
+    with pytest.raises(nm.ParameterError, match=match):
+        call(ns, nm.NSubset(ns, [(0,), (0,)]))
+
+
 def two_groups():
     return nm.build_n_structure([nm.cyclic(4), nm.cyclic(6)], ["group", "group"])
 

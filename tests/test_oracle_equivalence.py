@@ -883,6 +883,11 @@ def test_hyper_subsemigroup_against_filtered_lattice(monkeypatch):
             capped += 1
             continue
         rep = nm.s_hyper_and_simple(nm.FiniteMagma(m.table))
+        groups = nm.enumerate_closed_subsets(m, nm.SubsetPredicate.IS_GROUP,
+                                             include_full=True)
+        best = max(groups, key=len, default=None)
+        assert (rep.largest_group and rep.largest_group.members) == \
+            (best and best.members), m
         if rep.largest_group is None or len(rep.largest_group) == m.order:
             continue
         want = filtered_hyper_subsemigroup(m, nm.Subset(m, rep.largest_group.members))
