@@ -170,12 +170,12 @@ def counts_match(footer) -> bool:
 
 
 def parse_range(spec: str):
-    """'5..25' or '5,7,9' or '7' -> list of ints; ParameterError otherwise."""
+    """'5..25' -> range, '5,7,9' or '7' -> list of ints; ParameterError otherwise."""
     spec = spec.strip()
     try:
         if ".." in spec:
             lo, hi = spec.split("..")
-            return list(range(int(lo), int(hi) + 1))
+            return range(int(lo), int(hi) + 1)
         return [int(x) for x in spec.split(",") if x.strip()]
     except ValueError:
         raise ParameterError(f"range {spec!r} is not like 5..25, 5,7,9 or 7") from None

@@ -13,7 +13,7 @@ from typing import Optional
 
 from .constructors import factorize
 from .magma import (FiniteMagma, IdentityLaw, PreconditionError, Subset,
-                    SubsetPredicate, _closed_lattice, _group_ground, _is_latin,
+                    SubsetPredicate, _close, _group_ground, _is_latin,
                     _require_subset, check_identity_law, classify_basic, cosets,
                     element_orders, enumerate_closed_subsets, is_closed,
                     local_identity)
@@ -300,10 +300,18 @@ def s_hyper_and_simple(m: FiniteMagma) -> HyperReport:
     if len(best) == m.order:
         return HyperReport(best, None, True,
                            ("largest group is the whole carrier; no proper superset",))
-    # in a semigroup every closed set of two or more elements is a subsemigroup
-    above = (Subset._of_closed(m, c) for c in _closed_lattice(m, best.members)
-             if len(best) < len(c) < m.order)
-    hyper = min(above, key=len, default=None)
+    # every closed set of two or more elements is a subsemigroup.  A shortest
+    # proper closed superset is minimal, so it is closure(best | {x}) for its
+    # least new element x; a closure adding an element below x is skipped
+    mask = sum(1 << x for x in best.members)
+    shortest = range(m.order)    # the whole carrier: every proper set is shorter
+    for x in range(m.order):
+        if not mask >> x & 1:
+            stop = ((1 << x) - 1) & ~mask
+            d, members = _close(t, mask, best.members, (x,), stop)
+            if not d & stop and len(members) < len(shortest):
+                shortest = members
+    hyper = Subset._of_closed(m, tuple(sorted(shortest))) if len(shortest) < m.order else None
     return HyperReport(best, hyper, hyper is None)
 
 

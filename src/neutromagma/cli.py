@@ -19,7 +19,7 @@ from .constructors import (alternating, cyclic, dihedral, direct_product, ln,
 from .magma import (IdentityLaw, ParameterError, PreconditionError,
                     ResourceLimitError, SubsetPredicate,
                     check_identity_law, classify_basic, conjugate_witnesses,
-                    cosets, enumerate_closed_subsets)
+                    cosets, enumerate_closed_subsets, require_order)
 from .neutro import (extend_tagged, zn_affine_neutro, zn_full_neutro,
                      zn_line_neutro, zn_units_neutro)
 from .nstruct import (check_combination_count, classify_n_kind, n_cauchy,
@@ -168,7 +168,7 @@ def _nstruct(args) -> int:
 
 # atlas family -> (its sweep from the n values and the arguments, its columns)
 _ATLAS = {
-    "ln": (lambda ns, a: atlas_mod.atlas_ln([n for n in ns if n > 3 and n % 2 == 1]),
+    "ln": (lambda ns, a: atlas_mod.atlas_ln(n for n in ns if n > 3 and n % 2 == 1),
            atlas_mod.ATLAS_COLUMNS),
     "zn": (lambda ns, a: atlas_mod.atlas_zn(ns, a.zclass), atlas_mod.ATLAS_COLUMNS),
     "zmod": (lambda ns, a: atlas_mod.atlas_zmod(ns), atlas_mod.ZmodRecord._fields),
@@ -181,6 +181,9 @@ def _atlas(args) -> int:
         raise ParameterError(
             f"atlas supports families ln, zn and zmod, got {args.family!r}")
     sweep, columns = _ATLAS[args.family]
+    # refused before anything is built; ln(n, m) has order n + 1, the others n
+    top = max(ns[-1:] if isinstance(ns, range) else ns, default=0)
+    require_order(top + (args.family == "ln"), f"the {args.family} member for n={top}")
     records, footer = sweep(ns, args)
     text = atlas_mod.render_json(records, footer) if args.format == "json" \
         else atlas_mod.render_csv(records, footer, columns)

@@ -622,17 +622,14 @@ def evaluate_predicate(pred, s: Subset) -> bool:
     raise ParameterError(f"not a subset predicate: {pred!r}")
 
 
-def _closed_lattice(m: FiniteMagma, seed=(), ground=None, budget=None):
-    """Every nonempty closed set C with seed <= C <= ground, as sorted member
-    tuples in lexicographic order.
-
-    `seed` is a closed set (the lattice starts from the empty one) and
-    `ground` a bitmask of elements, the whole carrier when None.
+def _closed_lattice(m: FiniteMagma, ground=None, budget=None):
+    """Every nonempty closed set inside `ground`, a bitmask of elements (the
+    whole carrier when None), as sorted member tuples in lexicographic order.
 
     Fast Close-by-One (Kuznetsov 1993; Outrata and Vychodil, Information
-    Sciences 185, 2012), depth first from the seed.  A closed set C reached
-    by adding element w is extended by each x > w in the ground set and
-    outside C to D = closure(C | {x}).  D is emitted only from the C that
+    Sciences 185, 2012), depth first from the empty set.  A closed set C
+    reached by adding element w is extended by each x > w in the ground set
+    and outside C to D = closure(C | {x}).  D is emitted only from the C that
     agrees with it below x (the canonicity test), so each closed set is made
     exactly once, and only if it stays in the ground set.  The closure stops
     at the first element it adds below x and outside C, or outside the
@@ -649,9 +646,8 @@ def _closed_lattice(m: FiniteMagma, seed=(), ground=None, budget=None):
     outside = 0 if ground is None else ((1 << k) - 1) & ~ground
     if budget is None:
         budget = MAX_CLOSED_SUBSETS
-    root = sum(1 << x for x in seed)
-    found = [list(seed)] if seed else []
-    stack = [(root, tuple(seed), 0, [0] * k)]
+    found = []
+    stack = [(0, (), 0, [0] * k)]
     while stack:
         mask, members, y, inherited = stack.pop()
         fails = list(inherited)
@@ -702,16 +698,16 @@ _GROUNDS = {
 
 
 def _directed_subsets(m: FiniteMagma, ground_of):
-    """The closed sets C with {e} <= C <= ground_of(table, e) for some
-    idempotent e, sorted; the sets searched over all e count toward
-    MAX_CLOSED_SUBSETS together."""
+    """The closed sets inside ground_of(table, e) for some idempotent e, sorted,
+    counted toward MAX_CLOSED_SUBSETS together.  A species subset with identity
+    e is among e's; a set there without e fails the species or is another e's."""
     t = m.table
     found = set()
     searched = 0
     for e in range(m.order):
         if t[e][e] == e:
             ground = sum(1 << x for x in ground_of(t, e))
-            sets = _closed_lattice(m, (e,), ground, MAX_CLOSED_SUBSETS - searched)
+            sets = _closed_lattice(m, ground, MAX_CLOSED_SUBSETS - searched)
             searched += len(sets)
             found.update(sets)
     return sorted(found)

@@ -19,10 +19,11 @@ from typing import Optional
 from .classify import (CARRIER_KINDS, ClassReport, SKind, Witness,
                        _cauchy_verdict, _cauchy_witnesses, detect_s_kind,
                        sylow_verdict, verdict_of)
-from .magma import (FiniteMagma, ParameterError, PartialMap,
-                    ResourceLimitError, Subset, _require_index, _require_indices,
+from .magma import (_GROUNDS, FiniteMagma, ParameterError, PartialMap,
+                    ResourceLimitError, Subset, SubsetPredicate, _closed_lattice,
+                    _directed_subsets, _require_index, _require_indices,
                     check_homomorphism, enumerate_closed_subsets,
-                    evaluate_predicate, is_closed, submagma)
+                    evaluate_predicate, is_closed)
 
 DEFAULT_COMBINATION_CAP = 10 ** 6
 
@@ -290,11 +291,12 @@ def check_combination_count(count: int):
         raise ResourceLimitError(f"combination count exceeds the {cap} guard")
 
 
-def _combination_list(ns: NStructure, cands):
-    """_combinations as a list, refused before the first combination when the
-    product exceeds the guard."""
-    check_combination_count(prod(max(len(c), 1) for c in cands))
-    return list(_combinations(ns, cands))
+def _combination_list(ns: NStructure, *products):
+    """The _combinations of each product of candidate lists, as one list,
+    refused before the first when the products together exceed the guard."""
+    check_combination_count(sum(prod(max(len(c), 1) for c in cands)
+                                for cands in products))
+    return [p for cands in products for p in _combinations(ns, cands)]
 
 
 def enumerate_n_substructures(ns: NStructure, per_component_species,
@@ -451,7 +453,8 @@ def tuple_sylow(ns: NStructure, primes, per_component_species,
                 within: Optional[NSubset] = None) -> TupleSylowReport:
     """A component-local Sylow tuple: for each i, a species subset of
     component i of order p_i^a_i where p_i^a_i exactly divides the ambient
-    component order (the whole component, or within's component)."""
+    order, searched among the closed sets of the component inside the
+    ambient part (the whole component, or within's part of it)."""
     _require_per_component(ns, primes, "prime")
     _require_per_component(ns, per_component_species, "species")
     if within is not None:
@@ -462,24 +465,17 @@ def tuple_sylow(ns: NStructure, primes, per_component_species,
     choices = []
     for i, (comp, p, species) in enumerate(zip(ns.components, primes,
                                                per_component_species)):
-        ambient = tuple(range(comp.order)) if within is None \
-            else within.per_component[i]
-        if not ambient:
-            return TupleSylowReport(False, None, tuple(primes))
-        alpha = 0
-        size = len(ambient)
-        while size % p == 0:
-            size //= p
-            alpha += 1
-        if alpha == 0:
-            return TupleSylowReport(False, None, tuple(primes))
-        target = p ** alpha
-        sub = submagma(comp, ambient)
-        hit = None
-        for s in enumerate_closed_subsets(sub, species, include_full=True):
-            if len(s) == target:
-                hit = tuple(ambient[j] for j in s.members)
-                break
+        ambient = range(comp.order) if within is None else within.per_component[i]
+        target = 1            # p^a exactly dividing the ambient order, if not empty
+        while ambient and len(ambient) % (target * p) == 0:
+            target *= p
+        ground = sum(1 << x for x in ambient)
+        # a subgroup or subloop with identity e lies in e's ground set too
+        near = _GROUNDS.get(species) if isinstance(species, SubsetPredicate) else None
+        lattice = (() if target == 1 else _closed_lattice(comp, ground) if near is None
+                   else _directed_subsets(comp, lambda t, e: [x for x in near(t, e) if ground >> x & 1]))
+        hit = next((mem for mem in lattice if len(mem) == target
+                    and evaluate_predicate(species, Subset._of_closed(comp, mem))), None)
         if hit is None:
             return TupleSylowReport(False, None, tuple(primes))
         choices.append(hit)
@@ -491,11 +487,8 @@ def deficit_substructures(ns: NStructure, t: int, per_component_species):
     if not (1 <= t < ns.n):
         raise ParameterError(f"deficit t must satisfy 1 <= t < {ns.n}, got {t}")
     cands = _candidates(ns, per_component_species, True)
-    out = []
-    for live in combinations(range(ns.n), ns.n - t):
-        out.extend(_combination_list(
-            ns, [cands[i] if i in live else [()] for i in range(ns.n)]))
-    return out
+    return _combination_list(ns, *([cands[i] if i in live else [()] for i in range(ns.n)]
+                                   for live in combinations(range(ns.n), ns.n - t)))
 
 
 def n_coset(ns: NStructure, h: NSubset, a) -> NSubset:

@@ -85,6 +85,17 @@ def test_enumeration_cap(monkeypatch):
         nm.enumerate_n_substructures(ns, [SP.IS_SUBGROUPOID, SP.IS_SUBGROUPOID])
 
 
+def test_deficit_cap_counts_every_choice_of_live_components(monkeypatch):
+    # each cyclic(4) has 3 closed subsets, so each of the 3 choices of two
+    # live components gives 9 N-subsets, under the cap, but 27 in all
+    monkeypatch.setattr(nm.nstruct, "DEFAULT_COMBINATION_CAP", 10)
+    ns = nm.build_n_structure([nm.cyclic(4)] * 3, ["group"] * 3)
+    species = [SP.IS_SUBGROUPOID] * 3
+    with pytest.raises(nm.ResourceLimitError, match="10 guard"):
+        nm.deficit_substructures(ns, 1, species)
+    assert len(nm.deficit_substructures(ns, 2, species)) == 9
+
+
 def test_n_lagrange_prime_order():
     ns = nm.build_n_structure(
         [nm.zmod_mult(10), nm.zn_line_neutro(6),
@@ -170,6 +181,31 @@ def test_tuple_sylow_found():
                                        (ns.components[1], 3, SP.IS_GROUP, 3)):
         crep = nm.sylow_classify(comp, species)
         assert any(v.order == size for v in crep.witnesses)
+
+
+def test_tuple_sylow_species_read_the_whole_component():
+    # S_NEUTRO_SUBLOOP pairs index i with i + order // 2 of its carrier, so it
+    # is evaluated on the component: on a reindexed copy of within's part it
+    # pairs the wrong elements and finds no witness
+    ns = nm.build_n_structure([nm.extend_tagged(nm.ln(9, 2)), nm.cyclic(2)],
+                              ["s-neutrosophic-loop", "group"])
+    comp = ns.components[0]
+    part = comp.subset(["e", "1"] + [x + "I" for x in comp.labels[:10]]).members
+    rep = nm.tuple_sylow(ns, (2, 2), [nm.S_NEUTRO_SUBLOOP, SP.IS_GROUP],
+                         within=nm.NSubset(ns, [part, (0, 1)]))
+    assert rep.found
+    assert nm.Subset(comp, rep.witness.per_component[0]).labels() == ["e", "1", "eI", "1I"]
+
+
+def test_tuple_sylow_finds_subgroups_per_idempotent():
+    # zmod_mult(60) has more than MAX_CLOSED_SUBSETS closed subsets, so its
+    # subgroups are searched per idempotent, inside within's part too
+    ns = nm.build_n_structure([nm.zmod_mult(60), nm.cyclic(2)], ["semigroup", "group"])
+    first = next(s.members for s in nm.enumerate_closed_subsets(ns.components[0], SP.IS_GROUP)
+                 if len(s) == 4)
+    for within in (None, nm.NSubset(ns, [range(60), (0, 1)])):
+        rep = nm.tuple_sylow(ns, (2, 2), GROUPS, within=within)
+        assert rep.witness.per_component == (first, (0, 1))
 
 
 def test_deficit_substructures():

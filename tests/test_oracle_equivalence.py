@@ -914,11 +914,24 @@ def test_extremal_ideals_against_filtered_lattice(monkeypatch):
     assert answers > 10000 and ideals > 200, (answers, ideals)
 
 
+def order_199_subsemigroup():
+    """The subsemigroup of symmetric_semigroup(4) generated by 3144, 4431 and
+    3124, as a carrier of its own."""
+    s = nm.symmetric_semigroup(4)
+    g = nm.generated_closure(s, [s.index(x) for x in ("3144", "4431", "3124")])
+    return nm.FiniteMagma(nm.submagma(s, g.members).table)
+
+
 def test_hyper_subsemigroup_past_the_lattice_cap():
-    # both lattices pass MAX_CLOSED_SUBSETS; only the sets above the largest
-    # subgroup are searched.  Each hyper subsemigroup is that group and one
-    # element more, so it is the group with the least x that keeps it closed
-    for m, size in ((nm.zn_full_neutro(6), 4), (nm.zmod_mult(60), 16)):
+    # every lattice here passes MAX_CLOSED_SUBSETS, and so does the one above
+    # the largest subgroup of the order-199 carrier; the search closes that
+    # group with one element at a time.  Each hyper subsemigroup is the group
+    # and one element more, so it is the group with the least x that keeps
+    # it closed
+    sub = order_199_subsemigroup()
+    assert sub.order == 199
+    for m, size in ((nm.zn_full_neutro(6), 4), (nm.zn_full_neutro(16), 64),
+                    (sub, 6), (nm.zmod_mult(60), 16)):
         rep = nm.s_hyper_and_simple(m)
         best = rep.largest_group.members
         assert len(best) == size and not rep.s_simple
@@ -926,3 +939,71 @@ def test_hyper_subsemigroup_past_the_lattice_cap():
                     and nm.is_closed(nm.Subset(m, best + (x,))))
         assert rep.hyper_subsemigroup.members == tuple(sorted(best + (first,)))
     assert rep.hyper_subsemigroup.labels()[0] == "0"
+
+
+# ---------------------------------------------------------------------------
+# Sylow tuples inside a given N-subset
+
+def sylow_size(size, p):
+    """The largest power of p dividing size."""
+    power = 1
+    while size % p == 0:
+        size //= p
+        power *= p
+    return power
+
+
+def sylow_by_definition(comp, part, p, species):
+    """The first subset of part in lexicographic order of the Sylow size that
+    is closed and passes the species, evaluated on comp."""
+    size = sylow_size(len(part), p)
+    for c in combinations(part, size) if size > 1 else ():
+        s = nm.Subset(comp, c)
+        if nm.is_closed(s) and nm.magma.evaluate_predicate(species, s):
+            return c
+    return None
+
+
+def sylow_by_copy(comp, part, p, species):
+    """The same from the closed subsets of part reindexed as a carrier of its
+    own: right only for a species that reads nothing but the table."""
+    size = sylow_size(len(part), p)
+    for s in nm.enumerate_closed_subsets(nm.submagma(comp, part), species,
+                                         include_full=True):
+        if size > 1 and len(s) == size:
+            return tuple(part[j] for j in s.members)
+    return None
+
+
+TABLE_SPECIES = [nm.SubsetPredicate.IS_GROUP, nm.SubsetPredicate.IS_LOOP,
+                 nm.SubsetPredicate.IS_SEMIGROUP, nm.SubsetPredicate.IS_SUBGROUPOID]
+CARRIER_SPECIES = [nm.S_NEUTRO_SUBLOOP, nm.SubsetPredicate.IS_NEUTROSOPHIC_SUBGROUP,
+                   nm.SubsetPredicate.IS_PSEUDO_NEUTROSOPHIC_SUBGROUP,
+                   nm.NEUTRO_SUBSEMIGROUP, nm.NEUTRO_UNITAL,
+                   nm.NEUTRO_UNITAL_OR_SUBGROUP, nm.GROUP_OR_S_SUBSEMIGROUP]
+
+
+def test_tuple_sylow_against_definition_and_copy():
+    # within's first part is a closed subset of a tagged loop or monoid; the
+    # second component, cyclic(2), always serves p = 2 as a subgroupoid
+    rng = random.Random(SEED + 41)
+    carriers = [nm.extend_tagged(nm.ln(n, m)) for n in (5, 7, 9) for m in nm.ln_admissible(n)]
+    carriers += [nm.extend_tagged(nm.zmod_mult(n)) for n in range(2, 7)]
+    compared = found = 0
+    for comp in carriers:
+        ns = nm.build_n_structure([comp, nm.cyclic(2)], ["neutrosophic-groupoid", "group"])
+        parts = [s.members for s in nm.enumerate_closed_subsets(comp, include_full=True)
+                 if len(s) >= 2]
+        for part in rng.sample(parts, min(len(parts), 12)):
+            within = nm.NSubset(ns, [part, (0, 1)])
+            for p in (2, 3):
+                for species in TABLE_SPECIES + CARRIER_SPECIES:
+                    rep = nm.tuple_sylow(ns, (p, 2), [species, nm.SubsetPredicate.IS_SUBGROUPOID],
+                                         within=within)
+                    got = rep.witness.per_component[0] if rep.found else None
+                    assert got == sylow_by_definition(comp, part, p, species), (comp, part, p)
+                    if species in TABLE_SPECIES:
+                        assert got == sylow_by_copy(comp, part, p, species), (comp, part, p)
+                    compared += 1
+                    found += rep.found
+    assert compared > 4000 and found > 500, (compared, found)

@@ -220,19 +220,20 @@ def test_cli_atlas(tmp_path, capsys):
 
 
 def test_cli_atlas_zmod(tmp_path, capsys, monkeypatch):
-    # every zmod_mult(n), n >= 2, is searched per idempotent only, and the
-    # footer checks 2^omega(n) idempotents and a unit group of order phi(n)
+    # every zmod_mult(n), n >= 2, is searched per idempotent only, inside a
+    # ground set, and the footer checks 2^omega(n) idempotents and a unit
+    # group of order phi(n)
     lattice = nm.magma._closed_lattice
-    seeds = []
+    grounds = []
 
-    def recorded(m, seed=(), *args):
-        seeds.append(seed)
-        return lattice(m, seed, *args)
+    def recorded(m, ground=None, *args):
+        grounds.append(ground)
+        return lattice(m, ground, *args)
 
     monkeypatch.setattr(nm.magma, "_closed_lattice", recorded)
     out = tmp_path / "zmod.csv"
     assert main(["atlas", "--family", "zmod", "--n", "2..30", "--out", str(out)]) == 0
-    assert seeds and all(seeds)
+    assert grounds and None not in grounds
     lines = out.read_text().splitlines()
     assert lines[0] == ("family,params,order,idempotents,unit_group,s_semigroup,"
                         "subgroups,lagrange_verdict")
@@ -293,6 +294,21 @@ def test_cli_atlas_malformed_range(capsys, spec):
     assert main(["atlas", "--family", "ln", "--n", spec]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("family, spec", [("zn", "2000"), ("zmod", "3,257,5"),
+                                          ("ln", "5..257"), ("ln", f"5..{10 ** 18}")])
+def test_cli_atlas_refuses_oversized_n_before_building(capsys, monkeypatch, family, spec):
+    # the whole sweep is refused when one n passes MAX_ORDER: a range is
+    # never listed, and no member or parameter list is built
+    def built(*args):
+        raise AssertionError("a member or parameter list was built")
+
+    for name in ("ln", "ln_admissible", "zn", "zn_params", "zmod_mult"):
+        monkeypatch.setattr(atlas, name, built)
+    assert main(["atlas", "--family", family, "--n", spec]) == 2
+    err = capsys.readouterr().err
+    assert "member for n=" in err and "MAX_ORDER = 256" in err
 
 
 def test_cli_verify_corpus_filter(capsys):
