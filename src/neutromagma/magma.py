@@ -364,15 +364,21 @@ _BRACKETING_LAWS = frozenset(IdentityLaw[name] for name in (
     "LEFT_ALTERNATIVE", "RIGHT_ALTERNATIVE", "P_GROUPOID"))
 
 
-def _law_failure(m: FiniteMagma, law: IdentityLaw, dom) -> Optional[tuple]:
-    """First tuple over dom (a tuple or range) in lexicographic order at which
-    an equational law fails, or None when it holds on dom."""
+def _byte_maps(m: FiniteMagma) -> tuple:
+    """(R, C): R[a] and C[b] are the bytes.translate maps v -> a*v and
+    v -> v*b of the carrier, built once per carrier."""
     if m._maps is None:
         pad = bytes(256 - m.order)    # bytes past the order are never looked up
         m._maps = ([bytes(row) + pad for row in m.table],
                    [bytes(col) + pad for col in zip(*m.table)])
+    return m._maps
+
+
+def _law_failure(m: FiniteMagma, law: IdentityLaw, dom) -> Optional[tuple]:
+    """First tuple over dom (a tuple or range) in lexicographic order at which
+    an equational law fails, or None when it holds on dom."""
     arity, sides = _LAWS[law]
-    R, C = m._maps
+    R, C = _byte_maps(m)
     at = sides(m.table, R, C, bytes(dom))
     for outer in product(dom, repeat=arity - 1):
         lhs, rhs = at(*outer)
@@ -382,18 +388,60 @@ def _law_failure(m: FiniteMagma, law: IdentityLaw, dom) -> Optional[tuple]:
     return None
 
 
+def _light_associative(m: FiniteMagma, dom) -> bool:
+    """Whether the operation is associative on dom, a closed domain (a tuple
+    or range), by Light's test (Clifford and Preston I, 1961).  The
+    middle nucleus {a : (xa)y = x(ay) for all x, y in dom} is closed under
+    the product, as (x(ab))y = (xa)(by) = x((ab)y), so it is enough that a set
+    generating dom lies in it.  An element joins the generators, and is
+    checked, only when no left-bracketed word over the earlier ones reaches
+    it: k^2 products per generator instead of k^3 in all."""
+    t = m.table
+    R, C = _byte_maps(m)
+    V = bytes(dom)
+    reached = bytearray(256)
+    words = []              # reached elements, each once
+    gens = []
+    for a in dom:
+        if reached[a]:
+            continue
+        ay = V.translate(R[a])
+        for x, xa in zip(dom, V.translate(C[a])):
+            if V.translate(R[xa]) != ay.translate(R[x]):
+                return False
+        done = len(words)   # words already multiplied by every earlier generator
+        gens.append(a)
+        reached[a] = 1
+        words.append(a)
+        i = 0
+        while i < len(words):
+            row = t[words[i]]
+            for g in (gens if i >= done else (a,)):
+                v = row[g]
+                if not reached[v]:
+                    reached[v] = 1
+                    words.append(v)
+            i += 1
+    return True
+
+
 def two_sided_inverses(m: FiniteMagma, domain=None) -> dict:
     """Map x -> inverse for every x in domain with a two-sided inverse."""
     if m.identity is None:
         raise PreconditionError("no identity element; inverses undefined")
     e = m.identity
     dom = range(m.order) if domain is None else _require_indices(m, domain, "domain member")
+    t = m.table
     inv = {}
     for x in dom:
-        for y in range(m.order):
-            if m.table[x][y] == e and m.table[y][x] == e:
-                inv[x] = y
-                break
+        row = t[x]
+        try:        # the first y with xy = e that has yx = e too
+            y = row.index(e)
+            while t[y][x] != e:
+                y = row.index(e, y + 1)
+        except ValueError:
+            continue
+        inv[x] = y
     return inv
 
 
@@ -459,7 +507,11 @@ def _is_latin(t, dom) -> bool:
 
 
 def latin_square_check(m: FiniteMagma) -> bool:
-    return _is_latin(m.table, range(m.order))
+    """Whether every row and column of the table is a permutation of the
+    carrier: its entries lie in the carrier, so k distinct ones suffice."""
+    k = m.order
+    return (all(len(set(row)) == k for row in m.table)
+            and all(len(set(col)) == k for col in zip(*m.table)))
 
 
 @dataclass(frozen=True)
@@ -476,8 +528,8 @@ def classify_basic(m: FiniteMagma) -> BasicReport:
     """Semigroup, loop and group flags of the carrier, computed once per carrier."""
     if m._basic is not None:
         return m._basic
-    # the law scan itself: check_identity_law reads this report
-    assoc = _law_failure(m, IdentityLaw.ASSOCIATIVE, range(m.order)) is None
+    # check_identity_law reads this report
+    assoc = _light_associative(m, range(m.order))
     comm = _law_failure(m, IdentityLaw.COMMUTATIVE, range(m.order)) is None
     e = m.identity
     loop = e is not None and latin_square_check(m)
@@ -592,9 +644,9 @@ def subset_is_semigroup(s: Subset) -> bool:
 def _is_associative_on(s: Subset) -> bool:
     """Whether the operation is associative on s.  Every subset of a
     semigroup inherits the law, which is universal, so only subsets of a
-    non-associative carrier are scanned."""
+    non-associative carrier are tested."""
     return (classify_basic(s.parent).is_semigroup
-            or _law_failure(s.parent, IdentityLaw.ASSOCIATIVE, s.members) is None)
+            or _light_associative(s.parent, s.members))
 
 
 def subset_is_loop(s: Subset) -> bool:
@@ -673,20 +725,23 @@ def _closed_lattice(m: FiniteMagma, ground=None, budget=None):
     return sorted(tuple(sorted(members)) for members in found)
 
 
-def _loop_ground(t, e):
-    """The x with ex = xe = x that have a right and a left inverse to e among
-    those elements: every subloop with identity e lies among them, since
-    xy = e and zx = e are solvable in it."""
-    near = [x for x in range(len(t)) if t[e][x] == x and t[x][e] == x]
+def _loop_ground(t, e, domain=None):
+    """The x of domain (the whole carrier when None) with ex = xe = x that have
+    a right and a left inverse to e among those elements: every subloop
+    inside domain with identity e lies among them, since xy = e and zx = e
+    are solvable in it."""
+    near = [x for x in (range(len(t)) if domain is None else domain)
+            if t[e][x] == x and t[x][e] == x]
     return [x for x in near if any(t[x][y] == e for y in near)
             and any(t[z][x] == e for z in near)]
 
 
-def _group_ground(t, e):
-    """G_e, the x of _loop_ground(t, e) with a two-sided inverse there: every
-    subgroup with identity e lies in it.  In a semigroup G_e is the maximal
-    subgroup at e, Green's H-class of e (Clifford and Preston I, 1961, 2.2)."""
-    near = _loop_ground(t, e)
+def _group_ground(t, e, domain=None):
+    """G_e, the x of _loop_ground(t, e, domain) with a two-sided inverse
+    there: every subgroup inside domain with identity e lies in it.  In a
+    semigroup, with no domain, G_e is the maximal subgroup at e, Green's
+    H-class of e (Clifford and Preston I, 1961, 2.2)."""
+    near = _loop_ground(t, e, domain)
     return [x for x in near if any(t[x][y] == e and t[y][x] == e for y in near)]
 
 

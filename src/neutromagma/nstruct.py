@@ -469,11 +469,12 @@ def tuple_sylow(ns: NStructure, primes, per_component_species,
         target = 1            # p^a exactly dividing the ambient order, if not empty
         while ambient and len(ambient) % (target * p) == 0:
             target *= p
-        ground = sum(1 << x for x in ambient)
-        # a subgroup or subloop with identity e lies in e's ground set too
+        # a subgroup or subloop inside the part has its inverses there too,
+        # so it lies in e's ground set taken over the part
         near = _GROUNDS.get(species) if isinstance(species, SubsetPredicate) else None
-        lattice = (() if target == 1 else _closed_lattice(comp, ground) if near is None
-                   else _directed_subsets(comp, lambda t, e: [x for x in near(t, e) if ground >> x & 1]))
+        lattice = (() if target == 1
+                   else _closed_lattice(comp, sum(1 << x for x in ambient)) if near is None
+                   else _directed_subsets(comp, lambda t, e: near(t, e, ambient)))
         hit = next((mem for mem in lattice if len(mem) == target
                     and evaluate_predicate(species, Subset._of_closed(comp, mem))), None)
         if hit is None:

@@ -312,17 +312,17 @@ def test_group_and_semigroup_species_against_triple_loop(build, associative, mon
     m = build()
     assert nm.classify_basic(m).is_semigroup is associative
     scans = []
-    law_failure = nm.magma._law_failure
+    light_associative = nm.magma._light_associative
 
     def counted(*args):
         scans.append(args)
-        return law_failure(*args)
+        return light_associative(*args)
 
-    monkeypatch.setattr(nm.magma, "_law_failure", counted)
+    monkeypatch.setattr(nm.magma, "_light_associative", counted)
     for s in nm.enumerate_closed_subsets(m, include_full=True):
         assert nm.subset_is_semigroup(s) == _brute_semigroup(m.table, s.members), s
         assert nm.subset_is_group(s) == _brute_group(m.table, s.members), s
-    # subsets of a semigroup inherit associativity without a scan
+    # subsets of a semigroup inherit associativity without a test
     assert bool(scans) is not associative
 
 

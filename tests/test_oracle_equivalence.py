@@ -472,6 +472,79 @@ def test_bracketing_laws_answered_from_associativity(monkeypatch):
     assert scans == [Law.COMMUTATIVE, Law.IDEMPOTENT]
 
 
+# ---------------------------------------------------------------------------
+# the associativity verdict on closed domains (Light's test)
+
+def closed_domains(table):
+    """Every nonempty closed subset of the table, the whole carrier included."""
+    k = len(table)
+    for r in range(1, k + 1):
+        for mem in combinations(range(k), r):
+            s = set(mem)
+            if all(table[x][y] in s for x in mem for y in mem):
+                yield mem
+
+
+def band_and_null_tables():
+    """Left-zero and right-zero bands (xy = x, xy = y), rectangular bands
+    I x J with (i, j)(k, l) = (i, l), and null semigroups (every product 0),
+    where every nonzero element is a generator."""
+    for k in range(1, 6):
+        yield [[x] * k for x in range(k)]
+        yield [list(range(k)) for _ in range(k)]
+    for i, j in product(range(1, 4), repeat=2):
+        cells = list(product(range(i), range(j)))
+        yield [[cells.index((a[0], b[1])) for b in cells] for a in cells]
+    for k in range(1, 8):
+        yield [[0] * k for _ in range(k)]
+
+
+def product_table(a, b):
+    """The componentwise product of two tables, (x1, x2) at x1 * len(b) + x2."""
+    kb = len(b)
+    return [[a[x1][y1] * kb + b[x2][y2] for y1 in range(len(a)) for y2 in range(kb)]
+            for x1 in range(len(a)) for x2 in range(kb)]
+
+
+def light_tables(rng):
+    """Random tables of order <= 7, then built semigroups, each relabelled:
+    cyclic groups, zmod_mult, bands, null semigroups, random transformation
+    semigroups and direct products of pairs of them of order <= 9."""
+    for _ in range(3000):
+        k = rng.randint(1, 7)
+        yield [[rng.randrange(k) for _ in range(k)] for _ in range(k)]
+    small = [nm.cyclic(k).table for k in range(1, 8)]
+    small += [nm.zmod_mult(k).table for k in range(1, 8)]
+    small += list(band_and_null_tables())
+    small += [random_semigroup_table(rng) for _ in range(400)]
+    for table in small:
+        yield relabelled(table, rng)
+    for _ in range(300):
+        a, b = rng.sample([t for t in small if 2 <= len(t) <= 4], 2)
+        if len(a) * len(b) <= 9:
+            yield relabelled(product_table(a, b), rng)
+
+
+def test_light_associativity_against_triple_loop():
+    # on the whole carrier and on every closed subset
+    rng = random.Random(SEED + 17)
+    verdicts = {True: 0, False: 0}
+    semigroups = 0
+    for table in light_tables(rng):
+        m = nm.FiniteMagma(table)
+        t = m.table
+        semigroup = nm.classify_basic(m).is_semigroup
+        assert semigroup is (oracle_law(m, Law.ASSOCIATIVE, range(m.order)) is None), table
+        semigroups += semigroup
+        for mem in closed_domains(t):
+            want = all(t[t[x][y]][z] == t[x][t[y][z]] for x in mem for y in mem for z in mem)
+            dom = range(m.order) if len(mem) == m.order else mem
+            assert nm.magma._light_associative(m, dom) is want, (table, mem)
+            verdicts[want] += 1
+    assert verdicts[True] > 12000 and verdicts[False] > 2500 and semigroups > 1200, \
+        (verdicts, semigroups)
+
+
 def test_normality_against_definition():
     for m in MAGMAS:
         for mem in oracle_closed_subsets(m):
@@ -1007,3 +1080,60 @@ def test_tuple_sylow_against_definition_and_copy():
                     compared += 1
                     found += rep.found
     assert compared > 4000 and found > 500, (compared, found)
+
+
+def ngroup_236():
+    """The N-group of the book's example 2.3.6 and its N-subset T."""
+    g3 = nm.direct_product(nm.zn_full_neutro(3), nm.zn_full_neutro(3))
+    ns = nm.build_n_structure(
+        [nm.symmetric_group(4), nm.zn_units_neutro(5), g3],
+        ["group", "s-neutrosophic-group", "neutrosophic-semigroup"], "ngroup-2.3.6")
+    s4, u5 = ns.components[0], ns.components[1]
+    a4 = tuple(sorted(s4.index(lab) for lab in nm.alternating(4).labels))
+    t = nm.NSubset(ns, [a4, u5.subset(["1", "4", "I", "4I"]).members,
+                        g3.subset(["(1,1)", "(2,2)", "(1,2)", "(2,1)"]).members])
+    return ns, t
+
+
+def random_part(comp, rng):
+    """A nonempty part of at most 12 elements: the closure of one or two
+    random elements when it is that small, with a few random elements added
+    half the time, or else a random subset."""
+    closure = nm.generated_closure(comp, rng.sample(range(comp.order), rng.randint(1, 2)))
+    part = set(closure.members) if len(closure) <= 12 else set()
+    room = min(comp.order, 12) - len(part)
+    if room > 0 and (not part or rng.random() < 0.5):
+        part |= set(rng.sample(range(comp.order), rng.randint(1, room)))
+    return tuple(sorted(part))
+
+
+def test_tuple_sylow_inside_parts_of_ngroup_236():
+    # against the first closed set of the Sylow size inside the part that
+    # passes the species: the book's T, then seeded random parts of each
+    # component, paired with cyclic(2) as in the test above
+    ns, t = ngroup_236()
+    book = [nm.SubsetPredicate.IS_GROUP, nm.NEUTRO_UNITAL_OR_SUBGROUP,
+            nm.SubsetPredicate.IS_GROUP]
+    for primes in ((3, 2, 2), (2, 2, 2)):
+        rep = nm.tuple_sylow(ns, primes, book, within=t)
+        assert rep.found and list(rep.witness.per_component) == [
+            sylow_by_definition(comp, part, p, sp) for comp, part, p, sp
+            in zip(ns.components, t.per_component, primes, book)]
+    rng = random.Random(SEED + 43)
+    species_pool = [nm.SubsetPredicate.IS_GROUP, nm.SubsetPredicate.IS_LOOP,
+                    nm.SubsetPredicate.IS_SEMIGROUP, nm.NEUTRO_UNITAL_OR_SUBGROUP]
+    compared = found = 0
+    for comp in ns.components:
+        pair = nm.build_n_structure([comp, nm.cyclic(2)], ["groupoid", "group"])
+        for _ in range(30):
+            part = random_part(comp, rng)
+            within = nm.NSubset(pair, [part, (0, 1)])
+            for p in (2, 3):
+                for species in species_pool:
+                    rep = nm.tuple_sylow(pair, (p, 2), [species, nm.SubsetPredicate.IS_GROUP],
+                                         within=within)
+                    got = rep.witness.per_component[0] if rep.found else None
+                    assert got == sylow_by_definition(comp, part, p, species), (comp, part, p)
+                    compared += 1
+                    found += rep.found
+    assert compared == 720 and found > 150, found
