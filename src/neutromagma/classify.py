@@ -13,12 +13,12 @@ from typing import Optional
 
 from .constructors import factorize
 from .magma import (FiniteMagma, IdentityLaw, PreconditionError, Subset,
-                    SubsetPredicate, _close, _group_ground, _is_latin,
-                    _require_subset, check_identity_law, classify_basic, cosets,
-                    element_orders, enumerate_closed_subsets, is_closed,
-                    local_identity)
-from .neutro import (NEUTRO_SUBSEMIGROUP, has_real_subgroup,
-                     is_neutrosophic_subgroup, is_pseudo_neutrosophic_subgroup)
+                    SubsetPredicate, _close, _find_identity, _group_ground,
+                    _is_latin, _require_subset, check_identity_law,
+                    classify_basic, cosets, element_orders,
+                    enumerate_closed_subsets, is_closed)
+from .neutro import (NEUTRO_SUBSEMIGROUP, is_neutrosophic_subgroup,
+                     is_pseudo_neutrosophic_subgroup)
 
 
 class SKind(Enum):
@@ -52,13 +52,13 @@ def verdict_of(flags) -> Verdict3:
 
 
 def _neutro_loop(m: FiniteMagma) -> bool:
-    # tagged doublings are not loops; the untagged part must be one
+    # tagged doublings are not loops; the untagged part must be one: an
+    # identity and a Latin square, which makes it closed
     if not m.has_neutro():
         return False
-    reals = Subset(m, [i for i in range(m.order) if not m.neutro_mask[i]])
-    return (len(reals) > 0 and is_closed(reals)
-            and local_identity(reals) is not None
-            and _is_latin(m.table, reals.members))
+    reals = [i for i in range(m.order) if not m.neutro_mask[i]]
+    return (len(reals) > 0 and _find_identity(m.table, reals) is not None
+            and _is_latin(m, reals))
 
 
 # declared carrier kind -> whether a whole carrier is of that kind
@@ -68,8 +68,7 @@ CARRIER_KINDS = {
     "loop": lambda m: classify_basic(m).is_loop,
     "groupoid": lambda m: True,
     # carries I and some purely-real subset is a group of size >= 2
-    "neutrosophic-group": lambda m: (m.has_neutro()
-                                     and has_real_subgroup(m.full_subset())),
+    "neutrosophic-group": lambda m: is_neutrosophic_subgroup(m.full_subset()),
     "neutrosophic-semigroup": lambda m: (m.has_neutro()
                                          and classify_basic(m).is_semigroup),
     "neutrosophic-loop": _neutro_loop,

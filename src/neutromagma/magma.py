@@ -96,7 +96,7 @@ class FiniteMagma:
         self.neutro_identity = neutro_identity
         self.kind_tag = kind_tag
         self._label_index = {l: i for i, l in enumerate(self.labels)}
-        self._divs = None         # (left, right) division tables
+        self._divs = None         # (rows, columns): each one's inverse permutation, or None
         self._maps = None         # (row maps, column maps) for the law scan
         self._basic = None        # the BasicReport of classify_basic
         # pure memo: "closed" -> the closed-subset lattice; (SubsetPredicate,
@@ -122,7 +122,7 @@ class FiniteMagma:
         return Subset(self, members)
 
     def full_subset(self) -> "Subset":
-        return Subset(self, range(self.order))
+        return Subset._of_closed(self, tuple(range(self.order)))
 
     def has_neutro(self) -> bool:
         return any(self.neutro_mask)
@@ -134,36 +134,29 @@ class FiniteMagma:
     def _divisions(self):
         if self._divs is None:
             k = self.order
-            ld = [[None] * k for _ in range(k)]
-            rd = [[None] * k for _ in range(k)]
-            for a in range(k):
-                row = self.table[a]
-                for b in range(k):
-                    c = row[b]
-                    ld[a][c] = b   # a * ? = c
-                    rd[c][b] = a   # ? * b = c
-            self._divs = (ld, rd)
+            def inverse(perm):    # None when perm repeats an entry: no unique division
+                return sorted(range(k), key=perm.__getitem__) if len(set(perm)) == k else None
+            self._divs = ([inverse(row) for row in self.table],
+                          [inverse(col) for col in zip(*self.table)])
         return self._divs
 
     def left_division(self, a: int, c: int) -> int:
         """The unique y with a*y = c (requires the row of a to be a permutation)."""
         _require_index(self, a, "operand")
         _require_index(self, c, "operand")
-        ld, _ = self._divisions()
-        y = ld[a][c]
-        if y is None:
+        inv = self._divisions()[0][a]
+        if inv is None:
             raise PreconditionError(f"row of {self.labels[a]} is not a permutation; division undefined")
-        return y
+        return inv[c]
 
     def right_division(self, c: int, b: int) -> int:
         """The unique x with x*b = c (requires the column of b to be a permutation)."""
         _require_index(self, c, "operand")
         _require_index(self, b, "operand")
-        _, rd = self._divisions()
-        x = rd[c][b]
-        if x is None:
+        inv = self._divisions()[1][b]
+        if inv is None:
             raise PreconditionError(f"column of {self.labels[b]} is not a permutation; division undefined")
-        return x
+        return inv[c]
 
 
 def require_order(k: int, what: str) -> None:
@@ -497,18 +490,21 @@ def check_identity_law(m: FiniteMagma, law: IdentityLaw,
     return LawResult(witness is None, witness)
 
 
-def _is_latin(t, dom) -> bool:
-    """Whether every row and column of t, restricted to dom, is a
-    permutation of dom."""
-    want = frozenset(dom)
-    rows = [[t[x][y] for y in dom] for x in dom]
-    return (all(frozenset(r) == want for r in rows)
-            and all(frozenset(c) == want for c in zip(*rows)))
+def _is_latin(m: FiniteMagma, dom) -> bool:
+    """Whether every row and column of m, restricted to dom, is a
+    permutation of dom.  Such a dom is closed: each product lies in dom."""
+    R, C = _byte_maps(m)
+    V = bytes(dom)
+    want = set(V)
+    return all(set(V.translate(R[x])) == want and set(V.translate(C[x])) == want
+               for x in dom)
 
 
 def latin_square_check(m: FiniteMagma) -> bool:
     """Whether every row and column of the table is a permutation of the
-    carrier: its entries lie in the carrier, so k distinct ones suffice."""
+    carrier: its entries lie in the carrier, so k distinct ones suffice.
+    On whole carriers this pass measured faster than _is_latin, which
+    compares each translated row with the domain as a set."""
     k = m.order
     return (all(len(set(row)) == k for row in m.table)
             and all(len(set(col)) == k for col in zip(*m.table)))
@@ -618,22 +614,14 @@ def local_identity(s: Subset) -> Optional[int]:
 
 
 def subset_is_group(s: Subset) -> bool:
-    """Closed, |s| >= 2, associative with identity and inverses inside s.
+    """An associative loop, so |s| >= 2.  In a finite loop with identity e
+    each x has a right inverse y (xy = e) and a left inverse z (zx = e), and
+    associativity gives z = z(xy) = (zx)y = y.
 
     Trivial one-element groups never witness a Smarandache property
     ("the identity element alone is never taken as a proper subgroup").
     """
-    if len(s) < 2 or not is_closed(s):
-        return False
-    t = s.parent.table
-    mem = s.members
-    e = local_identity(s)
-    if e is None:
-        return False
-    for x in mem:
-        if not any(t[x][y] == e and t[y][x] == e for y in mem):
-            return False
-    return _is_associative_on(s)
+    return subset_is_loop(s) and _is_associative_on(s)
 
 
 def subset_is_semigroup(s: Subset) -> bool:
@@ -650,10 +638,10 @@ def _is_associative_on(s: Subset) -> bool:
 
 
 def subset_is_loop(s: Subset) -> bool:
-    """Closed with an internal identity and latin-square induced table."""
-    if len(s) < 2 or not is_closed(s):
-        return False
-    return local_identity(s) is not None and _is_latin(s.parent.table, s.members)
+    """|s| >= 2, an internal identity and a Latin-square induced table,
+    which makes s closed."""
+    return (len(s) >= 2 and local_identity(s) is not None
+            and _is_latin(s.parent, s.members))
 
 
 PREDICATE_REGISTRY[SubsetPredicate.IS_GROUP] = subset_is_group
@@ -984,19 +972,15 @@ def is_simple(m: FiniteMagma, mode: str = "subgroupoid") -> bool:
 def is_ideal(m: FiniteMagma, p: Subset, side: str = "two_sided") -> bool:
     """Ideal test; p must be closed (the subgroupoid condition)."""
     _require_subset(m, p, "ideal subset")
+    if side not in ("left", "right", "two_sided"):
+        raise ParameterError(f"side must be left/right/two_sided, got {side!r}")
     if not is_closed(p):
         raise PreconditionError("ideal test requires a closed subset")
     t = m.table
     mem = set(p.members)
-    left_ok = all(t[x][a] in mem for x in range(m.order) for a in mem)
-    if side == "left":
-        return left_ok
-    right_ok = all(t[a][x] in mem for x in range(m.order) for a in mem)
-    if side == "right":
-        return right_ok
-    if side == "two_sided":
-        return left_ok and right_ok
-    raise ParameterError(f"side must be left/right/two_sided, got {side!r}")
+    if side != "right" and not all(t[x][a] in mem for x in range(m.order) for a in mem):
+        return False
+    return side == "left" or all(t[a][x] in mem for x in range(m.order) for a in mem)
 
 
 PREDICATE_REGISTRY[SubsetPredicate.IS_IDEAL] = lambda s: is_ideal(s.parent, s, "two_sided")
@@ -1087,6 +1071,8 @@ class PartialMap:
     def as_dict(self):
         d = {}
         for a, b in self.pairs:
+            _require_index(self.source, a, "source")
+            _require_index(self.target, b, "target")
             if a in d:
                 raise ParameterError(f"source index {a} mapped twice")
             d[a] = b

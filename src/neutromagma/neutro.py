@@ -9,10 +9,9 @@ only reals and pure I-multiples, identifying 0I with 0.
 from __future__ import annotations
 
 from .magma import (FiniteMagma, ParameterError, PreconditionError, Subset,
-                    SubsetPredicate, PREDICATE_REGISTRY, classify_basic,
-                    generated_closure, is_closed, is_ideal, local_identity,
-                    require_order, subset_is_group, subset_is_loop,
-                    subset_is_semigroup)
+                    SubsetPredicate, PREDICATE_REGISTRY, _close, classify_basic,
+                    is_closed, is_ideal, local_identity, require_order,
+                    subset_is_group, subset_is_loop, subset_is_semigroup)
 
 
 def extend_tagged(base: FiniteMagma) -> FiniteMagma:
@@ -130,14 +129,16 @@ def has_real_subgroup(s: Subset) -> bool:
     Such a group H contains the cyclic group generated by each of its
     non-identity elements, so it is enough to test, for each real x, whether
     the closure of {x} stays inside the real part and is a group of size >= 2:
-    r closures instead of 2^r subsets."""
+    r closures instead of 2^r subsets.  Each closure stops at the first
+    element it adds outside the real part, where it has already failed."""
+    m = s.parent
     reals = real_part(s)
     if len(reals) < 2:
         return False
-    real = set(reals)
+    stop = ((1 << m.order) - 1) ^ sum(1 << x for x in reals)
     for x in reals:
-        h = generated_closure(s.parent, (x,))
-        if real.issuperset(h.members) and subset_is_group(h):
+        mask, members = _close(m.table, 0, (), (x,), stop)
+        if not mask & stop and subset_is_group(Subset._of_closed(m, tuple(sorted(members)))):
             return True
     return False
 
@@ -152,13 +153,9 @@ def is_neutrosophic_subgroup(s: Subset) -> bool:
 
 
 def is_pseudo_neutrosophic_subgroup(s: Subset) -> bool:
-    """Closed neutrosophic subset with an internal two-sided identity and no
-    purely-real group of size >= 2 (operational reading)."""
-    if len(s) < 2 or not is_closed(s) or not is_neutrosophic_subset(s):
-        return False
-    if local_identity(s) is None:
-        return False
-    return not has_real_subgroup(s)
+    """Neutro-unital, |s| >= 2, and no purely-real group of size >= 2
+    (operational reading)."""
+    return len(s) >= 2 and is_neutro_unital(s) and not has_real_subgroup(s)
 
 
 def is_neutro_subsemigroup(s: Subset) -> bool:

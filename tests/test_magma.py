@@ -450,6 +450,12 @@ def test_division_needs_a_permutation():
         m.left_division(2, 1)
     with pytest.raises(nm.PreconditionError, match="column of 2"):
         m.right_division(1, 2)
+    # the row and column of 2 hold 0 twice: 2*y = 0 and x*2 = 0 each have
+    # two solutions, so neither division is defined
+    with pytest.raises(nm.PreconditionError, match="row of 2"):
+        m.left_division(2, 0)
+    with pytest.raises(nm.PreconditionError, match="column of 2"):
+        m.right_division(0, 2)
 
 
 @pytest.mark.parametrize("bad", [True, False, 3.0, "g", None],
@@ -586,6 +592,8 @@ def test_is_ideal():
         nm.is_ideal(z6, z6.subset(["2"]))              # 2 * 2 = 4
     with pytest.raises(nm.ParameterError, match="side"):
         nm.is_ideal(z6, z6.subset(["0"]), "both")
+    with pytest.raises(nm.ParameterError, match="side"):   # the side is checked first
+        nm.is_ideal(z6, z6.subset(["2"]), "both")
     m = nm.zn(4, 2, 3)
     dual = nm.zn(4, 3, 2)
     lefts = {s.members for s in nm.enumerate_closed_subsets(m, SP.IS_LEFT_IDEAL)}
@@ -649,6 +657,17 @@ def test_check_homomorphism():
         nm.check_homomorphism(nm.PartialMap(g, g, ()))
     with pytest.raises(nm.ParameterError, match="mapped twice"):
         nm.check_homomorphism(nm.PartialMap(g, g, ((1, 1), (1, 2))))
+
+
+@pytest.mark.parametrize("pairs", [((0, 99),), ((99, 0),), ((-1, 0),), ((0.0, 0),),
+                                   ((0, 1.0),), ((True, 0), (1, 1)), ((0, False),)],
+                         ids=["target-99", "source-99", "source-negative", "source-float",
+                              "target-float", "source-bool", "target-bool"])
+def test_partial_map_indices_are_checked(pairs):
+    # each once raised a raw IndexError or TypeError, or read True as index 1
+    g = nm.cyclic(5)
+    with pytest.raises(nm.ParameterError, match="is not an index"):
+        nm.check_homomorphism(nm.PartialMap(g, g, pairs))
 
 
 def test_homomorphism_neutro_identity_clause():

@@ -632,20 +632,39 @@ def test_neutro_loop_kind_against_induced_magma():
         assert _neutro_loop(r) == oracle_neutro_loop(r)
 
 
-def test_group_subsets_against_definition():
-    def oracle_group(m, mem):
-        s = set(mem)
-        t = m.table
-        if len(s) < 2 or not all(t[x][y] in s for x in s for y in s):
-            return False
-        es = [e for e in s if all(t[e][x] == x and t[x][e] == x for x in s)]
-        if not es:
-            return False
-        e = es[0]
-        if not all(any(t[x][y] == e and t[y][x] == e for y in s) for x in s):
-            return False
-        return all(t[t[x][y]][z] == t[x][t[y][z]] for x in s for y in s for z in s)
+def oracle_identities(m, mem):
+    s = set(mem)
+    t = m.table
+    return [e for e in sorted(s) if all(t[e][x] == x and t[x][e] == x for x in s)]
 
+
+def oracle_group(m, mem):
+    """Closed, an identity, two-sided inverses and associativity, each
+    checked as written, of at least two elements."""
+    s = set(mem)
+    t = m.table
+    if len(s) < 2 or not all(t[x][y] in s for x in s for y in s):
+        return False
+    es = oracle_identities(m, mem)
+    if not es:
+        return False
+    e = es[0]
+    if not all(any(t[x][y] == e and t[y][x] == e for y in s) for x in s):
+        return False
+    return all(t[t[x][y]][z] == t[x][t[y][z]] for x in s for y in s for z in s)
+
+
+def oracle_loop(m, mem):
+    """An identity in s, and every row and column restricted to s a
+    permutation of s, of at least two elements; closure is not asked."""
+    s = set(mem)
+    t = m.table
+    return (len(s) >= 2 and bool(oracle_identities(m, mem))
+            and all(sorted(t[x][y] for y in s) == sorted(s)
+                    and sorted(t[y][x] for y in s) == sorted(s) for x in s))
+
+
+def test_group_subsets_against_definition():
     def oracle_associativity_failure(m, mem):
         t = m.table
         for x in mem:
@@ -660,18 +679,29 @@ def test_group_subsets_against_definition():
             for mem in combinations(range(m.order), r):
                 s = nm.Subset(m, mem)
                 assert nm.subset_is_group(s) == oracle_group(m, mem)
+                assert nm.subset_is_loop(s) == oracle_loop(m, mem)
                 closed = all(m.table[x][y] in mem for x in mem for y in mem)
                 failure = oracle_associativity_failure(m, mem)
                 assert nm.subset_is_semigroup(s) == (r >= 2 and closed and failure is None)
                 law = nm.check_identity_law(m, Law.ASSOCIATIVE, domain=s)
                 assert (law.holds, law.witness) == (failure is None, failure)
+    # random tables hold few loops that are not groups; these loops hold many
+    loops = 0
+    for m in (nm.ln(5, 2), nm.ln(7, 3), nm.zn(5, 2, 3)):
+        for r in range(1, m.order + 1):
+            for mem in combinations(range(m.order), r):
+                s = nm.Subset(m, mem)
+                assert nm.subset_is_loop(s) == oracle_loop(m, mem)
+                assert nm.subset_is_group(s) == oracle_group(m, mem)
+                loops += oracle_loop(m, mem) and not oracle_group(m, mem)
+    assert loops > 0
 
 
 def scan_real_subgroup(s):
     """The 2^r scan that has_real_subgroup replaced: every subset of the
     real part of size >= 2, tested as a group."""
     reals = nm.real_part(s)
-    return any(nm.subset_is_group(nm.Subset(s.parent, cand))
+    return any(oracle_group(s.parent, cand)
                for size in range(2, len(reals) + 1)
                for cand in combinations(reals, size))
 
@@ -696,6 +726,14 @@ def test_real_subgroup_against_subset_scan():
                 want = scan_real_subgroup(s)
                 assert nm.has_real_subgroup(s) == want, (table, mask, mem)
                 positives += want
+                # the definitions: a closed neutrosophic set of two or more
+                # elements, holding a real group (neutrosophic subgroup) or
+                # with an identity and no real group (pseudo)
+                base = (r >= 2 and any(mask[i] for i in mem)
+                        and all(table[x][y] in mem for x in mem for y in mem))
+                assert nm.is_neutrosophic_subgroup(s) == (base and want)
+                assert nm.is_pseudo_neutrosophic_subgroup(s) == (
+                    base and bool(oracle_identities(m, mem)) and not want)
     assert positives > 1000
 
 
