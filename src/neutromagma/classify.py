@@ -7,9 +7,8 @@ parameterized by the substructure species to search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .constructors import factorize
 from .magma import (FiniteMagma, IdentityLaw, PreconditionError, Subset,
@@ -93,8 +92,7 @@ S_KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class SDetection:
+class SDetection(NamedTuple):
     holds: bool
     witness: Optional[Subset]
 
@@ -113,8 +111,7 @@ def detect_s_kind(m: FiniteMagma, kind: SKind) -> SDetection:
 # ---------------------------------------------------------------------------
 # the three classification engines
 
-@dataclass(frozen=True, slots=True)
-class Witness:
+class Witness(NamedTuple):
     subset: object        # a Subset, or an NSubset from the N-level engines
     order: int
     qualifies: bool
@@ -128,8 +125,7 @@ class Witness:
         return doc
 
 
-@dataclass(frozen=True)
-class ClassReport:
+class ClassReport(NamedTuple):
     verdict: Verdict3
     witnesses: tuple      # Witnesses, or ElementWitnesses from the Cauchy engines
     notes: tuple = ()
@@ -212,8 +208,7 @@ def sylow_classify(m: FiniteMagma, species, variant: str = "standard") -> ClassR
                        tuple(notes))
 
 
-@dataclass(frozen=True)
-class ElementWitness:
+class ElementWitness(NamedTuple):
     index: object        # an element index, or (component, index) at N level
     flavor: str          # "real" or "neutro"
     order: int
@@ -275,8 +270,7 @@ def s_identity_class(m: FiniteMagma, law: IdentityLaw, species) -> Verdict3:
 # ---------------------------------------------------------------------------
 # hyper subsemigroups and cosets of Smarandache species
 
-@dataclass(frozen=True)
-class HyperReport:
+class HyperReport(NamedTuple):
     largest_group: Optional[Subset]
     hyper_subsemigroup: Optional[Subset]
     s_simple: bool

@@ -11,7 +11,6 @@ import json
 import sys
 
 from . import atlas as atlas_mod
-from . import corpus as corpus_mod
 from .classify import (SKind, cauchy_classify, detect_s_kind,
                        lagrange_classify, sylow_classify)
 from .constructors import (alternating, cyclic, dihedral, direct_product, ln,
@@ -196,6 +195,8 @@ def _atlas(args) -> int:
 
 
 def _verify_corpus(args) -> int:
+    # imported here, so the other commands do not load the corpus
+    from . import corpus as corpus_mod
     rows = corpus_mod.run_corpus(args.filter)
     sys.stdout.write(corpus_mod.format_rows(rows))
     counts = corpus_mod.summarize(rows)

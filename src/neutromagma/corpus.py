@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import fnmatch
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import classify, nstruct
 from .classify import SKind, Verdict3
@@ -41,13 +41,14 @@ from .nstruct import (build_n_structure, classify_n_kind, n_cauchy,
                       n_lagrange, n_sylow, NSubset, tuple_sylow)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     ok: bool
     expected: str
     actual: str
 
 
+# a dataclass, not a NamedTuple, while bench/tracing.py rebuilds entries with
+# dataclasses.replace
 @dataclass(frozen=True)
 class CorpusEntry:
     id: str
@@ -892,8 +893,7 @@ def _ex613():
 # ---------------------------------------------------------------------------
 # runner
 
-@dataclass(frozen=True)
-class CorpusRow:
+class CorpusRow(NamedTuple):
     id: str
     status: str        # pass / fail / discrepancy
     provenance: str

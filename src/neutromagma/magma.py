@@ -10,10 +10,9 @@ are reproducible across runs.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
 class ParameterError(ValueError):
@@ -296,8 +295,7 @@ class IdentityLaw(Enum):
     P_GROUPOID = "p_groupoid"
 
 
-@dataclass(frozen=True)
-class LawResult:
+class LawResult(NamedTuple):
     holds: bool
     witness: Optional[tuple]   # first counterexample in lex order, or None
 
@@ -510,8 +508,7 @@ def latin_square_check(m: FiniteMagma) -> bool:
             and all(len(set(col)) == k for col in zip(*m.table)))
 
 
-@dataclass(frozen=True)
-class BasicReport:
+class BasicReport(NamedTuple):
     is_semigroup: bool
     is_commutative: bool
     is_loop: bool
@@ -810,8 +807,7 @@ def center(m: FiniteMagma) -> Subset:
     return Subset(m, mem)
 
 
-@dataclass(frozen=True)
-class NucleiReport:
+class NucleiReport(NamedTuple):
     left: Subset
     middle: Subset
     right: Subset
@@ -885,8 +881,7 @@ def cosets(m: FiniteMagma, h: Subset, a: int, side: str = "right") -> Subset:
     raise ParameterError(f"side must be 'left' or 'right', got {side!r}")
 
 
-@dataclass(frozen=True)
-class DoubleCosetResult:
+class DoubleCosetResult(NamedTuple):
     members: Subset
     associativity_assumed: bool   # False when the carrier is not a semigroup
 
@@ -988,8 +983,7 @@ PREDICATE_REGISTRY[SubsetPredicate.IS_LEFT_IDEAL] = lambda s: is_ideal(s.parent,
 PREDICATE_REGISTRY[SubsetPredicate.IS_RIGHT_IDEAL] = lambda s: is_ideal(s.parent, s, "right")
 
 
-@dataclass(frozen=True)
-class ConjugateWitness:
+class ConjugateWitness(NamedTuple):
     index: int
     equations: tuple   # subset of ("xA=Bx", "Ax=xB")
 
@@ -1025,8 +1019,7 @@ def conjugate_pair(m: FiniteMagma, x: int, y: int):
                 return (a, b)
 
 
-@dataclass(frozen=True)
-class ElementOrders:
+class ElementOrders(NamedTuple):
     real_order: Optional[int]
     neutro_order: Optional[int]
 
@@ -1056,8 +1049,7 @@ def element_orders(m: FiniteMagma, x: int) -> ElementOrders:
 # ---------------------------------------------------------------------------
 # maps, isotopes, isomorphism, representation
 
-@dataclass(frozen=True)
-class PartialMap:
+class PartialMap(NamedTuple):
     """A partial map between magmas, injectively keyed by source index."""
     source: FiniteMagma
     target: FiniteMagma
@@ -1069,8 +1061,14 @@ class PartialMap:
                           tuple((source.index(a), target.index(b)) for a, b in mapping))
 
     def as_dict(self):
+        if not isinstance(self.pairs, Iterable):
+            raise ParameterError(f"pairs must hold (source, target) pairs, "
+                                 f"got {self.pairs!r}")
         d = {}
-        for a, b in self.pairs:
+        for pair in self.pairs:
+            if not isinstance(pair, Sequence) or len(pair) != 2:
+                raise ParameterError(f"a pair must be (source, target), got {pair!r}")
+            a, b = pair
             _require_index(self.source, a, "source")
             _require_index(self.target, b, "target")
             if a in d:

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import prod
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .classify import (CARRIER_KINDS, ClassReport, SKind, Witness,
                        _cauchy_verdict, _cauchy_witnesses, detect_s_kind,
@@ -156,8 +155,7 @@ def _require_per_component(ns: NStructure, arg, what: str) -> None:
         raise ParameterError(f"one {what} per component is required")
 
 
-@dataclass(frozen=True)
-class NKindVerdict:
+class NKindVerdict(NamedTuple):
     n_group: bool
     n_semigroup: bool
     n_loop: bool
@@ -183,8 +181,7 @@ class NKindVerdict:
     dual_s_mixed_neutrosophic: bool
 
     def true_flags(self):
-        from dataclasses import fields
-        return [f.name for f in fields(self) if getattr(self, f.name)]
+        return [name for name, flag in zip(self._fields, self) if flag]
 
 
 def classify_n_kind(ns: NStructure) -> NKindVerdict:
@@ -442,8 +439,7 @@ def n_cauchy(ns: NStructure) -> ClassReport:
     return ClassReport(_cauchy_verdict(wits), tuple(wits), tuple(notes))
 
 
-@dataclass(frozen=True)
-class TupleSylowReport:
+class TupleSylowReport(NamedTuple):
     found: bool
     witness: Optional[NSubset]
     primes: tuple

@@ -670,6 +670,15 @@ def test_partial_map_indices_are_checked(pairs):
         nm.check_homomorphism(nm.PartialMap(g, g, pairs))
 
 
+@pytest.mark.parametrize("pairs", [((0,),), ((0, 1, 2),), 5],
+                         ids=["short-pair", "long-pair", "not-iterable"])
+def test_partial_map_pairs_are_checked(pairs):
+    # each once raised a raw ValueError or TypeError while unpacking
+    g = nm.cyclic(5)
+    with pytest.raises(nm.ParameterError, match="source, target"):
+        nm.check_homomorphism(nm.PartialMap(g, g, pairs))
+
+
 def test_homomorphism_neutro_identity_clause():
     src = nm.extend_tagged(nm.ln(5, 3))
     dst = nm.extend_tagged(nm.ln(7, 2))
