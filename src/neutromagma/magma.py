@@ -51,7 +51,7 @@ class FiniteMagma:
 
     __slots__ = ("order", "table", "labels", "identity", "neutro_mask",
                  "neutro_identity", "kind_tag", "_label_index",
-                 "_divs", "_maps", "_basic", "_subset_cache")
+                 "_divs", "_maps", "_basic", "_subset_cache", "_real_groups")
 
     # Lazy caches are filled by one assignment of a complete value, so a
     # thread that reads one sees either nothing or all of it.
@@ -102,6 +102,9 @@ class FiniteMagma:
         # include_full) -> the member tuples that species keeps.  Tuples, not
         # Subsets, so the cache holds no reference back to this carrier.
         self._subset_cache = {}
+        # pure memo of neutro.has_real_subgroup: real element x -> the bitmask
+        # of <x> when that is a purely-real group of size >= 2, else 0
+        self._real_groups = {}
 
     def op(self, x: int, y: int) -> int:
         _require_index(self, x, "operand")
@@ -636,9 +639,16 @@ def _is_associative_on(s: Subset) -> bool:
 
 def subset_is_loop(s: Subset) -> bool:
     """|s| >= 2, an internal identity and a Latin-square induced table,
-    which makes s closed."""
-    return (len(s) >= 2 and local_identity(s) is not None
-            and _is_latin(s.parent, s.members))
+    which makes s closed.
+
+    A closed s of a loop carrier is one as soon as |s| >= 2, with no scan:
+    each row and column of a finite loop is injective, so restricted to a
+    closed s it permutes s, and a*y = a then forces y = e into s."""
+    if len(s) < 2:
+        return False
+    if s._closed and classify_basic(s.parent).is_loop:
+        return True
+    return local_identity(s) is not None and _is_latin(s.parent, s.members)
 
 
 PREDICATE_REGISTRY[SubsetPredicate.IS_GROUP] = subset_is_group

@@ -51,32 +51,30 @@ def _residue_label(a: int, b: int) -> str:
     return istr if a == 0 else f"{a}+{istr}"
 
 
-def _residue_carrier(elems, product, kind_tag: str) -> FiniteMagma:
-    """The carrier on the (a, b) pairs elems under product(x, y), which gives
-    x*y as an (a, b) pair; elems must be closed under it and hold I = (0, 1)."""
-    index = {r: i for i, r in enumerate(elems)}
-    table = [[index[product(x, y)] for y in elems] for x in elems]
+def _residue_carrier(elems, table, kind_tag: str) -> FiniteMagma:
+    """The carrier on the (a, b) pairs elems, whose products table gives as
+    positions in elems; elems holds I = (0, 1)."""
     return FiniteMagma(
         table, labels=[_residue_label(a, b) for a, b in elems],
         neutro_mask=[b != 0 for _, b in elems],
-        neutro_identity=index[(0, 1)],
+        neutro_identity=elems.index((0, 1)),
         kind_tag=kind_tag)
 
 
-def _residue_product(n: int):
-    """The multiplicative residue product, as a product for _residue_carrier."""
-    def product(x, y):
-        (a, b), (c, d) = x, y
-        return (a * c) % n, (a * d + b * c + b * d) % n
-    return product
+def _multiplicative_carrier(n: int, elems, kind_tag: str) -> FiniteMagma:
+    """The carrier on elems, closed under (a+bI)(c+dI) = ac + (ad+bc+bd)I mod n.
+    Each cell is the pair formula looked up in a dict, with no call per cell."""
+    index = {r: i for i, r in enumerate(elems)}
+    table = [[index[a * c % n, (a * d + b * (c + d)) % n] for c, d in elems]
+             for a, b in elems]
+    return _residue_carrier(elems, table, kind_tag)
 
 
 def zn_full_neutro(n: int) -> FiniteMagma:
     """The full multiplicative carrier {a + bI : a, b in Z_n} of order n^2."""
     tag = f"zn_full_neutro({n})"
     _residue_check(n, lambda n: n * n, tag)
-    elems = [(a, b) for a in range(n) for b in range(n)]
-    return _residue_carrier(elems, _residue_product(n), tag)
+    return _multiplicative_carrier(n, [(a, b) for a in range(n) for b in range(n)], tag)
 
 
 def zn_line_neutro(n: int) -> FiniteMagma:
@@ -85,7 +83,7 @@ def zn_line_neutro(n: int) -> FiniteMagma:
     tag = f"zn_line_neutro({n})"
     _residue_check(n, lambda n: 2 * n - 1, tag)
     elems = [(a, 0) for a in range(n)] + [(0, b) for b in range(1, n)]
-    return _residue_carrier(elems, _residue_product(n), tag)
+    return _multiplicative_carrier(n, elems, tag)
 
 
 def zn_units_neutro(n: int) -> FiniteMagma:
@@ -96,18 +94,21 @@ def zn_units_neutro(n: int) -> FiniteMagma:
         if n % d == 0:
             raise ParameterError(f"zero-free carrier needs a prime modulus, got {n}")
     elems = [(a, 0) for a in range(1, n)] + [(0, b) for b in range(1, n)]
-    return _residue_carrier(elems, _residue_product(n), tag)
+    return _multiplicative_carrier(n, elems, tag)
 
 
 def zn_affine_neutro(n: int, t: int, u: int) -> FiniteMagma:
-    """The groupoid (a+bI) * (c+dI) = t(a+bI) + u(c+dI) on the full carrier."""
+    """The groupoid (a+bI) * (c+dI) = t(a+bI) + u(c+dI) on the full carrier,
+    each cell the pair formula looked up in a dict, with no call per cell."""
     tag = f"zn_affine_neutro({n},{t},{u})"
     _residue_check(n, lambda n: n * n, tag)
     if not all(type(c) is int and 0 <= c < n for c in (t, u)):
         raise ParameterError(f"{tag} needs integers t, u in [0,{n})")
     elems = [(a, b) for a in range(n) for b in range(n)]
-    return _residue_carrier(
-        elems, lambda x, y: ((t * x[0] + u * y[0]) % n, (t * x[1] + u * y[1]) % n), tag)
+    index = {r: i for i, r in enumerate(elems)}
+    table = [[index[(t * a + u * c) % n, (t * b + u * d) % n] for c, d in elems]
+             for a, b in elems]
+    return _residue_carrier(elems, table, tag)
 
 
 # ---------------------------------------------------------------------------
@@ -126,19 +127,32 @@ def real_part(s: Subset):
 def has_real_subgroup(s: Subset) -> bool:
     """Some subset of the purely-real members forms a group of size >= 2.
 
-    Such a group H contains the cyclic group generated by each of its
-    non-identity elements, so it is enough to test, for each real x, whether
-    the closure of {x} stays inside the real part and is a group of size >= 2:
-    r closures instead of 2^r subsets.  Each closure stops at the first
-    element it adds outside the real part, where it has already failed."""
+    Such a group H contains the cyclic group <x> of each of its non-identity
+    elements x, and <x> is then a group of size >= 2 too.  So s holds one
+    exactly when some real x in s has a purely-real <x> of size >= 2 that is
+    a group and lies inside s.  That <x> depends on the carrier alone: it is
+    computed once per carrier and element, on the first call that asks for
+    x, and kept in m._real_groups as a bitmask (0 when <x> does not qualify),
+    so a call is a bit test per real member.  Each closure stops at the first
+    indeterminate element it adds, where <x> has already failed."""
     m = s.parent
     reals = real_part(s)
     if len(reals) < 2:
         return False
-    stop = ((1 << m.order) - 1) ^ sum(1 << x for x in reals)
+    memo = m._real_groups
+    inside = sum(1 << x for x in reals)
+    stop = None
     for x in reals:
-        mask, members = _close(m.table, 0, (), (x,), stop)
-        if not mask & stop and subset_is_group(Subset._of_closed(m, tuple(sorted(members)))):
+        g = memo.get(x)
+        if g is None:
+            if stop is None:
+                stop = sum(1 << i for i, b in enumerate(m.neutro_mask) if b)
+            g, members = _close(m.table, 0, (), (x,), stop)
+            if g & stop or not subset_is_group(
+                    Subset._of_closed(m, tuple(sorted(members)))):
+                g = 0
+            memo[x] = g
+        if g and g & inside == g:
             return True
     return False
 

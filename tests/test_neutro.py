@@ -57,6 +57,42 @@ def test_residue_formula():
         ["2+3I", "4I", "3+I"]
 
 
+def pair_label(a, b):
+    # written apart from the library: "a", "bI" or "a+bI", with 1I as "I"
+    parts = [str(a)] if a or not b else []
+    if b:
+        parts.append(("" if b == 1 else str(b)) + "I")
+    return "+".join(parts)
+
+
+def pair_carrier(elems, product):
+    """(table, labels, mask, neutro_identity) over the pair list elems, with
+    its own index from pair to position."""
+    where = {}
+    for i, p in enumerate(elems):
+        where[p] = i
+    table = tuple(tuple(where[product(x, y)] for y in elems) for x in elems)
+    return (table, tuple(pair_label(a, b) for a, b in elems),
+            tuple(b != 0 for _, b in elems), where[(0, 1)])
+
+
+def test_residue_tables_against_pair_formulas():
+    def same(m, elems, product):
+        assert (m.table, m.labels, m.neutro_mask, m.neutro_identity) == \
+            pair_carrier(elems, product), m.kind_tag
+    for n in range(2, 10):
+        full = [(a, b) for a in range(n) for b in range(n)]
+        line = [(a, 0) for a in range(n)] + [(0, b) for b in range(1, n)]
+        same(nm.zn_full_neutro(n), full, residue_product(n))
+        same(nm.zn_line_neutro(n), line, residue_product(n))
+        if all(n % d for d in range(2, n)):
+            same(nm.zn_units_neutro(n), line[1:], residue_product(n))
+    full = [(a, b) for a in range(4) for b in range(4)]
+    for t in range(4):
+        for u in range(4):
+            same(nm.zn_affine_neutro(4, t, u), full, affine_product(4, t, u))
+
+
 def test_extend_tagged_structure():
     base = nm.ln(5, 3)
     t = nm.extend_tagged(base)
@@ -202,3 +238,44 @@ def test_affine_neutro_carrier():
     assert g.has_neutro()
     det = nm.detect_s_kind(g, nm.SKind.S_NEUTROSOPHIC_GROUPOID)
     assert det.holds                                # {0, 4I} is one witness
+
+
+def counted_closures(monkeypatch):
+    """A list that grows by one entry, the closed element, per closure that
+    has_real_subgroup computes."""
+    closed = []
+    close = nm.neutro._close
+
+    def counting(t, mask, members, new, stop=0):
+        closed.extend(new)
+        return close(t, mask, members, new, stop)
+
+    monkeypatch.setattr(nm.neutro, "_close", counting)
+    return closed
+
+
+def test_real_groups_are_closed_once_per_carrier(monkeypatch):
+    closed = counted_closures(monkeypatch)
+    m = nm.zn_full_neutro(4)
+    assert nm.has_real_subgroup(m.full_subset())           # {1, 3}
+    assert sorted(closed) == [0, 4, 8, 12]                  # each real once
+    closed.clear()
+    reals = [0, 4, 8, 12]
+    for r in range(2, 5):
+        for mem in combinations(reals, r):
+            for extra in ((), (1, 5), (13,)):
+                s = nm.Subset(m, mem + extra)
+                assert nm.has_real_subgroup(s) == ({4, 12} <= set(mem))
+    assert closed == []
+
+
+def test_real_groups_fill_per_element(monkeypatch):
+    # the tagged doubling of an order-64 loop has 64 reals; a call on two
+    # of them closes those two and no other
+    closed = counted_closures(monkeypatch)
+    m = nm.extend_tagged(nm.ln(63, 2))
+    s = nm.Subset(m, [0, 5, 64, 69])
+    assert nm.has_real_subgroup(s)                          # {e, 5}
+    assert len(closed) <= 2 and set(closed) <= {0, 5}
+    first = list(closed)
+    assert nm.has_real_subgroup(s) and closed == first

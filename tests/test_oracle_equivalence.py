@@ -697,6 +697,29 @@ def test_group_subsets_against_definition():
     assert loops > 0
 
 
+def test_closed_subloop_shortcut_against_latin_scan():
+    # a closed set of two or more elements in a loop carrier is a subloop;
+    # the scan it replaces must agree on every closed set
+    from math import gcd
+    from neutromagma.magma import _closed_lattice, _is_latin
+    carriers = [nm.ln(n, m) for n in range(5, 16, 2) for m in range(2, n)
+                if gcd(m, n) == gcd(m - 1, n) == 1]
+    rng = random.Random(SEED + 31)
+    carriers += [nm.FiniteMagma(random_loop_table(rng, rng.randint(1, 7)))
+                 for _ in range(60)]
+    checked = 0
+    for m in carriers:
+        assert nm.classify_basic(m).is_loop
+        for mem in _closed_lattice(m):
+            s = nm.Subset(m, mem)
+            scan = (len(mem) >= 2 and nm.local_identity(s) is not None
+                    and _is_latin(m, mem))
+            assert nm.subset_is_loop(nm.Subset._of_closed(m, mem)) == scan, (m.table, mem)
+            assert scan == oracle_loop(m, mem)
+            checked += 1
+    assert checked > 500, checked
+
+
 def scan_real_subgroup(s):
     """The 2^r scan that has_real_subgroup replaced: every subset of the
     real part of size >= 2, tested as a group."""
