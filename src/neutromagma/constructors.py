@@ -7,7 +7,7 @@ cross-checked against the enumerating constructors.
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import permutations, product, repeat
 from math import factorial, gcd, prod
 
 from .magma import MAX_ORDER, FiniteMagma, ParameterError, require_order
@@ -42,6 +42,23 @@ def _require_ints(what: str, **params):
             raise ParameterError(f"{what} needs an integer {name}, got {v!r}")
 
 
+# The structured tables are built row by row as bytes, by slicing, joining
+# and bytes.translate, so no Python expression runs per cell.  A translate map
+# is padded to the 256 entries translate takes; the padding is never looked
+# up, as every index is below MAX_ORDER = 256.
+
+def _multiples(n: int, s: int) -> bytes:
+    """s*d mod n for d = 0, 1, ..., n-1, as bytes: every s-th entry of
+    0, 1, ..., n-1 repeated s times."""
+    return (bytes(range(n)) * s)[::s] if s else bytes(n)
+
+
+def _rotations(row: bytes) -> list:
+    """Every rotation of row: rotation r, row[r:] + row[:r], is the translate
+    map v -> row[(v + r) mod len(row)] once padded."""
+    return [row[r:] + row[:r] for r in range(len(row))]
+
+
 # ---------------------------------------------------------------------------
 # the loop family of order n+1
 
@@ -59,21 +76,19 @@ def _ln_check(n: int, m: int):
 
 def ln(n: int, m: int) -> FiniteMagma:
     """The loop on {e, 1, ..., n} with i*j = (mj - (m-1)i) mod n for distinct
-    non-identity i, j (residue 0 rendered as n), i*i = e, and e the identity."""
+    non-identity i, j (residue 0 rendered as n), i*i = e, and e the identity.
+
+    Row i over j = 1..n is the multiples mj translated by v -> v - (m-1)i
+    mod n, each residue sent to its element, with e put at j = i."""
     _ln_check(n, m)
     k = n + 1
     require_order(k, f"ln({n},{m})")
-    table = [[0] * k for _ in range(k)]
-    for i in range(k):
-        table[0][i] = i
-        table[i][0] = i
+    mj = _multiples(n, m)[1:] + b"\0"                # mj mod n for j = 1..n
+    adds = _rotations(bytes([n]) + bytes(range(1, n)))   # residue + r -> element
+    table = [bytes(range(k))]
     for i in range(1, k):
-        for j in range(1, k):
-            if i == j:
-                table[i][j] = 0
-            else:
-                v = (m * j - (m - 1) * i) % n
-                table[i][j] = v if v != 0 else n
+        row = mj.translate(adds[(1 - m) * i % n].ljust(256))
+        table.append(bytes([i]) + row[:i - 1] + b"\0" + row[i:])
     labels = ["e"] + [str(i) for i in range(1, k)]
     return FiniteMagma(table, labels=labels, kind_tag=f"ln({n},{m})")
 
@@ -129,10 +144,13 @@ def _zn_check(n: int, t: int, u: int, cls: str):
 
 
 def zn(n: int, t: int, u: int, cls: str = "zstar") -> FiniteMagma:
-    """The groupoid on Z_n with a*b = (ta + ub) mod n."""
+    """The groupoid on Z_n with a*b = (ta + ub) mod n: row a is the multiples
+    ub translated by v -> v + ta mod n."""
     _zn_check(n, t, u, cls)
     require_order(n, f"zn({n},{t},{u})")
-    table = [[(t * a + u * b) % n for b in range(n)] for a in range(n)]
+    adds = _rotations(bytes(range(n)))
+    ub = _multiples(n, u)
+    table = [ub.translate(adds[ta].ljust(256)) for ta in _multiples(n, t)]
     return FiniteMagma(table, kind_tag=f"zn({n},{t},{u})")
 
 
@@ -183,23 +201,25 @@ def _check_n(n: int, order, what: str):
 def zmod_mult(n: int) -> FiniteMagma:
     """Z_n under multiplication modulo n (a monoid with identity 1)."""
     _check_n(n, lambda n: n, "zmod_mult")
-    table = [[(a * b) % n for b in range(n)] for a in range(n)]
-    return FiniteMagma(table, kind_tag=f"zmod_mult({n})")
+    return FiniteMagma([_multiples(n, s) for s in range(n)], kind_tag=f"zmod_mult({n})")
 
 
 def cyclic(n: int) -> FiniteMagma:
     """The cyclic group {g | g^n = 1}, labeled 1, g, g^2, ..."""
     _check_n(n, lambda n: n, "cyclic")
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    table = _rotations(bytes(range(n)))
     labels = ["1"] + ["g" if i == 1 else f"g^{i}" for i in range(1, n)]
     return FiniteMagma(table, labels=labels, kind_tag=f"cyclic({n})")
 
 
 def _composition(maps, kind_tag: str) -> FiniteMagma:
     """The maps of {0..n-1}, given as image tuples, under composition
-    (p*q)(i) = p(q(i)), labeled by their images in one-line notation."""
+    (p*q)(i) = p(q(i)), labeled by their images in one-line notation.  With
+    each map as bytes, p*q is q translated by p."""
+    maps = [bytes(p) for p in maps]
     index = {p: i for i, p in enumerate(maps)}
-    table = [[index[tuple(p[i] for i in q)] for q in maps] for p in maps]
+    table = [bytes(map(index.__getitem__, map(bytes.translate, maps, repeat(p.ljust(256)))))
+             for p in maps]
     return FiniteMagma(table, labels=["".join(str(v + 1) for v in p) for p in maps],
                        kind_tag=kind_tag)
 
@@ -236,17 +256,13 @@ def alternating(n: int) -> FiniteMagma:
 def dihedral(n: int) -> FiniteMagma:
     """The dihedral group of order 2n: a^2 = b^n = 1, bab = a.
 
-    Elements a^i b^j with i in {0,1}, j in [0,n); b^j a = a b^(-j)."""
+    Elements a^i b^j with i in {0,1}, j in [0,n); b^j a = a b^(-j).  So
+    a^i b^j is element n*i + j, and its row is the elements a^i b^(j+l) and
+    then a^(1-i) b^(l-j) for l in [0,n): two rotations of a coset."""
     _check_n(n, lambda n: 2 * n, "dihedral")
+    cosets = [_rotations(bytes(range(i * n, i * n + n))) for i in range(2)]
+    table = [cosets[i][j] + cosets[1 - i][-j % n] for i in range(2) for j in range(n)]
     elems = [(i, j) for i in range(2) for j in range(n)]
-    index = {e: k for k, e in enumerate(elems)}
-
-    def mul(e1, e2):
-        (i, j), (k, l) = e1, e2
-        jj = j if k == 0 else (-j) % n
-        return ((i + k) % 2, (jj + l) % n)
-
-    table = [[index[mul(e1, e2)] for e2 in elems] for e1 in elems]
 
     def lab(e):
         i, j = e
@@ -271,16 +287,19 @@ def symmetric_semigroup(n: int) -> FiniteMagma:
 def direct_product(m1: FiniteMagma, m2: FiniteMagma) -> FiniteMagma:
     """Componentwise product; labels are pairs, an element is neutrosophic when
     either coordinate is."""
-    require_order(m1.order * m2.order, f"product({m1.kind_tag},{m2.kind_tag})")
-    elems = [(x, y) for x in range(m1.order) for y in range(m2.order)]
-    index = {e: k for k, e in enumerate(elems)}
-    table = [[index[(m1.table[x1][x2], m2.table[y1][y2])]
-              for (x2, y2) in elems] for (x1, y1) in elems]
+    k2 = m2.order
+    require_order(m1.order * k2, f"product({m1.kind_tag},{m2.kind_tag})")
+    # (x, y) is element x*k2 + y, so the block of row (x, y) at column x2 is
+    # row y of m2 shifted by t1[x][x2]*k2: blocks[y][j] is that shift by j*k2
+    shifts = [bytes(range(j * k2, j * k2 + k2)).ljust(256) for j in range(m1.order)]
+    blocks = [[bytes(row).translate(s) for s in shifts] for row in m2.table]
+    table = [b"".join(map(blocks[y].__getitem__, row)) for row in m1.table for y in range(k2)]
+    elems = [(x, y) for x in range(m1.order) for y in range(k2)]
     labels = [f"({m1.labels[x]},{m2.labels[y]})" for (x, y) in elems]
     mask = [m1.neutro_mask[x] or m2.neutro_mask[y] for (x, y) in elems]
     nid = None
     if m1.neutro_identity is not None and m2.neutro_identity is not None:
-        nid = index[(m1.neutro_identity, m2.neutro_identity)]
+        nid = m1.neutro_identity * k2 + m2.neutro_identity
     return FiniteMagma(table, labels=labels, neutro_mask=mask, neutro_identity=nid,
                        kind_tag=f"product({m1.kind_tag},{m2.kind_tag})")
 

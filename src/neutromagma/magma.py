@@ -42,11 +42,12 @@ MAX_ISOMORPHISM_ORDER = 8
 class FiniteMagma:
     """Immutable Cayley table over an indexed, labeled universe.
 
-    table[x][y] is the index of x*y.  `identity` is the two-sided identity
-    index found from the table, or None.  `neutro_mask[i]` marks elements
-    carrying an indeterminate component; `neutro_identity` is the designated
-    element playing the role of I (eI in tagged extensions, 0+1I in residue
-    carriers).
+    table[x][y] is the index of x*y; rows may be given as sequences of ints
+    or as bytes, and are stored as tuples of ints.  `identity` is the
+    two-sided identity index found from the table, or None.  `neutro_mask[i]`
+    marks elements carrying an indeterminate component; `neutro_identity` is
+    the designated element playing the role of I (eI in tagged extensions,
+    0+1I in residue carriers).
     """
 
     __slots__ = ("order", "table", "labels", "identity", "neutro_mask",
@@ -64,9 +65,14 @@ class FiniteMagma:
         require_order(k, f"a table of order {k}")
         self.order = k
         self.table = tuple(tuple(row) for row in table)
-        for row in self.table:
+        # a bytes row holds ints in [0,256) already, so it needs only a range
+        # check: deleting every index in [0,k) from it leaves nothing
+        indices = bytes(range(k))
+        for given, row in zip(table, self.table):
             if len(row) != k:
                 raise ParameterError("table is not square")
+            if type(given) is bytes and not given.translate(None, indices):
+                continue
             for v in row:
                 if type(v) is not int or not 0 <= v < k:
                     raise ParameterError(f"table entry {v!r} is not an index in [0,{k})")
@@ -466,6 +472,8 @@ def check_identity_law(m: FiniteMagma, law: IdentityLaw,
     if law in (IdentityLaw.BRUCK_INVERSE, IdentityLaw.WIP):
         inv = _all_inverses(m, dom)     # raises before the semigroup shortcut
     if law is IdentityLaw.BRUCK_INVERSE:
+        if domain is not None:      # a product may leave the domain, not the carrier
+            inv = two_sided_inverses(m)
         for x in dom:
             for y in dom:
                 p = t[x][y]

@@ -3,11 +3,13 @@
 Two carriers realize <S u I>: the tagged doubling {x, xI} of an arbitrary
 base magma, and residue carriers over Z_n built from elements a + bI with
 I^2 = I, so (a+bI)(c+dI) = ac + (ad+bc+bd)I mod n.  The line carrier keeps
-only reals and pure I-multiples, identifying 0I with 0.
+only reals and pure I-multiples, identifying 0I with 0.  The tables are
+built row by row as bytes from translate maps, as in constructors.py.
 """
 
 from __future__ import annotations
 
+from .constructors import _multiples, _rotations
 from .magma import (FiniteMagma, ParameterError, PreconditionError, Subset,
                     SubsetPredicate, PREDICATE_REGISTRY, _close, classify_basic,
                     is_closed, is_ideal, local_identity, require_order,
@@ -19,14 +21,10 @@ def extend_tagged(base: FiniteMagma) -> FiniteMagma:
     and any product with a tagged operand is the base product, tagged."""
     k = base.order
     require_order(2 * k, f"tagged({base.kind_tag})")
-    table = [[0] * (2 * k) for _ in range(2 * k)]
-    for x in range(k):
-        for y in range(k):
-            v = base.table[x][y]
-            table[x][y] = v
-            table[x][y + k] = v + k
-            table[x + k][y] = v + k
-            table[x + k][y + k] = v + k
+    tag = bytes(range(k, 2 * k)).ljust(256)     # the map x -> xI
+    rows = [bytes(row) for row in base.table]
+    table = [row + row.translate(tag) for row in rows]
+    table += [row.translate(tag) * 2 for row in rows]
     labels = list(base.labels) + [l + "I" for l in base.labels]
     mask = [False] * k + [True] * k
     e = base.identity
@@ -61,20 +59,40 @@ def _residue_carrier(elems, table, kind_tag: str) -> FiniteMagma:
         kind_tag=kind_tag)
 
 
-def _multiplicative_carrier(n: int, elems, kind_tag: str) -> FiniteMagma:
-    """The carrier on elems, closed under (a+bI)(c+dI) = ac + (ad+bc+bd)I mod n.
-    Each cell is the pair formula looked up in a dict, with no call per cell."""
-    index = {r: i for i, r in enumerate(elems)}
-    table = [[index[a * c % n, (a * d + b * (c + d)) % n] for c, d in elems]
-             for a, b in elems]
-    return _residue_carrier(elems, table, kind_tag)
+def _shifts(n: int) -> list:
+    """shift[j][r] is the map v -> n*j + (v + r mod n): it sends the I-part v
+    of a product, plus r, to the index of j + (v + r)I in the full carrier,
+    where a + bI is element n*a + b."""
+    return [[r.ljust(256) for r in _rotations(bytes(range(n * j, n * j + n)))]
+            for j in range(n)]
 
 
 def zn_full_neutro(n: int) -> FiniteMagma:
-    """The full multiplicative carrier {a + bI : a, b in Z_n} of order n^2."""
+    """The full multiplicative carrier {a + bI : a, b in Z_n} of order n^2.
+
+    Row a+bI is, for each c, the block d -> (ac, (a + b)d + bc): the
+    multiples of a + b through shift[ac][bc]."""
     tag = f"zn_full_neutro({n})"
     _residue_check(n, lambda n: n * n, tag)
-    return _multiplicative_carrier(n, [(a, b) for a in range(n) for b in range(n)], tag)
+    M = [_multiples(n, s) for s in range(n)]
+    shift = _shifts(n)
+    table = [b"".join([M[(a + b) % n].translate(shift[j][r]) for j, r in zip(M[a], M[b])])
+             for a in range(n) for b in range(n)]
+    return _residue_carrier([(a, b) for a in range(n) for b in range(n)], table, tag)
+
+
+def _line_carrier(n: int, a0: int, tag: str) -> FiniteMagma:
+    """The carrier {a0, ..., n-1, I, 2I, ..., (n-1)I}, closed under the
+    residue product: a real a times c + dI is ac + adI and bI times it is
+    b(c + d)I, so each row is two runs of multiples of a or b, sent to the
+    index of their real or I-multiple element (0I is 0 when a0 = 0)."""
+    M = [_multiples(n, s) for s in range(n)]
+    real = (bytes(a0) + bytes(range(n - a0))).ljust(256)
+    imag = (b"\0" + bytes(range(n - a0, 2 * n - a0 - 1))).ljust(256)
+    table = [M[a][a0:].translate(real) + M[a][1:].translate(imag) for a in range(a0, n)]
+    table += [(M[b][a0:] + M[b][1:]).translate(imag) for b in range(1, n)]
+    elems = [(a, 0) for a in range(a0, n)] + [(0, b) for b in range(1, n)]
+    return _residue_carrier(elems, table, tag)
 
 
 def zn_line_neutro(n: int) -> FiniteMagma:
@@ -82,8 +100,7 @@ def zn_line_neutro(n: int) -> FiniteMagma:
     identification 0I = 0 keeps it closed under the residue product."""
     tag = f"zn_line_neutro({n})"
     _residue_check(n, lambda n: 2 * n - 1, tag)
-    elems = [(a, 0) for a in range(n)] + [(0, b) for b in range(1, n)]
-    return _multiplicative_carrier(n, elems, tag)
+    return _line_carrier(n, 0, tag)
 
 
 def zn_units_neutro(n: int) -> FiniteMagma:
@@ -93,22 +110,23 @@ def zn_units_neutro(n: int) -> FiniteMagma:
     for d in range(2, n):
         if n % d == 0:
             raise ParameterError(f"zero-free carrier needs a prime modulus, got {n}")
-    elems = [(a, 0) for a in range(1, n)] + [(0, b) for b in range(1, n)]
-    return _multiplicative_carrier(n, elems, tag)
+    return _line_carrier(n, 1, tag)
 
 
 def zn_affine_neutro(n: int, t: int, u: int) -> FiniteMagma:
-    """The groupoid (a+bI) * (c+dI) = t(a+bI) + u(c+dI) on the full carrier,
-    each cell the pair formula looked up in a dict, with no call per cell."""
+    """The groupoid (a+bI) * (c+dI) = t(a+bI) + u(c+dI) on the full carrier.
+
+    Row a+bI is, for each c, the block d -> (ta + uc, tb + ud): the multiples
+    of u through shift[ta + uc][tb]."""
     tag = f"zn_affine_neutro({n},{t},{u})"
     _residue_check(n, lambda n: n * n, tag)
     if not all(type(c) is int and 0 <= c < n for c in (t, u)):
         raise ParameterError(f"{tag} needs integers t, u in [0,{n})")
-    elems = [(a, b) for a in range(n) for b in range(n)]
-    index = {r: i for i, r in enumerate(elems)}
-    table = [[index[(t * a + u * c) % n, (t * b + u * d) % n] for c, d in elems]
-             for a, b in elems]
-    return _residue_carrier(elems, table, tag)
+    mt, mu = _multiples(n, t), _multiples(n, u)
+    shift = _shifts(n)
+    table = [b"".join([mu.translate(shift[(ta + uc) % n][tb]) for uc in mu])
+             for ta in mt for tb in mt]
+    return _residue_carrier([(a, b) for a in range(n) for b in range(n)], table, tag)
 
 
 # ---------------------------------------------------------------------------

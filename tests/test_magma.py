@@ -47,6 +47,26 @@ def test_construction_validation():
             nm.magma_from_dict(bad)
 
 
+def test_bytes_rows():
+    # a bytes row holds ints in [0,256) already, so only its length and
+    # largest entry are checked; the table stored is the one list rows give
+    rows = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    m = nm.FiniteMagma([bytes(r) for r in rows])
+    assert m.table == nm.FiniteMagma(rows).table == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    assert m.identity == 0
+    with pytest.raises(nm.ParameterError) as err:
+        nm.FiniteMagma([b"\x00\x01\x07"] * 3)
+    assert str(err.value) == "table entry 7 is not an index in [0,3)"
+    with pytest.raises(nm.ParameterError, match="table is not square"):
+        nm.FiniteMagma([b"\x00\x01\x02", b"\x00\x01", b"\x00\x01\x02"])
+    with pytest.raises(nm.ParameterError, match="table is not square"):
+        nm.FiniteMagma([b"\x00\x01\x02\x00"] * 3)
+    # list rows keep their per-cell type checks
+    for bad, name in ((True, "True"), (1.0, "1.0"), (False, "False"), (0.0, "0.0")):
+        with pytest.raises(nm.ParameterError, match=f"table entry {name} is not an index"):
+            nm.FiniteMagma([[0, 1], [1, bad]])
+
+
 def test_order_cap():
     m = nm.cyclic(nm.magma.MAX_ORDER)
     for law in Law:
@@ -151,6 +171,32 @@ def test_wip_requires_inverses():
 
 def test_bruck_alternate_reading():
     assert not nm.check_identity_law(nm.ln(7, 3), Law.BRUCK_IDENTITY).holds
+
+
+def test_bruck_inverse_takes_a_products_inverse_in_the_carrier():
+    # products of domain members are taken in m, and so are their inverses:
+    # g^3 and g^2 below have inverses in cyclic(6), outside the domain
+    m = nm.cyclic(6)
+    for members in ([1, 2], [1], [0, 1, 5]):
+        assert nm.check_identity_law(m, Law.BRUCK_INVERSE, domain=m.subset(members)) == \
+            nm.LawResult(True, None)
+    # against the definition (xy)^-1 = x^-1 y^-1 over seeded domains
+    rng = random.Random(5)
+    for m in (nm.symmetric_group(3), nm.dihedral(4), nm.ln(7, 3), nm.cyclic(5)):
+        t, e = m.table, m.identity
+        inv = {x: next(y for y in range(m.order) if t[x][y] == e == t[y][x])
+               for x in range(m.order)}
+        for _ in range(20):
+            dom = sorted(rng.sample(range(m.order), rng.randint(1, m.order)))
+            fails = [(x, y) for x in dom for y in dom if inv[t[x][y]] != t[inv[x]][inv[y]]]
+            assert nm.check_identity_law(m, Law.BRUCK_INVERSE, domain=nm.Subset(m, dom)) == \
+                nm.LawResult(not fails, fails[0] if fails else None)
+    # the domain's own members still need inverses
+    z = nm.zmod_mult(6)
+    with pytest.raises(nm.PreconditionError, match="element 2 has no two-sided inverse"):
+        nm.check_identity_law(z, Law.BRUCK_INVERSE, domain=z.subset([1, 2]))
+    with pytest.raises(nm.PreconditionError, match="element 0 has no two-sided inverse"):
+        nm.check_identity_law(z, Law.BRUCK_INVERSE, domain=z.subset([5, 0]))
 
 
 def test_lazy_caches_under_threads():
