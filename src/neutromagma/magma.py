@@ -43,15 +43,17 @@ class FiniteMagma:
     """Immutable Cayley table over an indexed, labeled universe.
 
     table[x][y] is the index of x*y; rows may be given as sequences of ints
-    or as bytes, and are stored as tuples of ints.  `identity` is the
-    two-sided identity index found from the table, or None.  `neutro_mask[i]`
-    marks elements carrying an indeterminate component; `neutro_identity` is
-    the designated element playing the role of I (eI in tagged extensions,
-    0+1I in residue carriers).
+    or as bytes.  Each row is checked once and kept as bytes, which the
+    identity-law scans and the Latin test read; `table` holds the same rows as
+    tuples of ints.  `identity` is the two-sided identity index found from
+    the table, or None.  `neutro_mask[i]` marks elements carrying an
+    indeterminate component; `neutro_identity` is the designated element
+    playing the role of I (eI in tagged extensions, 0+1I in residue
+    carriers).
     """
 
     __slots__ = ("order", "table", "labels", "identity", "neutro_mask",
-                 "neutro_identity", "kind_tag", "_label_index",
+                 "neutro_identity", "kind_tag", "_rows", "_label_index",
                  "_divs", "_maps", "_basic", "_subset_cache", "_real_groups")
 
     # Lazy caches are filled by one assignment of a complete value, so a
@@ -59,25 +61,44 @@ class FiniteMagma:
 
     def __init__(self, table, labels=None, neutro_mask=None,
                  neutro_identity=None, kind_tag=""):
+        if not isinstance(table, Sequence):
+            raise ParameterError(f"table {table!r} is not a sequence of rows")
         k = len(table)
         if k == 0:
             raise ParameterError("empty table")
         require_order(k, f"a table of order {k}")
         self.order = k
-        self.table = tuple(tuple(row) for row in table)
-        # a bytes row holds ints in [0,256) already, so it needs only a range
-        # check: deleting every index in [0,k) from it leaves nothing
+        # a row is kept as bytes once it holds ints alone (no bools) in [0,k):
+        # bytes() refuses ints only outside [0,256), and then deleting every
+        # index in [0,k) from the bytes must leave nothing
         indices = bytes(range(k))
-        for given, row in zip(table, self.table):
+        rows, cells = [], []
+        for row in table:
+            if type(row) is bytes:
+                cells.append(tuple(row))
+            else:
+                try:
+                    row = tuple(row)
+                except TypeError:
+                    raise ParameterError(f"table row {row!r} is not a sequence of indices") from None
+                cells.append(row)
+                if {int}.issuperset(map(type, row)):
+                    try:
+                        row = bytes(row)
+                    except ValueError:      # an entry outside [0,256), named below
+                        pass
             if len(row) != k:
                 raise ParameterError("table is not square")
-            if type(given) is bytes and not given.translate(None, indices):
-                continue
-            for v in row:
-                if type(v) is not int or not 0 <= v < k:
-                    raise ParameterError(f"table entry {v!r} is not an index in [0,{k})")
+            if type(row) is not bytes or row.translate(None, indices):
+                v = next(v for v in row if type(v) is not int or not 0 <= v < k)
+                raise ParameterError(f"table entry {v!r} is not an index in [0,{k})")
+            rows.append(row)
+        self._rows = rows
+        self.table = tuple(cells)
         if labels is None:
             labels = [str(i) for i in range(k)]
+        elif not isinstance(labels, Iterable):
+            raise ParameterError(f"labels {labels!r} are not an iterable")
         self.labels = tuple(str(l) for l in labels)
         if len(self.labels) != k:
             raise ParameterError("label count does not match order")
@@ -86,6 +107,8 @@ class FiniteMagma:
         self.identity = _find_identity(self.table, range(k))
         if neutro_mask is None:
             neutro_mask = [False] * k
+        elif not isinstance(neutro_mask, Iterable):
+            raise ParameterError(f"neutro_mask {neutro_mask!r} is not an iterable")
         self.neutro_mask = tuple(neutro_mask)
         if len(self.neutro_mask) != k:
             raise ParameterError("neutro_mask length does not match order")
@@ -102,7 +125,7 @@ class FiniteMagma:
         self.kind_tag = kind_tag
         self._label_index = {l: i for i, l in enumerate(self.labels)}
         self._divs = None         # (rows, columns): each one's inverse permutation, or None
-        self._maps = None         # (row maps, column maps) for the law scan
+        self._maps = None         # (row maps, column maps) for the law scans
         self._basic = None        # the BasicReport of classify_basic
         # pure memo: "closed" -> the closed-subset lattice; (SubsetPredicate,
         # include_full) -> the member tuples that species keeps.  Tuples, not
@@ -312,7 +335,8 @@ class LawResult(NamedTuple):
 # law -> (arity, sides): sides(t, R, C, V)(*outer) gives both sides of the law
 # as byte vectors over V, the domain as bytes, for the innermost variable;
 # outer holds the other variables (none, x, or x and y).  R[a] and C[b] are
-# the bytes.translate maps v -> a*v and v -> v*b of the carrier.
+# the bytes.translate maps v -> a*v and v -> v*b of the carrier.  The right
+# alternative law, whose vectors run over x, has its own scan.
 _LAWS = {
     # (xy)z = x(yz)
     IdentityLaw.ASSOCIATIVE: (3, lambda t, R, C, V: lambda x, y: (
@@ -346,10 +370,6 @@ _LAWS = {
     # (xx)y = x(xy)
     IdentityLaw.LEFT_ALTERNATIVE: (2, lambda t, R, C, V: lambda x: (
         V.translate(R[t[x][x]]), V.translate(R[x]).translate(R[x]))),
-    # (xy)y = x(yy)
-    IdentityLaw.RIGHT_ALTERNATIVE: (2, lambda t, R, C, V: lambda x: (
-        bytes(t[a][v] for a, v in zip(V.translate(R[x]), V)),
-        bytes(t[v][v] for v in V).translate(R[x]))),
     # (xy)x = x(yx)
     IdentityLaw.P_GROUPOID: (2, lambda t, R, C, V: lambda x: (
         V.translate(R[x]).translate(C[x]), V.translate(C[x]).translate(R[x]))),
@@ -366,26 +386,53 @@ _BRACKETING_LAWS = frozenset(IdentityLaw[name] for name in (
 
 def _byte_maps(m: FiniteMagma) -> tuple:
     """(R, C): R[a] and C[b] are the bytes.translate maps v -> a*v and
-    v -> v*b of the carrier, built once per carrier."""
+    v -> v*b of the carrier, built once per carrier from its bytes rows:
+    column b is every k-th byte of the joined rows from b on."""
     if m._maps is None:
-        pad = bytes(256 - m.order)    # bytes past the order are never looked up
-        m._maps = ([bytes(row) + pad for row in m.table],
-                   [bytes(col) + pad for col in zip(*m.table)])
+        k = m.order
+        pad = bytes(256 - k)    # bytes past the order are never looked up
+        cells = b"".join(m._rows)
+        m._maps = ([row + pad for row in m._rows],
+                   [cells[b::k] + pad for b in range(k)])
     return m._maps
+
+
+def _mismatch(a: bytes, b: bytes) -> int:
+    """The first index at which two unequal byte vectors differ."""
+    return next(i for i, (u, v) in enumerate(zip(a, b)) if u != v)
 
 
 def _law_failure(m: FiniteMagma, law: IdentityLaw, dom) -> Optional[tuple]:
     """First tuple over dom (a tuple or range) in lexicographic order at which
     an equational law fails, or None when it holds on dom."""
+    if law is IdentityLaw.RIGHT_ALTERNATIVE:
+        return _right_alternative_failure(m, dom)
     arity, sides = _LAWS[law]
     R, C = _byte_maps(m)
     at = sides(m.table, R, C, bytes(dom))
     for outer in product(dom, repeat=arity - 1):
         lhs, rhs = at(*outer)
         if lhs != rhs:
-            i = next(i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
-            return outer + (dom[i],)
+            return outer + (dom[_mismatch(lhs, rhs)],)
     return None
+
+
+def _right_alternative_failure(m: FiniteMagma, dom) -> Optional[tuple]:
+    """First (x, y) over dom in lexicographic order with (xy)y != x(yy), or
+    None.  For each y both sides are vectors over x: the least failing x
+    over all y wins, so each y scans only the x before the best one yet."""
+    t = m.table
+    R, C = _byte_maps(m)
+    V = bytes(dom)
+    witness = None
+    for y in dom:
+        cy = C[y]
+        lhs, rhs = V.translate(cy).translate(cy), V.translate(C[t[y][y]])
+        if lhs != rhs:
+            i = _mismatch(lhs, rhs)
+            V = V[:i]
+            witness = (dom[i], y)
+    return witness
 
 
 def _light_associative(m: FiniteMagma, dom) -> bool:
@@ -431,28 +478,73 @@ def two_sided_inverses(m: FiniteMagma, domain=None) -> dict:
         raise PreconditionError("no identity element; inverses undefined")
     e = m.identity
     dom = range(m.order) if domain is None else _require_indices(m, domain, "domain member")
-    t = m.table
+    rows = m._rows
     inv = {}
     for x in dom:
-        row = t[x]
-        try:        # the first y with xy = e that has yx = e too
-            y = row.index(e)
-            while t[y][x] != e:
-                y = row.index(e, y + 1)
-        except ValueError:
-            continue
-        inv[x] = y
+        row = rows[x]
+        y = row.find(e)     # the first y with xy = e that has yx = e too
+        while y >= 0 and rows[y][x] != e:
+            y = row.find(e, y + 1)
+        if y >= 0:
+            inv[x] = y
     return inv
 
 
 def _all_inverses(m: FiniteMagma, dom) -> dict:
-    """two_sided_inverses on dom; PreconditionError naming the first element
-    of dom without one."""
-    inv = two_sided_inverses(m, dom)
+    """two_sided_inverses of the whole carrier; PreconditionError naming the
+    first element of dom without one."""
+    inv = two_sided_inverses(m)
     for x in dom:
         if x not in inv:
             raise PreconditionError(f"element {m.labels[x]} has no two-sided inverse")
     return inv
+
+
+def _bruck_inverse(m: FiniteMagma, dom, inv: dict) -> LawResult:
+    """(xy)^-1 = x^-1 y^-1 over dom, with inv the inverses of the carrier, as
+    a product may leave the domain.  Both sides are vectors over y for each
+    x, read through the inverse map as a translate table.  The first pair in
+    lexicographic order decides: a failing pair answers, and a pair whose
+    product has no inverse raises PreconditionError."""
+    R = _byte_maps(m)[0]
+    V = bytes(dom)
+    invert = bytearray(256)                 # v -> v^-1
+    lacking = bytearray(b"\1" * 256)        # v -> 1 when v has no inverse
+    for v, w in inv.items():
+        invert[v], lacking[v] = w, 0
+    inverses = V.translate(invert)
+    for x in dom:
+        products = V.translate(R[x])
+        j = products.translate(lacking).find(1)
+        end = len(V) if j < 0 else j
+        lhs = products[:end].translate(invert)
+        rhs = inverses[:end].translate(R[inv[x]])
+        if lhs != rhs:
+            return LawResult(False, (x, dom[_mismatch(lhs, rhs)]))
+        if j >= 0:
+            raise PreconditionError(f"element {m.labels[products[j]]} has no two-sided inverse")
+    return LawResult(True, None)
+
+
+def _wip(m: FiniteMagma, dom) -> LawResult:
+    """The weak inverse property (xy)z = e => x(yz) = e over dom: for each
+    (x, y), bytes.find looks for e among the products (xy)z, and x(yz) is
+    compared at those z alone."""
+    t, e = m.table, m.identity
+    R = _byte_maps(m)[0]
+    V = bytes(dom)
+    for x in dom:
+        tx = t[x]
+        for y in dom:
+            ty = t[y]
+            xyz = V.translate(R[tx[y]])
+            i = xyz.find(e)
+            while i >= 0:
+                z = dom[i]
+                if tx[ty[z]] != e:
+                    return LawResult(False, (x, y, z))
+                i = xyz.find(e, i + 1)
+    return LawResult(True, None)
 
 
 def check_identity_law(m: FiniteMagma, law: IdentityLaw,
@@ -464,7 +556,6 @@ def check_identity_law(m: FiniteMagma, law: IdentityLaw,
     and two-sided inverses on the domain.  On a semigroup the bracketing laws
     hold without a scan.
     """
-    t = m.table
     if domain is not None:
         _require_subset(m, domain, "domain")
     dom = tuple(range(m.order)) if domain is None else tuple(domain.members)
@@ -472,26 +563,11 @@ def check_identity_law(m: FiniteMagma, law: IdentityLaw,
     if law in (IdentityLaw.BRUCK_INVERSE, IdentityLaw.WIP):
         inv = _all_inverses(m, dom)     # raises before the semigroup shortcut
     if law is IdentityLaw.BRUCK_INVERSE:
-        if domain is not None:      # a product may leave the domain, not the carrier
-            inv = two_sided_inverses(m)
-        for x in dom:
-            for y in dom:
-                p = t[x][y]
-                if p not in inv:
-                    raise PreconditionError(f"element {m.labels[p]} has no two-sided inverse")
-                if inv[p] != t[inv[x]][inv[y]]:
-                    return LawResult(False, (x, y))
-        return LawResult(True, None)
+        return _bruck_inverse(m, dom, inv)
     if law in _BRACKETING_LAWS and classify_basic(m).is_semigroup:
         return LawResult(True, None)
     if law is IdentityLaw.WIP:
-        e = m.identity
-        for x in dom:
-            for y in dom:
-                for z in dom:
-                    if t[t[x][y]][z] == e and t[x][t[y][z]] != e:
-                        return LawResult(False, (x, y, z))
-        return LawResult(True, None)
+        return _wip(m, dom)
 
     witness = _law_failure(m, law, dom)
     if witness is not None and law is IdentityLaw.P_GROUPOID:
@@ -501,22 +577,19 @@ def check_identity_law(m: FiniteMagma, law: IdentityLaw,
 
 def _is_latin(m: FiniteMagma, dom) -> bool:
     """Whether every row and column of m, restricted to dom, is a
-    permutation of dom.  Such a dom is closed: each product lies in dom."""
+    permutation of dom: it has |dom| entries, so it is one exactly when
+    deleting its entries from dom leaves nothing.  Such a dom is closed:
+    each product lies in dom."""
     R, C = _byte_maps(m)
     V = bytes(dom)
-    want = set(V)
-    return all(set(V.translate(R[x])) == want and set(V.translate(C[x])) == want
-               for x in dom)
+    return not any(V.translate(None, V.translate(R[x])) or V.translate(None, V.translate(C[x]))
+                   for x in dom)
 
 
 def latin_square_check(m: FiniteMagma) -> bool:
     """Whether every row and column of the table is a permutation of the
-    carrier: its entries lie in the carrier, so k distinct ones suffice.
-    On whole carriers this pass measured faster than _is_latin, which
-    compares each translated row with the domain as a set."""
-    k = m.order
-    return (all(len(set(row)) == k for row in m.table)
-            and all(len(set(col)) == k for col in zip(*m.table)))
+    carrier: _is_latin on the whole carrier."""
+    return _is_latin(m, range(m.order))
 
 
 class BasicReport(NamedTuple):

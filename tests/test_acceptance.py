@@ -323,7 +323,7 @@ def test_criterion_11_oracle_equivalence():
     oracle.test_enumerate_against_powerset_scan()
     oracle.test_ideals_against_definition()
     oracle.test_laws_against_triple_loops()
-    oracle.test_wip_against_definition()
+    oracle.test_inverse_laws_against_definition()
     oracle.test_normality_against_definition()
     elapsed = time.time() - t0
     _report(11, f"oracle equivalence ({elapsed:.1f}s)", elapsed <= 30)

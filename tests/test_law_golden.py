@@ -15,8 +15,9 @@ import neutromagma as nm
 GOLDEN = Path(__file__).parent / "data" / "laws.json"
 SEED = 20061018
 
-# the carriers of the benchmark's tables workload and the order-64 affine
-# groupoid of the corpus
+# the carriers of the benchmark's tables workload, the order-64 affine
+# groupoid of the corpus, then loops and semigroups of order MAX_ORDER;
+# append new carriers at the end, so the seeded domains before them stay put
 CARRIERS = [
     ("zmod_mult(120)", lambda: nm.zmod_mult(120)),
     ("cyclic(96)", lambda: nm.cyclic(96)),
@@ -32,6 +33,10 @@ CARRIERS = [
     ("ln(63,62)", lambda: nm.ln(63, 62)),
     ("tagged(ln(31,2))", lambda: nm.extend_tagged(nm.ln(31, 2))),
     ("zn_affine_neutro(8,3,5)", lambda: nm.zn_affine_neutro(8, 3, 5)),
+    ("ln(255,2)", lambda: nm.ln(255, 2)),
+    ("ln(255,254)", lambda: nm.ln(255, 254)),
+    ("cyclic(256)", lambda: nm.cyclic(256)),
+    ("zmod_mult(256)", lambda: nm.zmod_mult(256)),
 ]
 
 

@@ -67,6 +67,18 @@ def test_bytes_rows():
             nm.FiniteMagma([[0, 1], [1, bad]])
 
 
+@pytest.mark.parametrize("args, match", [
+    (([5],), "table row 5 is not a sequence"),
+    ((None,), "table None is not a sequence of rows"),
+    (([[0]], 5), "labels 5 are not an iterable"),
+    (([[0]], None, 5), "neutro_mask 5 is not an iterable"),
+], ids=["int-row", "no-table", "int-labels", "int-mask"])
+def test_construction_arguments_of_the_wrong_type(args, match):
+    # each once raised a raw TypeError
+    with pytest.raises(nm.ParameterError, match=match):
+        nm.FiniteMagma(*args)
+
+
 def test_order_cap():
     m = nm.cyclic(nm.magma.MAX_ORDER)
     for law in Law:

@@ -411,32 +411,97 @@ def test_laws_against_triple_loops():
                     (table, law, dom)
 
 
-def oracle_wip(m):
-    """The first (x, y, z) in lexicographic order with (xy)z = e and
-    x(yz) != e, or None."""
+def oracle_inverse(m, x):
+    """The first y with xy = yx = e, or None."""
     e, t = m.identity, m.table
-    for x, y, z in product(range(m.order), repeat=3):
-        if t[t[x][y]][z] == e and t[x][t[y][z]] != e:
-            return (x, y, z)
-    return None
+    return next((y for y in range(m.order) if t[x][y] == e and t[y][x] == e), None)
 
 
-def test_wip_against_definition():
-    # the random pool rarely has full inverses; the family loops and the
-    # groups always do
+def oracle_inverse_law(m, law, dom):
+    """(holds, first witness in lexicographic order) of WIP or BRUCK_INVERSE
+    over dom, on a carrier with an identity, or the message of the
+    PreconditionError: a domain member
+    without an inverse, or for BRUCK_INVERSE the first pair whose product
+    has none, unless an earlier pair fails the law."""
+    e, t = m.identity, m.table
+    inv = {x: oracle_inverse(m, x) for x in range(m.order)}
+    for x in dom:
+        if inv[x] is None:
+            return f"element {m.labels[x]} has no two-sided inverse"
+    if law is Law.WIP:
+        for x, y, z in product(dom, repeat=3):
+            if t[t[x][y]][z] == e and t[x][t[y][z]] != e:
+                return False, (x, y, z)
+        return True, None
+    for x, y in product(dom, repeat=2):
+        p = t[x][y]
+        if inv[p] is None:
+            return f"element {m.labels[p]} has no two-sided inverse"
+        if inv[p] != t[inv[x]][inv[y]]:
+            return False, (x, y)
+    return True, None
+
+
+def inverse_law_answer(m, law, domain):
+    try:
+        got = nm.check_identity_law(m, law, domain=domain)
+    except nm.PreconditionError as exc:
+        return str(exc)
+    return got.holds, got.witness
+
+
+def identity_tables(rng):
+    """Random tables with identity 0, each other element given a chance of
+    a two-sided inverse, so products of invertible elements may have none."""
+    for _ in range(300):
+        k = rng.randint(2, 6)
+        t = [[x if y == 0 else y if x == 0 else rng.randrange(k) for y in range(k)]
+             for x in range(k)]
+        for x in range(1, k):
+            if rng.random() < 0.6:
+                y = rng.randrange(1, k)
+                t[x][y] = t[y][x] = 0
+        yield t
+
+
+def test_inverse_laws_against_definition():
+    # WIP and BRUCK_INVERSE, on the whole carrier and on a seeded domain:
+    # the law pool's carriers with an identity, family loops, relabelled
+    # groups, random loops and random tables with identity
     rng = random.Random(SEED + 17)
     groups = [nm.FiniteMagma(relabelled(g.table, rng))
               for g in (nm.symmetric_group(3), nm.dihedral(4))]
-    for m in MAGMAS + [nm.ln(5, 2), nm.ln(7, 3)] + groups:
-        if m.identity is None:
-            continue
-        if len(nm.two_sided_inverses(m)) != m.order:
-            with pytest.raises(nm.PreconditionError):
-                nm.check_identity_law(m, Law.WIP)
-            continue
-        want = oracle_wip(m)
-        got = nm.check_identity_law(m, Law.WIP)
-        assert (got.holds, got.witness) == (want is None, want), m.table
+    pool = [nm.FiniteMagma(t) for t in law_tables(random.Random(SEED + 13))]
+    pool = [m for m in pool if m.identity is not None]
+    pool += [nm.ln(5, 2), nm.ln(7, 3)] + groups
+    pool += [nm.FiniteMagma(random_loop_table(rng, rng.randint(2, 6))) for _ in range(100)]
+    pool += [nm.FiniteMagma(t) for t in identity_tables(rng)]
+    # 1 and 2 are their own inverses, 1*2 = 3 has none and (0, 1, 2) is no
+    # semigroup: (1*1)*2 = 2, 1*(1*2) = 3
+    pool.append(nm.FiniteMagma([[0, 1, 2, 3], [1, 0, 3, 3], [2, 3, 0, 3], [3, 3, 3, 3]]))
+    outcomes = dict.fromkeys(("holds", "fails", "fails first", "product", "domain member"), 0)
+    for m in pool:
+        invertible = [x for x in range(m.order) if oracle_inverse(m, x) is not None]
+        members = invertible if invertible and rng.random() < 0.7 else range(m.order)
+        sub = nm.Subset(m, rng.sample(members, rng.randint(1, len(members))))
+        for domain, dom in ((None, range(m.order)), (sub, sub.members)):
+            for law in (Law.WIP, Law.BRUCK_INVERSE):
+                want = oracle_inverse_law(m, law, dom)
+                assert inverse_law_answer(m, law, domain) == want, (m.table, law, dom)
+            outcomes[bruck_outcome(m, dom, want)] += 1
+    assert min(outcomes.values()) > 0, outcomes
+
+
+def bruck_outcome(m, dom, want):
+    """Which way the BRUCK_INVERSE answer want on dom was reached; "fails
+    first" when a later pair's product has no inverse."""
+    if type(want) is str:
+        return "domain member" if any(oracle_inverse(m, x) is None for x in dom) else "product"
+    if want[0]:
+        return "holds"
+    t = m.table
+    later = any(oracle_inverse(m, t[x][y]) is None for x, y in product(dom, repeat=2))
+    return "fails first" if later else "fails"
 
 
 def test_bracketing_laws_answered_from_associativity(monkeypatch):
