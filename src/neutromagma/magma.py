@@ -54,7 +54,8 @@ class FiniteMagma:
 
     __slots__ = ("order", "table", "labels", "identity", "neutro_mask",
                  "neutro_identity", "kind_tag", "_rows", "_label_index",
-                 "_divs", "_maps", "_basic", "_subset_cache", "_real_groups")
+                 "_divs", "_maps", "_basic", "_inverses", "_subset_cache",
+                 "_real_groups")
 
     # Lazy caches are filled by one assignment of a complete value, so a
     # thread that reads one sees either nothing or all of it.
@@ -127,6 +128,7 @@ class FiniteMagma:
         self._divs = None         # (rows, columns): each one's inverse permutation, or None
         self._maps = None         # (row maps, column maps) for the law scans
         self._basic = None        # the BasicReport of classify_basic
+        self._inverses = None     # x -> two-sided inverse, over the whole carrier
         # pure memo: "closed" -> the closed-subset lattice; (SubsetPredicate,
         # include_full) -> the member tuples that species keeps.  Tuples, not
         # Subsets, so the cache holds no reference back to this carrier.
@@ -472,28 +474,36 @@ def _light_associative(m: FiniteMagma, dom) -> bool:
     return True
 
 
-def two_sided_inverses(m: FiniteMagma, domain=None) -> dict:
-    """Map x -> inverse for every x in domain with a two-sided inverse."""
+def _inverse_map(m: FiniteMagma) -> dict:
+    """x -> its two-sided inverse for every x of the carrier that has one,
+    computed once per carrier; callers only read it."""
     if m.identity is None:
         raise PreconditionError("no identity element; inverses undefined")
-    e = m.identity
-    dom = range(m.order) if domain is None else _require_indices(m, domain, "domain member")
-    rows = m._rows
-    inv = {}
-    for x in dom:
-        row = rows[x]
-        y = row.find(e)     # the first y with xy = e that has yx = e too
-        while y >= 0 and rows[y][x] != e:
-            y = row.find(e, y + 1)
-        if y >= 0:
-            inv[x] = y
-    return inv
+    if m._inverses is None:
+        e, rows = m.identity, m._rows
+        inv = {}
+        for x, row in enumerate(rows):
+            y = row.find(e)     # the first y with xy = e that has yx = e too
+            while y >= 0 and rows[y][x] != e:
+                y = row.find(e, y + 1)
+            if y >= 0:
+                inv[x] = y
+        m._inverses = inv
+    return m._inverses
+
+
+def two_sided_inverses(m: FiniteMagma, domain=None) -> dict:
+    """Map x -> inverse for every x in domain with a two-sided inverse."""
+    inv = _inverse_map(m)
+    if domain is None:
+        return dict(inv)
+    return {x: inv[x] for x in _require_indices(m, domain, "domain member") if x in inv}
 
 
 def _all_inverses(m: FiniteMagma, dom) -> dict:
-    """two_sided_inverses of the whole carrier; PreconditionError naming the
-    first element of dom without one."""
-    inv = two_sided_inverses(m)
+    """_inverse_map of the carrier; PreconditionError naming the first
+    element of dom without an inverse."""
+    inv = _inverse_map(m)
     for x in dom:
         if x not in inv:
             raise PreconditionError(f"element {m.labels[x]} has no two-sided inverse")
@@ -610,7 +620,7 @@ def classify_basic(m: FiniteMagma) -> BasicReport:
     comm = _law_failure(m, IdentityLaw.COMMUTATIVE, range(m.order)) is None
     e = m.identity
     loop = e is not None and latin_square_check(m)
-    inverses = e is not None and len(two_sided_inverses(m)) == m.order
+    inverses = e is not None and len(_inverse_map(m)) == m.order
     m._basic = BasicReport(
         is_semigroup=assoc,
         is_commutative=comm,

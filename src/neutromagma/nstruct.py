@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
-from itertools import combinations, product
+from itertools import chain, combinations, product, repeat
 from math import prod
 from typing import NamedTuple, Optional
 
@@ -270,14 +270,51 @@ def _fulls(ns: NStructure):
 
 
 def _combinations(ns: NStructure, cands):
-    """NSubsets of the cartesian product of per-component candidate lists, in
-    product order, without the all-full combination (not a proper subset)
-    and the all-empty one."""
+    """The per-component member tuples of the cartesian product of candidate
+    lists, in product order, without the all-full combination (not a proper
+    subset) and the all-empty one.  A C pipeline: each exclusion is a filter,
+    added only when every list holds that combination's part."""
+    combos = product(*cands)
     fulls = _fulls(ns)
-    of = NSubset._of
-    for combo in product(*cands):
-        if combo != fulls and any(combo):
-            yield of(ns, combo)
+    if all(f in c for f, c in zip(fulls, cands)):
+        combos = filter(fulls.__ne__, combos)
+    if all(() in c for c in cands):
+        combos = filter(any, combos)
+    return combos
+
+
+class _NSubsets(Sequence):
+    """A read-only sequence of N-subsets of parent, held as their member
+    tuples; each NSubset is made when it is read."""
+
+    __slots__ = ("parent", "_parts")
+
+    def __init__(self, parent: NStructure, parts: list):
+        self.parent = parent
+        self._parts = parts
+
+    def __len__(self):
+        return len(self._parts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _NSubsets(self.parent, self._parts[i])
+        return NSubset._of(self.parent, self._parts[i])
+
+    def __iter__(self):
+        return map(NSubset._of, repeat(self.parent), self._parts)
+
+    def __eq__(self, other):
+        if isinstance(other, _NSubsets):
+            return other.parent is self.parent and other._parts == self._parts
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return repr(list(self))
 
 
 def check_combination_count(count: int):
@@ -289,19 +326,23 @@ def check_combination_count(count: int):
 
 
 def _combination_list(ns: NStructure, *products):
-    """The _combinations of each product of candidate lists, as one list,
-    refused before the first when the products together exceed the guard."""
-    check_combination_count(sum(prod(max(len(c), 1) for c in cands)
-                                for cands in products))
-    return [p for cands in products for p in _combinations(ns, cands)]
+    """The _combinations of each product of candidate lists, as one
+    _NSubsets, refused before the first when the products together exceed
+    the guard."""
+    check_combination_count(sum(prod(map(len, cands)) for cands in products))
+    return _NSubsets(ns, list(chain.from_iterable(
+        _combinations(ns, cands) for cands in products)))
 
 
 def enumerate_n_substructures(ns: NStructure, per_component_species,
                               require_nonempty_all: bool = True):
-    """Cartesian combinations of per-component substructures, as a list.
+    """Cartesian combinations of per-component substructures, in product
+    order, as a read-only sequence of NSubsets (not a list).
 
     Excludes the all-full combination (not a proper subset) and, when
-    require_nonempty_all is set, any combination with an empty component."""
+    require_nonempty_all is set, any combination with an empty component.
+    The sequence holds each combination's member tuples; an NSubset is made
+    for an item when it is read."""
     cands = _candidates(ns, per_component_species, require_nonempty_all)
     return _combination_list(ns, cands)
 
@@ -367,10 +408,10 @@ class _LagrangeWitnesses:
         return self._count
 
     def __iter__(self):
-        total = self._ns.order
-        for p in _combinations(self._ns, self._cands):
-            size = sum(map(len, p.per_component))
-            yield Witness(p, size, total % size == 0)
+        ns, of, total = self._ns, NSubset._of, self._ns.order
+        for p in _combinations(ns, self._cands):
+            size = sum(map(len, p))
+            yield Witness(of(ns, p), size, total % size == 0)
 
 
 def n_lagrange(ns: NStructure, per_component_species,
@@ -480,7 +521,10 @@ def tuple_sylow(ns: NStructure, primes, per_component_species,
 
 
 def deficit_substructures(ns: NStructure, t: int, per_component_species):
-    """N-subsets with exactly N - t non-empty components."""
+    """N-subsets with exactly N - t non-empty components, as a read-only
+    sequence of NSubsets (not a list) like enumerate_n_substructures: for
+    each choice of live components in itertools.combinations order, the
+    product of their candidates with () for every other component."""
     if not (1 <= t < ns.n):
         raise ParameterError(f"deficit t must satisfy 1 <= t < {ns.n}, got {t}")
     cands = _candidates(ns, per_component_species, True)

@@ -181,6 +181,29 @@ def test_wip_requires_inverses():
     assert nm.check_identity_law(t, Law.WIP, domain=dom).holds
 
 
+def test_two_sided_inverses_are_computed_once_and_copied_out():
+    # the whole-carrier map is kept per carrier for classify_basic and the
+    # WIP and BRUCK_INVERSE preconditions; the public call hands out copies
+    for m in (nm.zmod_mult(6), nm.ln(7, 3), nm.extend_tagged(nm.ln(5, 2))):
+        t, e = m.table, m.identity
+        want = {}
+        for x in range(m.order):
+            y = next((y for y in range(m.order) if t[x][y] == e == t[y][x]), None)
+            if y is not None:
+                want[x] = y
+        got = nm.two_sided_inverses(m)
+        assert got == want
+        got[0] = -1
+        got.clear()
+        assert nm.two_sided_inverses(m) == want
+        assert nm.classify_basic(m).inverses_exist is (len(want) == m.order)
+        dom = [m.order - 1, 0, 0, 2]
+        assert nm.two_sided_inverses(m, dom) == {x: want[x] for x in dom if x in want}
+        assert list(nm.two_sided_inverses(m, dom)) == [x for x in dict.fromkeys(dom) if x in want]
+    with pytest.raises(nm.PreconditionError, match="no identity"):
+        nm.two_sided_inverses(nm.zn(5, 2, 3), [7])
+
+
 def test_bruck_alternate_reading():
     assert not nm.check_identity_law(nm.ln(7, 3), Law.BRUCK_IDENTITY).holds
 

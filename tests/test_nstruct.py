@@ -564,3 +564,97 @@ def test_n_subset_is_produced_per_part(name, nonempty):
                 got = nm.n_subset_is_produced(ns, nm.NSubset(ns, parts), species,
                                               nonempty)
                 assert got == (part in want), (i, part)
+
+
+# ---------------------------------------------------------------------------
+# the combination lists: values and order against a filtered product
+
+def every_exclusion():
+    # every closed-subset list holds the full component, and with empty parts
+    # admitted every candidate list holds () too, so the all-full and the
+    # all-empty combinations both occur in the product
+    return nm.build_n_structure([nm.cyclic(4), nm.zmod_mult(6), nm.zn_line_neutro(4)],
+                                ["group", "semigroup", "neutrosophic-semigroup"])
+
+
+def check_sequence(result, want):
+    """result holds the N-subsets with the parts in want, in that order, and
+    reads as a read-only sequence of them."""
+    assert not isinstance(result, tuple)
+    items = list(result)
+    assert [p.per_component for p in items] == want
+    assert [p.per_component for p in result] == want           # a second iteration
+    assert len(result) == len(want)
+    assert result == items and items == result and result == list(result)
+    assert result != items[:-1] and result != items[1:] + items[:1]
+    parent = items[0].parent
+    assert all(p.parent is parent for p in items)
+    assert result[0] == items[0] and result[-1] == items[-1]
+    assert result[-len(want)] == items[0]
+    for sl in (slice(1, 4), slice(None, None, -1), slice(-3, None), slice(5, 2)):
+        part = result[sl]
+        assert type(part) is type(result)
+        assert list(part) == items[sl] and len(part) == len(items[sl])
+    assert result[:] == result and result[1:] != result
+    assert items[len(want) // 2] in result and items[-1] in result
+    with pytest.raises(IndexError):
+        result[len(want)]
+
+
+@pytest.mark.parametrize("nonempty", [True, False])
+def test_enumeration_order_against_product(nonempty):
+    ns = every_exclusion()
+    cands = [_component_candidates(c, C, allow_empty=not nonempty) for c in ns.components]
+    fulls = tuple(tuple(range(c.order)) for c in ns.components)
+    assert all(f in c for f, c in zip(fulls, cands))
+    assert all(() in c for c in cands) is not nonempty
+    want = [combo for combo in product(*cands) if combo != fulls and any(combo)]
+    assert fulls not in want and ((),) * ns.n not in want
+    result = nm.enumerate_n_substructures(ns, [C] * ns.n, nonempty)
+    check_sequence(result, want)
+    absent = nm.NSubset(ns, fulls)
+    assert absent not in result
+
+
+@pytest.mark.parametrize("name", ["biloop", "prime17", "every_exclusion"])
+def test_deficit_order_against_product(name):
+    # one filtered product per choice of live components, in the order of
+    # itertools.combinations
+    if name == "every_exclusion":
+        ns, species = every_exclusion(), [C] * 3
+    else:
+        ns, species = UNIONS[name]()
+    cands = [[()] + _component_candidates(c, sp, allow_empty=False)
+             for c, sp in zip(ns.components, species)]
+    for t in range(1, ns.n):
+        want = [combo for live in combinations(range(ns.n), ns.n - t)
+                for combo in product(*cands)
+                if {i for i, part in enumerate(combo) if part} == set(live)]
+        check_sequence(nm.deficit_substructures(ns, t, species), want)
+
+
+def test_combination_lists_of_one_structure_compare_by_value():
+    ns = every_exclusion()
+    a = nm.enumerate_n_substructures(ns, [C] * 3)
+    b = nm.enumerate_n_substructures(ns, [C] * 3)
+    assert a is not b and a == b and list(a) == list(b)
+    assert a != nm.enumerate_n_substructures(ns, [C] * 3, False)
+    assert a != nm.enumerate_n_substructures(every_exclusion(), [C] * 3)
+    assert a != tuple(a)
+    with pytest.raises(TypeError):
+        hash(a)
+
+
+def test_cap_counts_an_empty_candidate_list_as_no_combination(monkeypatch):
+    # a component with no candidates leaves no combination at all, so the
+    # guard has nothing to refuse
+    monkeypatch.setattr(nm.nstruct, "DEFAULT_COMBINATION_CAP", 6)
+    ns = nm.build_n_structure([nm.cyclic(4)] * 3, ["group"] * 3)
+    species = [lambda s: False, SP.IS_SUBGROUPOID, SP.IS_SUBGROUPOID]
+    assert nm.enumerate_n_substructures(ns, species) == []
+    # each cyclic(4) has 3 closed subsets; at t = 2 the choice of component 0
+    # alone is empty, so 0 + 3 + 3 = 6 N-subsets, at the guard
+    assert len(nm.deficit_substructures(ns, 2, species)) == 6
+    # at t = 1 the choice of components 1 and 2 alone has 9, past it
+    with pytest.raises(nm.ResourceLimitError, match="6 guard"):
+        nm.deficit_substructures(ns, 1, species)
