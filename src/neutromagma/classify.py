@@ -11,8 +11,8 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 from .constructors import factorize
-from .magma import (FiniteMagma, IdentityLaw, PreconditionError, Subset,
-                    SubsetPredicate, _close, _find_identity, _group_ground,
+from .magma import (FiniteMagma, IdentityLaw, ParameterError, PreconditionError,
+                    Subset, SubsetPredicate, _close, _find_identity, _group_ground,
                     _is_latin, _require_subset, check_identity_law,
                     classify_basic, cosets, element_orders,
                     enumerate_closed_subsets, is_closed)
@@ -100,6 +100,8 @@ class SDetection(NamedTuple):
 def detect_s_kind(m: FiniteMagma, kind: SKind) -> SDetection:
     """Search a carrier of the variant's presumed kind for its witness
     substructure; returns the lexicographically first witness."""
+    if not isinstance(kind, SKind):
+        raise ParameterError(f"kind {kind!r} is not an SKind")
     carrier, species = S_KINDS[kind]
     if CARRIER_KINDS[carrier](m):
         found = enumerate_closed_subsets(m, species)
@@ -263,6 +265,8 @@ def cauchy_classify(m: FiniteMagma, relative_to: Optional[Subset] = None) -> Cla
 def s_identity_class(m: FiniteMagma, law: IdentityLaw, species) -> Verdict3:
     """Quantify an identity law over species substructures (never over the
     whole carrier): the verdict_of whether each substructure satisfies it."""
+    if not isinstance(law, IdentityLaw):
+        raise ParameterError(f"law {law!r} is not an IdentityLaw")
     return verdict_of([check_identity_law(m, law, domain=s).holds
                        for s in enumerate_closed_subsets(m, species)])
 

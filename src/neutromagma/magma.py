@@ -291,15 +291,9 @@ def submagma(m: FiniteMagma, members: Iterable[int], kind_tag: str = "") -> Fini
     """The induced magma on a closed subset, reindexed; labels preserved."""
     mem = sorted(set(_require_indices(m, members, "submagma member")))
     pos = {v: i for i, v in enumerate(mem)}
-    table = []
-    for x in mem:
-        row = []
-        for y in mem:
-            v = m.table[x][y]
-            if v not in pos:
-                raise PreconditionError("subset is not closed; no induced magma")
-            row.append(pos[v])
-        table.append(row)
+    if any(m.table[x][y] not in pos for x in mem for y in mem):
+        raise PreconditionError("subset is not closed; no induced magma")
+    table = [[pos[m.table[x][y]] for y in mem] for x in mem]
     nid = m.neutro_identity
     return FiniteMagma(
         table,
@@ -334,56 +328,82 @@ class LawResult(NamedTuple):
     witness: Optional[tuple]   # first counterexample in lex order, or None
 
 
-# law -> (arity, sides): sides(t, R, C, V)(*outer) gives both sides of the law
-# as byte vectors over V, the domain as bytes, for the innermost variable;
-# outer holds the other variables (none, x, or x and y).  R[a] and C[b] are
-# the bytes.translate maps v -> a*v and v -> v*b of the carrier.  The right
-# alternative law, whose vectors run over x, has its own scan.
-_LAWS = {
-    # (xy)z = x(yz)
-    IdentityLaw.ASSOCIATIVE: (3, lambda t, R, C, V: lambda x, y: (
-        V.translate(R[t[x][y]]), V.translate(R[y]).translate(R[x]))),
-    # xy = yx
-    IdentityLaw.COMMUTATIVE: (2, lambda t, R, C, V: lambda x: (
-        V.translate(R[x]), V.translate(C[x]))),
-    # xx = x
-    IdentityLaw.IDEMPOTENT: (1, lambda t, R, C, V: lambda: (
-        bytes(t[v][v] for v in V), V)),
-    # (xy)(zx) = (x(yz))x
-    IdentityLaw.MOUFANG1: (3, lambda t, R, C, V: lambda x, y: (
-        V.translate(C[x]).translate(R[t[x][y]]),
-        V.translate(R[y]).translate(R[x]).translate(C[x]))),
-    # ((xy)z)y = x(y(zy))
-    IdentityLaw.MOUFANG2: (3, lambda t, R, C, V: lambda x, y: (
-        V.translate(R[t[x][y]]).translate(C[y]),
-        V.translate(C[y]).translate(R[y]).translate(R[x]))),
-    # x(y(xz)) = ((xy)x)z
-    IdentityLaw.MOUFANG3: (3, lambda t, R, C, V: lambda x, y: (
-        V.translate(R[x]).translate(R[y]).translate(R[x]),
-        V.translate(R[t[t[x][y]][x]]))),
-    # ((xy)z)y = x((yz)y)
-    IdentityLaw.BOL: (3, lambda t, R, C, V: lambda x, y: (
-        V.translate(R[t[x][y]]).translate(C[y]),
-        V.translate(R[y]).translate(C[y]).translate(R[x]))),
-    # (x(yx))z = x(y(xz))
-    IdentityLaw.BRUCK_IDENTITY: (3, lambda t, R, C, V: lambda x, y: (
-        V.translate(R[t[x][t[y][x]]]),
-        V.translate(R[x]).translate(R[y]).translate(R[x]))),
-    # (xx)y = x(xy)
-    IdentityLaw.LEFT_ALTERNATIVE: (2, lambda t, R, C, V: lambda x: (
-        V.translate(R[t[x][x]]), V.translate(R[x]).translate(R[x]))),
-    # (xy)x = x(yx)
-    IdentityLaw.P_GROUPOID: (2, lambda t, R, C, V: lambda x: (
-        V.translate(R[x]).translate(C[x]), V.translate(C[x]).translate(R[x]))),
+# The equational laws in the book's notation, each compiled once by _compile.
+_LAW_TEXTS = {
+    IdentityLaw.ASSOCIATIVE: "(xy)z = x(yz)",
+    IdentityLaw.COMMUTATIVE: "xy = yx",
+    IdentityLaw.IDEMPOTENT: "xx = x",
+    IdentityLaw.MOUFANG1: "(xy)(zx) = (x(yz))x",
+    IdentityLaw.MOUFANG2: "((xy)z)y = x(y(zy))",
+    IdentityLaw.MOUFANG3: "x(y(xz)) = ((xy)x)z",
+    IdentityLaw.BOL: "((xy)z)y = x((yz)y)",
+    IdentityLaw.BRUCK_IDENTITY: "(x(yx))z = x(y(xz))",
+    IdentityLaw.LEFT_ALTERNATIVE: "(xx)y = x(xy)",
+    IdentityLaw.RIGHT_ALTERNATIVE: "(xy)y = x(yy)",
+    IdentityLaw.P_GROUPOID: "(xy)x = x(yx)",
 }
 
 
+def _parse(text: str):
+    """A term, a letter a-z or two juxtaposed factors, as the letter or the pair."""
+    factors, depth = [], 0
+    for i, c in enumerate(text):
+        start = i if depth == 0 else start
+        depth += (c == "(") - (c == ")")
+        if depth == 0:          # c is a letter, or closes the bracket at start
+            factors.append(c if start == i else _parse(text[start + 1:i]))
+        elif depth < 0:
+            break
+    if depth or not 0 < len(factors) < 3 or not all(
+            type(f) is tuple or "a" <= f <= "z" for f in factors):
+        raise ParameterError(f"{text!r} is not a variable or a product of two factors")
+    return factors[0] if len(factors) == 1 else tuple(factors)
+
+
+def _word(term) -> str:
+    return term if type(term) is str else _word(term[0]) + _word(term[1])
+
+
+def _scalar(term) -> str:
+    return term if type(term) is str else f"T[{_scalar(term[0])}][{_scalar(term[1])}]"
+
+
+def _vector(term, v: str) -> str:
+    """Source of a term as a byte vector over V, the domain of v: with v once
+    in it, V carried up from the leaf v through R[a] at each a(...) and C[b]
+    at each (...)b on the way, else one product per element."""
+    if _word(term).count(v) != 1:
+        return f"bytes({_scalar(term)} for {v} in V)"
+    if term == v:
+        return "V"
+    a, b = term
+    if v in _word(a):
+        return f"{_vector(a, v)}.translate(C[{_scalar(b)}])"
+    return f"{_vector(b, v)}.translate(R[{_scalar(a)}])"
+
+
+def _compile(text: str) -> tuple:
+    """A law text as (sides, head, arity, bracketing).  A witness lists the
+    variables in order of first appearance.  The vector variable, at index
+    head, is the last one that occurs at most once on each side (the last one
+    if none does); sides(T, R, C, V)(*outer), with the arity other variables,
+    gives both sides as byte vectors over V, the domain of the vector
+    variable.  bracketing: both sides are one word of variables.  _parse
+    admits only letters and brackets, so eval sees no other name."""
+    lhs, rhs = map(_parse, text.replace(" ", "").partition("=")[::2])
+    words = _word(lhs), _word(rhs)
+    names = list(dict.fromkeys(words[0] + words[1]))
+    v = ([n for n in names if words[0].count(n) < 2 and words[1].count(n) < 2] or names)[-1]
+    outer = ", ".join(n for n in names if n != v)
+    source = f"lambda T, R, C, V: lambda {outer}: ({_vector(lhs, v)}, {_vector(rhs, v)})"
+    return eval(source, {}), names.index(v), len(names) - 1, words[0] == words[1]
+
+
+_LAWS = {law: _compile(text) for law, text in _LAW_TEXTS.items()}
+
 # Laws equating two bracketings of one word (WIP: (xy)z = e gives x(yz) = e): by
-# general associativity each holds on any domain of a semigroup.  Commutativity,
-# idempotence and the Bruck inverse law stay out: they fail in S3, Z2 and S3.
-_BRACKETING_LAWS = frozenset(IdentityLaw[name] for name in (
-    "ASSOCIATIVE", "MOUFANG1", "MOUFANG2", "MOUFANG3", "BOL", "BRUCK_IDENTITY", "WIP",
-    "LEFT_ALTERNATIVE", "RIGHT_ALTERNATIVE", "P_GROUPOID"))
+# general associativity each holds on any domain of a semigroup.
+_BRACKETING_LAWS = frozenset([IdentityLaw.WIP] + [law for law, c in _LAWS.items() if c[3]])
 
 
 def _byte_maps(m: FiniteMagma) -> tuple:
@@ -404,36 +424,25 @@ def _mismatch(a: bytes, b: bytes) -> int:
     return next(i for i, (u, v) in enumerate(zip(a, b)) if u != v)
 
 
-def _law_failure(m: FiniteMagma, law: IdentityLaw, dom) -> Optional[tuple]:
+def _law_failure(m: FiniteMagma, law, dom) -> Optional[tuple]:
     """First tuple over dom (a tuple or range) in lexicographic order at which
-    an equational law fails, or None when it holds on dom."""
-    if law is IdentityLaw.RIGHT_ALTERNATIVE:
-        return _right_alternative_failure(m, dom)
-    arity, sides = _LAWS[law]
-    R, C = _byte_maps(m)
-    at = sides(m.table, R, C, bytes(dom))
-    for outer in product(dom, repeat=arity - 1):
+    an IdentityLaw or a _compile result fails, or None.  The outer variables
+    run in product order; a failure at index i keeps only the vector's prefix
+    before i, until an outer variable before the vector variable moves on."""
+    sides, head, arity, _ = law if type(law) is tuple else _LAWS[law]
+    t, (R, C), V = m.table, _byte_maps(m), bytes(dom)
+    at = sides(t, R, C, V)
+    witness = None
+    for outer in product(dom, repeat=arity):
+        if witness and outer[:head] != witness[:head]:
+            return witness
         lhs, rhs = at(*outer)
         if lhs != rhs:
-            return outer + (dom[_mismatch(lhs, rhs)],)
-    return None
-
-
-def _right_alternative_failure(m: FiniteMagma, dom) -> Optional[tuple]:
-    """First (x, y) over dom in lexicographic order with (xy)y != x(yy), or
-    None.  For each y both sides are vectors over x: the least failing x
-    over all y wins, so each y scans only the x before the best one yet."""
-    t = m.table
-    R, C = _byte_maps(m)
-    V = bytes(dom)
-    witness = None
-    for y in dom:
-        cy = C[y]
-        lhs, rhs = V.translate(cy).translate(cy), V.translate(C[t[y][y]])
-        if lhs != rhs:
             i = _mismatch(lhs, rhs)
-            V = V[:i]
-            witness = (dom[i], y)
+            witness, V = outer[:head] + (dom[i],) + outer[head:], V[:i]
+            if head == arity:       # no variable after the vector one
+                return witness
+            at = sides(t, R, C, V)
     return witness
 
 
@@ -562,10 +571,14 @@ def check_identity_law(m: FiniteMagma, law: IdentityLaw,
     """Exhaustively quantify one identity law, returning the first counterexample.
 
     `domain` restricts the quantifiers (default: full universe); intermediate
-    products are always taken in m.  BRUCK_INVERSE and WIP require m.identity
-    and two-sided inverses on the domain.  On a semigroup the bracketing laws
-    hold without a scan.
+    products are always taken in m.  An equational law is scanned as its text
+    (_LAW_TEXTS) compiles, with the variables of a witness in order of first
+    appearance.  BRUCK_INVERSE and WIP require m.identity and two-sided
+    inverses on the domain.  On a semigroup the bracketing laws hold without
+    a scan.  A law that is not an IdentityLaw raises ParameterError.
     """
+    if not isinstance(law, IdentityLaw):
+        raise ParameterError(f"law {law!r} is not an IdentityLaw")
     if domain is not None:
         _require_subset(m, domain, "domain")
     dom = tuple(range(m.order)) if domain is None else tuple(domain.members)
@@ -944,14 +957,8 @@ def associator_subloop(m: FiniteMagma) -> Subset:
     """Closure of all associators w with (xy)z = (x(yz))*w."""
     _require_loop(m, "associator subloop")
     t = m.table
-    rng = range(m.order)
-    assoc = set()
-    for x in rng:
-        for y in rng:
-            for z in rng:
-                lhs = t[t[x][y]][z]
-                base = t[x][t[y][z]]
-                assoc.add(m.left_division(base, lhs))
+    assoc = {m.left_division(t[x][t[y][z]], t[t[x][y]][z])
+             for x, y, z in product(range(m.order), repeat=3)}
     return generated_closure(m, sorted(assoc))
 
 
@@ -959,11 +966,7 @@ def commutator_subloop(m: FiniteMagma) -> Subset:
     """Closure of all commutators c with xy = (yx)*c."""
     _require_loop(m, "commutator subloop")
     t = m.table
-    rng = range(m.order)
-    comms = set()
-    for x in rng:
-        for y in rng:
-            comms.add(m.left_division(t[y][x], t[x][y]))
+    comms = {m.left_division(t[y][x], t[x][y]) for x, y in product(range(m.order), repeat=2)}
     return generated_closure(m, sorted(comms))
 
 
@@ -1049,11 +1052,8 @@ def literal_xhy_normal(m: FiniteMagma, h: Subset) -> bool:
     _require_subset(m, h, "translate subset")
     t = m.table
     memset = frozenset(h.members)
-    for x in range(m.order):
-        for y in range(m.order):
-            if frozenset(t[t[x][v]][y] for v in h.members) != memset:
-                return False
-    return True
+    return all(frozenset(t[t[x][v]][y] for v in h.members) == memset
+               for x, y in product(range(m.order), repeat=2))
 
 
 def is_simple(m: FiniteMagma, mode: str = "subgroupoid") -> bool:
@@ -1113,11 +1113,7 @@ def conjugate_pair(m: FiniteMagma, x: int, y: int):
     _require_index(m, x, "element")
     _require_index(m, y, "element")
     t = m.table
-    for a in range(m.order):
-        ax = t[a][x]
-        for b in range(m.order):
-            if ax == t[y][b]:
-                return (a, b)
+    return next((a, b) for a, b in product(range(m.order), repeat=2) if t[a][x] == t[y][b])
 
 
 class ElementOrders(NamedTuple):

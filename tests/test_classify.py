@@ -172,6 +172,17 @@ def test_s_identity_class():
                                SP.IS_PSEUDO_NEUTROSOPHIC_SUBGROUP) == Verdict3.VACUOUS
 
 
+def test_law_or_kind_of_the_wrong_type_is_refused():
+    # named in a ParameterError, also when no species subset would be scanned
+    g = nm.symmetric_group(3)
+    for species in (SP.IS_GROUP, SP.IS_PSEUDO_NEUTROSOPHIC_SUBGROUP):
+        with pytest.raises(nm.ParameterError, match="'moufang1'"):
+            nm.s_identity_class(g, "moufang1", species)
+    for kind in ("s_loop", None):
+        with pytest.raises(nm.ParameterError, match=repr(kind)):
+            nm.detect_s_kind(g, kind)
+
+
 def test_s_hyper_and_simple():
     assert nm.s_hyper_and_simple(nm.zmod_mult(7)).s_simple
     rep = nm.s_hyper_and_simple(nm.symmetric_semigroup(3))

@@ -168,6 +168,12 @@ def test_right_alternative_unique():
     assert not nm.check_identity_law(nm.ln(5, 2), Law.LEFT_ALTERNATIVE).holds
 
 
+def test_law_that_is_not_an_identity_law_is_refused():
+    for law in ("associative", None, 3):
+        with pytest.raises(nm.ParameterError, match=repr(law)):
+            nm.check_identity_law(nm.cyclic(3), law)
+
+
 def test_wip_requires_inverses():
     with pytest.raises(nm.PreconditionError) as err:
         nm.check_identity_law(nm.zmod_mult(6), Law.WIP)

@@ -11,7 +11,7 @@ import pytest
 
 import neutromagma as nm
 from neutromagma import IdentityLaw as Law
-from neutromagma import corpus
+from neutromagma import corpus, magma
 
 SEED = 20060131
 N_MAGMAS = 50
@@ -409,6 +409,88 @@ def test_laws_against_triple_loops():
                 got = nm.check_identity_law(m, law, domain=domain)
                 assert (got.holds, got.witness) == (want is None, want), \
                     (table, law, dom)
+
+
+def text_term(text):
+    """One side of a law text as a nested pair of factors, by recursion on
+    its top-level factors, each a letter or a bracketed side."""
+    factors, i = [], 0
+    while i < len(text):
+        j = i + 1
+        if text[i] == "(":
+            depth = 1
+            while depth:
+                depth += {"(": 1, ")": -1}.get(text[j], 0)
+                j += 1
+            factors.append(text_term(text[i + 1:j - 1]))
+        else:
+            factors.append(text[i])
+        i = j
+    assert len(factors) in (1, 2), text
+    return factors[0] if len(factors) == 1 else tuple(factors)
+
+
+def text_value(term, t, env):
+    if type(term) is str:
+        return env[term]
+    return t[text_value(term[0], t, env)][text_value(term[1], t, env)]
+
+
+def oracle_text_law(m, text, dom):
+    """The first failing tuple over dom in lexicographic order, its
+    variables in order of first appearance in the text, or None."""
+    lhs, rhs = (text_term(side.strip()) for side in text.split("="))
+    names = list(dict.fromkeys(c for c in text if c.isalpha()))
+    for values in product(dom, repeat=len(names)):
+        env = dict(zip(names, values))
+        if text_value(lhs, m.table, env) != text_value(rhs, m.table, env):
+            return values
+    return None
+
+
+# four variables; the vector variable y in the middle (z occurs twice on each
+# side); no variable occurring at most once on each side
+OTHER_LAW_TEXTS = ["((xy)z)w = x(y(zw))", "(xy)(zz) = x(y(zz))", "(xx)(yy) = (yy)(xx)"]
+
+
+def test_law_texts_against_recursive_evaluator():
+    # the compiled scan of every law text against a recursive evaluation of
+    # the same text, over the whole carrier and over a half-size domain
+    laws = [(text, law) for law, text in magma._LAW_TEXTS.items()]
+    laws += [(text, magma._compile(text)) for text in OTHER_LAW_TEXTS]
+    assert len(laws) == 14
+    assert [magma._compile(text)[1:3] for text in OTHER_LAW_TEXTS] == [(3, 3), (1, 2), (1, 1)]
+    rng = random.Random(SEED + 19)
+    holds = dict.fromkeys((text for text, _ in laws), 0)
+    for i in range(300):
+        k = rng.randint(1, 7)
+        if i % 4 == 0:
+            table = relabelled([[(a + b) % k for b in range(k)] for a in range(k)], rng)
+        else:
+            table = [[rng.randrange(k) for _ in range(k)] for _ in range(k)]
+        m = nm.FiniteMagma(table)
+        half = tuple(sorted(rng.sample(range(k), (k + 1) // 2)))
+        for dom in (range(k), half):
+            for text, law in laws:
+                want = oracle_text_law(m, text, dom)
+                assert magma._law_failure(m, law, dom) == want, (table, text, dom)
+                holds[text] += want is None
+    # every law both holds and fails somewhere
+    assert all(0 < n < 600 for n in holds.values()), holds
+
+
+def test_malformed_law_texts_are_refused():
+    for text in ("xyz = x", "(xy = x", "x)(y = x", "xy", "x = y = z", "X = x",
+                 "() = x", "x(yz)) = x", "x+y = x"):
+        with pytest.raises(nm.ParameterError):
+            magma._compile(text)
+
+
+def test_bracketing_laws_derived_from_texts():
+    assert magma._BRACKETING_LAWS == {
+        Law.ASSOCIATIVE, Law.MOUFANG1, Law.MOUFANG2, Law.MOUFANG3, Law.BOL,
+        Law.BRUCK_IDENTITY, Law.WIP, Law.LEFT_ALTERNATIVE, Law.RIGHT_ALTERNATIVE,
+        Law.P_GROUPOID}
 
 
 def oracle_inverse(m, x):
