@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
-from itertools import chain, combinations, product, repeat
+from itertools import chain, combinations, islice, product, repeat
 from math import prod
+from operator import eq
 from typing import NamedTuple, Optional
 
 from .classify import (CARRIER_KINDS, ClassReport, SKind, Witness,
@@ -269,44 +270,87 @@ def _fulls(ns: NStructure):
     return tuple(tuple(range(c.order)) for c in ns.components)
 
 
+def _excluded(ns: NStructure, cands):
+    """The combinations of the product of candidate lists that no N-level
+    enumeration holds: the all-empty one and the all-full one (not a proper
+    subset), each where every list holds that combination's part."""
+    return [combo for combo in (((),) * ns.n, _fulls(ns))
+            if all(part in c for part, c in zip(combo, cands))]
+
+
+def _rank(cands, combo):
+    """combo's rank in the product of cands: the mixed-radix number whose
+    digits are its parts' indices in their lists."""
+    rank = 0
+    for part, c in zip(combo, cands):
+        rank = rank * len(c) + c.index(part)
+    return rank
+
+
 def _combinations(ns: NStructure, cands):
     """The per-component member tuples of the cartesian product of candidate
-    lists, in product order, without the all-full combination (not a proper
-    subset) and the all-empty one.  A C pipeline: each exclusion is a filter,
-    added only when every list holds that combination's part."""
+    lists, in product order, without the _excluded combinations.  A C
+    pipeline: each exclusion is a filter."""
     combos = product(*cands)
-    fulls = _fulls(ns)
-    if all(f in c for f, c in zip(fulls, cands)):
-        combos = filter(fulls.__ne__, combos)
-    if all(() in c for c in cands):
-        combos = filter(any, combos)
+    for combo in _excluded(ns, cands):
+        combos = filter(combo.__ne__, combos)
     return combos
 
 
 class _NSubsets(Sequence):
-    """A read-only sequence of N-subsets of parent, held as their member
-    tuples; each NSubset is made when it is read."""
+    """A read-only sequence of N-subsets of parent, a view of the
+    _combinations of one or more products of candidate lists.
 
-    __slots__ = ("parent", "_parts")
+    Each product is held as (candidate lists, item count, excluded raw
+    ranks), and the items in view as a range of ranks, so the length,
+    negative indices and slices are range operations.  Item i is decoded
+    from its rank by mixed radix over the candidate lists, after stepping
+    past the excluded ranks; iteration with step 1 streams _combinations
+    instead.  An NSubset is made for an item when it is read."""
 
-    def __init__(self, parent: NStructure, parts: list):
+    __slots__ = ("parent", "_products", "_ranks")
+
+    def __init__(self, parent: NStructure, products, ranks: range):
         self.parent = parent
-        self._parts = parts
+        self._products = products
+        self._ranks = ranks
 
     def __len__(self):
-        return len(self._parts)
+        return len(self._ranks)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return _NSubsets(self.parent, self._parts[i])
-        return NSubset._of(self.parent, self._parts[i])
+            return _NSubsets(self.parent, self._products, self._ranks[i])
+        return NSubset._of(self.parent, self._decode(self._ranks[i]))
+
+    def _decode(self, rank):
+        for cands, count, excluded in self._products:
+            if rank < count:
+                for r in excluded:
+                    rank += rank >= r
+                parts = []
+                for c in reversed(cands):
+                    rank, k = divmod(rank, len(c))
+                    parts.append(c[k])
+                return tuple(reversed(parts))
+            rank -= count
+
+    def _members(self):
+        """The items' member tuples, in order."""
+        ranks = self._ranks
+        if ranks.step != 1:
+            return map(self._decode, ranks)
+        combos = chain.from_iterable(_combinations(self.parent, cands)
+                                     for cands, _, _ in self._products)
+        return islice(combos, ranks.start, ranks.stop)
 
     def __iter__(self):
-        return map(NSubset._of, repeat(self.parent), self._parts)
+        return map(NSubset._of, repeat(self.parent), self._members())
 
     def __eq__(self, other):
         if isinstance(other, _NSubsets):
-            return other.parent is self.parent and other._parts == self._parts
+            return (other.parent is self.parent and len(other) == len(self)
+                    and all(map(eq, self._members(), other._members())))
         if isinstance(other, list):
             return list(self) == other
         return NotImplemented
@@ -318,20 +362,24 @@ class _NSubsets(Sequence):
 
 
 def check_combination_count(count: int):
-    """Raise ResourceLimitError when a list of count N-subsets would exceed
-    DEFAULT_COMBINATION_CAP."""
+    """Raise ResourceLimitError when a sequence of count N-subsets would
+    exceed DEFAULT_COMBINATION_CAP."""
     cap = DEFAULT_COMBINATION_CAP
     if count > cap:
         raise ResourceLimitError(f"combination count exceeds the {cap} guard")
 
 
 def _combination_list(ns: NStructure, *products):
-    """The _combinations of each product of candidate lists, as one
-    _NSubsets, refused before the first when the products together exceed
-    the guard."""
-    check_combination_count(sum(prod(map(len, cands)) for cands in products))
-    return _NSubsets(ns, list(chain.from_iterable(
-        _combinations(ns, cands) for cands in products)))
+    """The _combinations of each product of candidate lists, in turn, as one
+    _NSubsets view, refused when its exact length, the product sizes less
+    their excluded combinations, exceeds the guard."""
+    held = []
+    for cands in products:
+        excluded = sorted(_rank(cands, combo) for combo in _excluded(ns, cands))
+        held.append((cands, prod(map(len, cands)) - len(excluded), excluded))
+    total = sum(count for _, count, _ in held)
+    check_combination_count(total)
+    return _NSubsets(ns, tuple(held), range(total))
 
 
 def enumerate_n_substructures(ns: NStructure, per_component_species,
@@ -341,8 +389,9 @@ def enumerate_n_substructures(ns: NStructure, per_component_species,
 
     Excludes the all-full combination (not a proper subset) and, when
     require_nonempty_all is set, any combination with an empty component.
-    The sequence holds each combination's member tuples; an NSubset is made
-    for an item when it is read."""
+    The sequence is a view of the candidate lists that stores nothing per
+    combination: an item is decoded from its rank, and boxed as an NSubset,
+    when it is read, and iteration streams the product again."""
     cands = _candidates(ns, per_component_species, require_nonempty_all)
     return _combination_list(ns, cands)
 
@@ -388,8 +437,8 @@ def _order_sums(ns: NStructure, cands):
         suffix.append(poly)
     suffix.reverse()
     head = Counter(suffix[0])
-    head[ns.order] -= all(f in c for f, c in zip(_fulls(ns), cands))
-    head[0] -= all(() in c for c in cands)
+    for combo in _excluded(ns, cands):
+        head[sum(map(len, combo))] -= 1
     return +head, suffix
 
 
@@ -524,7 +573,8 @@ def deficit_substructures(ns: NStructure, t: int, per_component_species):
     """N-subsets with exactly N - t non-empty components, as a read-only
     sequence of NSubsets (not a list) like enumerate_n_substructures: for
     each choice of live components in itertools.combinations order, the
-    product of their candidates with () for every other component."""
+    product of their candidates with () for every other component.  One
+    view covers every choice; nothing is stored per combination."""
     if not (1 <= t < ns.n):
         raise ParameterError(f"deficit t must satisfy 1 <= t < {ns.n}, got {t}")
     cands = _candidates(ns, per_component_species, True)

@@ -1,6 +1,8 @@
 """Union structures: construction, kind classification, N-level engines."""
 
+import tracemalloc
 from itertools import combinations, product
+from math import prod
 
 import pytest
 
@@ -591,11 +593,13 @@ def check_sequence(result, want):
     assert all(p.parent is parent for p in items)
     assert result[0] == items[0] and result[-1] == items[-1]
     assert result[-len(want)] == items[0]
-    for sl in (slice(1, 4), slice(None, None, -1), slice(-3, None), slice(5, 2)):
+    for sl in (slice(1, 4), slice(None, None, -1), slice(-3, None), slice(5, 2),
+               slice(None, None, 3), slice(-2, 0, -2)):
         part = result[sl]
         assert type(part) is type(result)
         assert list(part) == items[sl] and len(part) == len(items[sl])
     assert result[:] == result and result[1:] != result
+    assert result[1:] != result[:-1]
     assert items[len(want) // 2] in result and items[-1] in result
     with pytest.raises(IndexError):
         result[len(want)]
@@ -631,6 +635,42 @@ def test_deficit_order_against_product(name):
                 for combo in product(*cands)
                 if {i for i, part in enumerate(combo) if part} == set(live)]
         check_sequence(nm.deficit_substructures(ns, t, species), want)
+
+
+@pytest.mark.parametrize("nonempty", [True, False])
+def test_guard_counts_only_the_combinations_held(monkeypatch, nonempty):
+    # the product holds the all-full combination, and with empty parts
+    # admitted the all-empty one too; the sequence holds neither, so the
+    # guard counts neither
+    ns = every_exclusion()
+    cands = [_component_candidates(c, C, allow_empty=not nonempty) for c in ns.components]
+    length = prod(map(len, cands)) - (1 if nonempty else 2)
+    assert len(nm.enumerate_n_substructures(ns, [C] * 3, nonempty)) == length
+    monkeypatch.setattr(nm.nstruct, "DEFAULT_COMBINATION_CAP", length)
+    assert len(nm.enumerate_n_substructures(ns, [C] * 3, nonempty)) == length
+    monkeypatch.setattr(nm.nstruct, "DEFAULT_COMBINATION_CAP", length - 1)
+    with pytest.raises(nm.ResourceLimitError, match=f"{length - 1} guard"):
+        nm.enumerate_n_substructures(ns, [C] * 3, nonempty)
+
+
+def test_combination_sequence_stores_nothing_per_combination():
+    # the four-component union of the CI "N-combination cost" step: with its
+    # candidates found once, building its 76,776 deficit N-subsets at t = 2
+    # allocates no memory per combination
+    ns = nm.build_n_structure(
+        [nm.zmod_mult(12), nm.zn_line_neutro(6), nm.zn_full_neutro(3), nm.zmod_mult(10)],
+        ["semigroup", "neutrosophic-semigroup", "neutrosophic-semigroup", "semigroup"])
+    species = [SP.IS_SUBGROUPOID] * 4
+    nm.deficit_substructures(ns, 3, species)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        subs = nm.deficit_substructures(ns, 2, species)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(subs) == 76_776
+    assert peak < 2 ** 20, peak
 
 
 def test_combination_lists_of_one_structure_compare_by_value():
