@@ -129,7 +129,7 @@ class Witness(NamedTuple):
 
 class ClassReport(NamedTuple):
     verdict: Verdict3
-    witnesses: tuple      # Witnesses, or ElementWitnesses from the Cauchy engines
+    witnesses: tuple      # Witnesses (n_lagrange: a read-only view), or Cauchy ElementWitnesses
     notes: tuple = ()
 
     def to_dict(self):

@@ -246,7 +246,8 @@ def build_parser():
     for name in ("lagrange", "sylow", "cauchy"):
         e = sub.add_parser(name, help=f"{name} classification report")
         e.add_argument("path")
-        e.add_argument("--species", default="group", choices=sorted(SPECIES))
+        if name != "cauchy":
+            e.add_argument("--species", default="group", choices=sorted(SPECIES))
         if name == "sylow":
             e.add_argument("--variant", default="standard",
                            choices=["standard", "super", "semi"])

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
-from itertools import chain, combinations, islice, product, repeat
+from functools import partial
+from itertools import chain, combinations, islice, permutations, product
 from math import prod
 from operator import eq
 from typing import NamedTuple, Optional
@@ -37,28 +38,18 @@ def _verifier(kind: str):
     return lambda m: detect_s_kind(m, s_kind).holds
 
 
-# declared kind -> (verification predicate, family buckets used by the
-# N-kind classifier)
-KINDS = {kind: (_verifier(kind), families) for kind, families in {
-    "group": ("group",),
-    "semigroup": ("semigroup",),
-    "loop": ("loop",),
-    "groupoid": ("groupoid",),
-    "neutrosophic-group": ("group", "neutro-group"),
-    "neutrosophic-semigroup": ("semigroup", "neutro-semigroup"),
-    "neutrosophic-loop": ("loop", "neutro-loop"),
-    "neutrosophic-groupoid": ("groupoid", "neutro-groupoid"),
-    "s-semigroup": ("semigroup", "s-semigroup"),
-    "s-loop": ("loop", "s-loop"),
-    "s-groupoid": ("groupoid", "s-groupoid"),
-    "s-neutrosophic-group": ("group", "neutro-group", "s-neutro-group"),
-    "strong-s-neutrosophic-group": ("group", "neutro-group", "s-neutro-group"),
-    "s-neutrosophic-semigroup": ("semigroup", "neutro-semigroup",
-                                 "s-neutro-semigroup"),
-    "s-neutrosophic-loop": ("loop", "neutro-loop", "s-neutro-loop"),
-    "s-neutrosophic-groupoid": ("groupoid", "neutro-groupoid",
-                                "s-neutro-groupoid"),
-}.items()}
+def _families(kind: str):
+    """A declared kind's family buckets for the N-kind classifier, read from
+    its name: the base species (its last word), then neutro-<base> for a
+    neutrosophic kind, then s- before the last bucket for an s-* kind."""
+    base = kind.rsplit("-", 1)[-1]
+    families = (base,) + ("neutro-" + base,) * ("neutrosophic" in kind)
+    return families + ("s-" + families[-1],) * kind.startswith(("s-", "strong-s-"))
+
+
+# declared kind -> (verification predicate, family buckets)
+KINDS = {kind: (_verifier(kind), _families(kind))
+         for kind in [*CARRIER_KINDS, *(s.value.replace("_", "-") for s in SKind)]}
 
 
 class NStructure:
@@ -197,9 +188,7 @@ def classify_n_kind(ns: NStructure) -> NKindVerdict:
         return any(f in fs for fs in fams)
 
     def some_other(f, g):
-        idx_f = [i for i, fs in enumerate(fams) if f in fs]
-        idx_g = [i for i, fs in enumerate(fams) if g in fs]
-        return any(i != j for i in idx_f for j in idx_g)
+        return any(f in a and g in b for a, b in permutations(fams, 2))
 
     n5 = ns.n >= 5
     return NKindVerdict(
@@ -298,30 +287,33 @@ def _combinations(ns: NStructure, cands):
 
 
 class _NSubsets(Sequence):
-    """A read-only sequence of N-subsets of parent, a view of the
-    _combinations of one or more products of candidate lists.
+    """A read-only sequence over the _combinations of one or more products of
+    candidate lists: the N-subsets of enumerate_n_substructures and
+    deficit_substructures, or the witnesses of n_lagrange.
 
-    Each product is held as (candidate lists, item count, excluded raw
-    ranks), and the items in view as a range of ranks, so the length,
-    negative indices and slices are range operations.  Item i is decoded
-    from its rank by mixed radix over the candidate lists, after stepping
-    past the excluded ranks; iteration with step 1 streams _combinations
-    instead.  An NSubset is made for an item when it is read."""
+    Each product is held as (candidate lists, item count, excluded raw ranks),
+    and the items in view as a range of ranks, so the length, negative indices
+    and slices are range operations.  Item i is decoded from its rank by mixed
+    radix over the candidate lists, after stepping past the excluded ranks;
+    iteration with step 1 streams _combinations instead.  make, a partial over
+    parent, makes an item from its member tuples when it is read, and `in` is
+    answered by rank, with no scan."""
 
-    __slots__ = ("parent", "_products", "_ranks")
+    __slots__ = ("parent", "_products", "_ranks", "_make")
 
-    def __init__(self, parent: NStructure, products, ranks: range):
+    def __init__(self, parent: NStructure, products, ranks: range, make: partial):
         self.parent = parent
         self._products = products
         self._ranks = ranks
+        self._make = make
 
     def __len__(self):
         return len(self._ranks)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return _NSubsets(self.parent, self._products, self._ranks[i])
-        return NSubset._of(self.parent, self._decode(self._ranks[i]))
+            return _NSubsets(self.parent, self._products, self._ranks[i], self._make)
+        return self._make(self._decode(self._ranks[i]))
 
     def _decode(self, rank):
         for cands, count, excluded in self._products:
@@ -335,6 +327,22 @@ class _NSubsets(Sequence):
                 return tuple(reversed(parts))
             rank -= count
 
+    def __contains__(self, x):
+        parts = getattr(x.subset if isinstance(x, Witness) else x, "per_component", None)
+        if parts is None:
+            return False
+        base = 0
+        for cands, count, excluded in self._products:
+            try:
+                rank = _rank(cands, parts)
+            except ValueError:                    # some part is not in its list
+                base += count
+                continue
+            # an excluded rank steps to another item, which then differs from x
+            rank = base + rank - sum(r < rank for r in excluded)
+            return rank in self._ranks and self._make(self._decode(rank)) == x
+        return False
+
     def _members(self):
         """The items' member tuples, in order."""
         ranks = self._ranks
@@ -345,11 +353,13 @@ class _NSubsets(Sequence):
         return islice(combos, ranks.start, ranks.stop)
 
     def __iter__(self):
-        return map(NSubset._of, repeat(self.parent), self._members())
+        return map(self._make, self._members())
 
     def __eq__(self, other):
         if isinstance(other, _NSubsets):
-            return (other.parent is self.parent and len(other) == len(self)
+            # make's function and arguments name the item type and the parent
+            return ((other._make.func, other._make.args, len(other))
+                    == (self._make.func, self._make.args, len(self))
                     and all(map(eq, self._members(), other._members())))
         if isinstance(other, list):
             return list(self) == other
@@ -358,7 +368,7 @@ class _NSubsets(Sequence):
     __hash__ = None
 
     def __repr__(self):
-        return repr(list(self))
+        return f"_NSubsets(length={len(self)}, parent={self.parent!r})"
 
 
 def check_combination_count(count: int):
@@ -369,17 +379,21 @@ def check_combination_count(count: int):
         raise ResourceLimitError(f"combination count exceeds the {cap} guard")
 
 
-def _combination_list(ns: NStructure, *products):
+def _view(ns: NStructure, make: partial, *products):
     """The _combinations of each product of candidate lists, in turn, as one
-    _NSubsets view, refused when its exact length, the product sizes less
-    their excluded combinations, exceeds the guard."""
+    _NSubsets view: its length is the product sizes less their exclusions."""
     held = []
     for cands in products:
         excluded = sorted(_rank(cands, combo) for combo in _excluded(ns, cands))
         held.append((cands, prod(map(len, cands)) - len(excluded), excluded))
-    total = sum(count for _, count, _ in held)
-    check_combination_count(total)
-    return _NSubsets(ns, tuple(held), range(total))
+    return _NSubsets(ns, tuple(held), range(sum(count for _, count, _ in held)), make)
+
+
+def _combination_list(ns: NStructure, *products):
+    """The _view of the products as NSubsets, refused past the guard."""
+    view = _view(ns, partial(NSubset._of, ns), *products)
+    check_combination_count(len(view))
+    return view
 
 
 def enumerate_n_substructures(ns: NStructure, per_component_species,
@@ -442,38 +456,23 @@ def _order_sums(ns: NStructure, cands):
     return +head, suffix
 
 
-class _LagrangeWitnesses:
-    """The witnesses of n_lagrange, read-only: the length comes from the
-    order sums, and each iteration streams them again in product order."""
-
-    __slots__ = ("_ns", "_cands", "_count")
-
-    def __init__(self, ns: NStructure, cands, count: int):
-        self._ns = ns
-        self._cands = cands
-        self._count = count
-
-    def __len__(self):
-        return self._count
-
-    def __iter__(self):
-        ns, of, total = self._ns, NSubset._of, self._ns.order
-        for p in _combinations(ns, self._cands):
-            size = sum(map(len, p))
-            yield Witness(of(ns, p), size, total % size == 0)
+def _witness(ns: NStructure, total: int, parts) -> Witness:
+    size = sum(map(len, parts))
+    # tuple.__new__ skips the NamedTuple's __new__, a Python call per witness
+    return tuple.__new__(Witness, (NSubset._of(ns, parts), size, total % size == 0))
 
 
 def n_lagrange(ns: NStructure, per_component_species,
                require_nonempty_all: bool = True) -> ClassReport:
     """The Lagrange engine on N-subsets: order sums against the union order.
 
-    The verdict and the witness count come from the order sums alone, so no
-    combination guard applies; the witnesses stream on iteration."""
+    The verdict comes from the order sums alone, and the witnesses are a view
+    like the result of enumerate_n_substructures, so no guard applies."""
     cands = _candidates(ns, per_component_species, require_nonempty_all)
     head, _ = _order_sums(ns, cands)
     total = ns.order
     verdict = verdict_of(list({total % size == 0 for size in head}))
-    return ClassReport(verdict, _LagrangeWitnesses(ns, cands, sum(head.values())))
+    return ClassReport(verdict, _view(ns, partial(_witness, ns, total), cands))
 
 
 def _first_of_size(ns: NStructure, cands, suffix):

@@ -9,7 +9,7 @@ import pytest
 import neutromagma as nm
 from neutromagma import SubsetPredicate as SP
 from neutromagma import Verdict3
-from neutromagma.nstruct import _component_candidates
+from neutromagma.nstruct import KINDS, _component_candidates
 
 
 def biloop():
@@ -44,10 +44,37 @@ def test_classify_n_kind_basic():
                               ["group", "semigroup"])
     v = nm.classify_n_kind(gs)
     assert v.n_group_semigroup and not v.n_group
+    # the group and the semigroup may come in either order
+    sg = nm.build_n_structure([nm.zmod_mult(6), nm.cyclic(2)], ["semigroup", "group"])
+    assert nm.classify_n_kind(sg).n_group_semigroup
     glsg = nm.build_n_structure(
         [nm.cyclic(2), nm.ln(5, 2), nm.zmod_mult(6), nm.zn(5, 2, 3)],
         ["group", "loop", "semigroup", "groupoid"])
     assert nm.classify_n_kind(glsg).n_glsg
+
+
+def test_kind_buckets_are_read_from_kind_names():
+    # the hand-kept table that the name rule replaced, keys in their order
+    assert [(kind, families) for kind, (_, families) in KINDS.items()] == [
+        ("group", ("group",)),
+        ("semigroup", ("semigroup",)),
+        ("loop", ("loop",)),
+        ("groupoid", ("groupoid",)),
+        ("neutrosophic-group", ("group", "neutro-group")),
+        ("neutrosophic-semigroup", ("semigroup", "neutro-semigroup")),
+        ("neutrosophic-loop", ("loop", "neutro-loop")),
+        ("neutrosophic-groupoid", ("groupoid", "neutro-groupoid")),
+        ("s-semigroup", ("semigroup", "s-semigroup")),
+        ("s-loop", ("loop", "s-loop")),
+        ("s-groupoid", ("groupoid", "s-groupoid")),
+        ("s-neutrosophic-group", ("group", "neutro-group", "s-neutro-group")),
+        ("strong-s-neutrosophic-group", ("group", "neutro-group", "s-neutro-group")),
+        ("s-neutrosophic-semigroup", ("semigroup", "neutro-semigroup",
+                                      "s-neutro-semigroup")),
+        ("s-neutrosophic-loop", ("loop", "neutro-loop", "s-neutro-loop")),
+        ("s-neutrosophic-groupoid", ("groupoid", "neutro-groupoid",
+                                     "s-neutro-groupoid")),
+    ]
 
 
 def test_kind_monotonicity():
@@ -425,9 +452,22 @@ def test_n_lagrange_against_product(name, nonempty):
     combos = product_oracle(ns, species, nonempty)
     want = [(c, sum(map(len, c)), ns.order % sum(map(len, c)) == 0) for c in combos]
     rep = nm.n_lagrange(ns, species, nonempty)
-    got = [(w.subset.per_component, w.order, w.qualifies) for w in rep.witnesses]
-    assert got == want
+    wits = rep.witnesses
+    first = list(wits)
+
+    def fields(ws):
+        return [(w.subset.per_component, w.order, w.qualifies) for w in ws]
+
+    assert fields(first) == want
     assert rep.verdict == oracle_verdict([q for _, _, q in want])
+    # read as a sequence: by index, negative index and slice
+    assert len(wits) == len(want)
+    for i in {0, len(want) // 3, len(want) - 1} if want else ():
+        assert wits[i] == first[i] and wits[i - len(want)] == first[i]
+        assert fields([wits[i]]) == want[i:i + 1]
+    for sl in (slice(1, 4), slice(-3, None), slice(None, None, 7), slice(-2, 0, -3)):
+        assert list(wits[sl]) == first[sl] and fields(wits[sl]) == want[sl]
+        assert len(wits[sl]) == len(want[sl])
 
 
 @pytest.mark.parametrize("name", sorted(UNIONS))
@@ -540,6 +580,15 @@ def test_n_lagrange_past_the_combination_guard():
     assert len(rep.witnesses) == 13_653_360 - 1 == sum(sums.values())
     flags = [ns.order % s == 0 for s, n in sums.items() if n]
     assert rep.verdict == oracle_verdict(flags)
+    # the report's repr lists no witness
+    tracemalloc.start()
+    try:
+        text = repr(rep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+    assert f"_NSubsets(length=13653359, parent={ns!r})" in text
 
 
 @pytest.mark.parametrize("name, nonempty", [
@@ -683,6 +732,10 @@ def test_combination_lists_of_one_structure_compare_by_value():
     assert a != tuple(a)
     with pytest.raises(TypeError):
         hash(a)
+    # the Lagrange witnesses over the same combinations are other items
+    wits = nm.n_lagrange(ns, [C] * 3).witnesses
+    assert wits == nm.n_lagrange(ns, [C] * 3).witnesses and wits != a and a != wits
+    assert wits != nm.n_lagrange(every_exclusion(), [C] * 3).witnesses
 
 
 def test_cap_counts_an_empty_candidate_list_as_no_combination(monkeypatch):
@@ -698,3 +751,46 @@ def test_cap_counts_an_empty_candidate_list_as_no_combination(monkeypatch):
     # at t = 1 the choice of components 1 and 2 alone has 9, past it
     with pytest.raises(nm.ResourceLimitError, match="6 guard"):
         nm.deficit_substructures(ns, 1, species)
+
+
+def test_membership_reads_one_item(monkeypatch):
+    # `in` finds the item's rank from each part's index in its candidate
+    # list: on the 76,776 deficit N-subsets of the CI union it boxes the
+    # probe and the one item at that rank, not the whole sequence
+    ns = nm.build_n_structure(
+        [nm.zmod_mult(12), nm.zn_line_neutro(6), nm.zn_full_neutro(3), nm.zmod_mult(10)],
+        ["semigroup", "neutrosophic-semigroup", "neutrosophic-semigroup", "semigroup"])
+    boxed = []
+    of = nm.NSubset._of
+
+    def counting(parent, per_component):
+        boxed.append(per_component)
+        return of(parent, per_component)
+
+    monkeypatch.setattr(nm.NSubset, "_of", counting)
+    subs = nm.deficit_substructures(ns, 2, [SP.IS_SUBGROUPOID] * 4)
+    assert len(subs) == 76_776 and not boxed
+    assert subs[-1] in subs
+    assert len(boxed) <= 2, len(boxed)
+
+
+@pytest.mark.parametrize("nonempty", [True, False])
+def test_membership_agrees_with_a_list(nonempty):
+    ns = every_exclusion()
+    result = nm.enumerate_n_substructures(ns, [C] * 3, nonempty)
+    items = list(result)
+    wits = nm.n_lagrange(ns, [C] * 3, nonempty).witnesses
+    listed_wits = list(wits)
+    fulls = tuple(tuple(range(c.order)) for c in ns.components)
+    foreign = nm.enumerate_n_substructures(every_exclusion(), [C] * 3, nonempty)
+    probes = [nm.NSubset(ns, fulls), nm.NSubset(ns, [()] * 3), foreign[0], foreign[-1],
+              wits[0], wits[-1], wits[5]._replace(qualifies=not wits[5].qualifies),
+              nm.lagrange_classify(ns.components[0], C).witnesses[0], fulls, None]
+    probes += items[::97] + listed_wits[::97]
+    assert not any(p in result for p in probes[:4])
+    for view in (result, wits):
+        listed = list(view)
+        for sl in (slice(None), slice(None, None, 3), slice(-2, 0, -2), slice(5, 400, 7)):
+            part, part_list = view[sl], listed[sl]
+            for x in probes + part_list[::41]:
+                assert (x in part) == (x in part_list), (sl, x)

@@ -138,6 +138,11 @@ def test_cli_engines(tmp_path, capsys):
     json.loads(capsys.readouterr().out)
     assert main(["cauchy", str(out)]) == 0
     json.loads(capsys.readouterr().out)
+    # the Cauchy engine reads element orders, not a species: no --species
+    with pytest.raises(SystemExit) as exc:
+        main(["cauchy", str(out), "--species", "group"])
+    assert exc.value.code == 2
+    assert "--species" in capsys.readouterr().err
 
 
 def test_cli_conjugate(tmp_path, capsys):
