@@ -223,7 +223,9 @@ class ElementWitness(NamedTuple):
 
 def _cauchy_witnesses(m: FiniteMagma, denom: int, key):
     """Element torsion witnesses of m, indexed by key(x), against denom;
-    trivial identities are not torsion."""
+    trivial identities are not torsion; with neither identity there are none."""
+    if m.identity is None and m.neutro_identity is None:
+        return
     for x in range(m.order):
         orders = element_orders(m, x)
         if m.identity is not None and x != m.identity and orders.real_order is not None:

@@ -420,8 +420,11 @@ def _byte_maps(m: FiniteMagma) -> tuple:
 
 
 def _mismatch(a: bytes, b: bytes) -> int:
-    """The first index at which two unequal byte vectors differ."""
-    return next(i for i, (u, v) in enumerate(zip(a, b)) if u != v)
+    """The first index at which two byte vectors differ, read from the top
+    set bit of their XOR as big-endian integers.  Callers pass unequal
+    vectors of one length; equal ones would give len(a)."""
+    d = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
+    return len(a) - 1 - (d.bit_length() - 1) // 8
 
 
 def _law_failure(m: FiniteMagma, law, dom) -> Optional[tuple]:
@@ -581,7 +584,7 @@ def check_identity_law(m: FiniteMagma, law: IdentityLaw,
         raise ParameterError(f"law {law!r} is not an IdentityLaw")
     if domain is not None:
         _require_subset(m, domain, "domain")
-    dom = tuple(range(m.order)) if domain is None else tuple(domain.members)
+    dom = range(m.order) if domain is None else domain.members
 
     if law in (IdentityLaw.BRUCK_INVERSE, IdentityLaw.WIP):
         inv = _all_inverses(m, dom)     # raises before the semigroup shortcut
@@ -736,8 +739,11 @@ def subset_is_semigroup(s: Subset) -> bool:
 def _is_associative_on(s: Subset) -> bool:
     """Whether the operation is associative on s.  Every subset of a
     semigroup inherits the law, which is universal, so only subsets of a
-    non-associative carrier are tested."""
-    return (classify_basic(s.parent).is_semigroup
+    non-associative carrier are tested.  A closed s of a loop carrier is a
+    subloop (subset_is_loop), and every loop of order at most 4 is a group,
+    so such an s passes without a test."""
+    basic = classify_basic(s.parent)
+    return (basic.is_semigroup or (s._closed and basic.is_loop and len(s) <= 4)
             or _light_associative(s.parent, s.members))
 
 
@@ -1125,19 +1131,19 @@ def element_orders(m: FiniteMagma, x: int) -> ElementOrders:
     """Least k with x^k hitting the identity / the neutrosophic identity.
 
     Powers are left-associated: x^(j+1) = x^j * x.  An order is absent when
-    no such k <= m.order exists or the respective identity is not set.
+    no such k <= m.order exists or the respective identity is not set.  The
+    powers stop once every order that can still be found is known.
     """
     _require_index(m, x, "element")
-    t = m.table
-    real = None
-    neutro = None
+    t, e, n = m.table, m.identity, m.neutro_identity
+    real = neutro = None
     p = x
     for k in range(1, m.order + 1):
-        if m.identity is not None and p == m.identity and real is None:
+        if p == e and real is None:
             real = k
-        if m.neutro_identity is not None and p == m.neutro_identity and neutro is None:
+        if p == n and neutro is None:
             neutro = k
-        if real is not None and neutro is not None:
+        if (real or e is None) and (neutro or n is None):
             break
         p = t[p][x]
     return ElementOrders(real, neutro)

@@ -12,6 +12,7 @@ import pytest
 import neutromagma as nm
 from neutromagma import IdentityLaw as Law
 from neutromagma import SubsetPredicate as SP
+from test_oracle_equivalence import random_loop_table
 
 
 def trivial():
@@ -423,6 +424,42 @@ def test_group_and_semigroup_species_against_triple_loop_on_random_tables():
             assert nm.subset_is_group(s) == _brute_group(m.table, s.members), m.table
 
 
+def _loops_for_the_subloop_rule():
+    for n in range(5, 22, 2):
+        yield from nm.ln_class(n)
+    yield nm.cyclic(4)
+    yield nm.direct_product(nm.cyclic(2), nm.cyclic(2))
+    rng = random.Random(20061029)
+    for b in range(5, 9):
+        for _ in range(12):
+            yield nm.FiniteMagma(random_loop_table(rng, b))
+
+
+def test_closed_sets_of_order_at_most_4_in_a_loop_skip_lights_test(monkeypatch):
+    # a closed set of a loop is a subloop, and every loop of order <= 4 is
+    # a group, so only larger closed sets of a non-associative loop reach
+    # Light's test
+    carriers = list(_loops_for_the_subloop_rule())
+    found = [(m, nm.enumerate_closed_subsets(m, include_full=True)) for m in carriers]
+    assert all(nm.classify_basic(m).is_loop for m in carriers)
+    scans = []
+    light_associative = nm.magma._light_associative
+
+    def counted(m, dom):
+        scans.append(len(dom))
+        return light_associative(m, dom)
+
+    monkeypatch.setattr(nm.magma, "_light_associative", counted)
+    small = 0
+    for m, subsets in found:
+        for s in subsets:
+            small += len(s) <= 4
+            assert nm.subset_is_semigroup(s) == _brute_semigroup(m.table, s.members), s
+            assert nm.subset_is_group(s) == _brute_group(m.table, s.members), s
+    assert small > 500 and scans
+    assert min(scans) > 4
+
+
 def test_closed_subset_cap_on_constant_product():
     # every subset holding the product's value is closed: 2^23 of them
     m = nm.FiniteMagma([[0] * 24 for _ in range(24)])
@@ -730,6 +767,66 @@ def test_element_orders():
     # no Lagrange assumption outside groups: 5 has order 2 in the order-11 carrier
     l6 = nm.zn_line_neutro(6)
     assert nm.element_orders(l6, l6.index("5")).real_order == 2
+
+
+def _powers_oracle(m, x):
+    """(real, neutro) orders by every left-associated power x^1..x^k."""
+    real = neutro = None
+    p = x
+    for j in range(1, m.order + 1):
+        if real is None and p == m.identity:
+            real = j
+        if neutro is None and p == m.neutro_identity:
+            neutro = j
+        p = m.table[p][x]
+    return real, neutro
+
+
+def test_element_orders_against_every_power(monkeypatch):
+    # x*y = x + 3y mod 8 has no identity; I = 4 is reached by some powers
+    bare = nm.zn(8, 1, 3)
+    neutro_only = nm.FiniteMagma(bare.table, neutro_mask=[x == 4 for x in range(8)],
+                                 neutro_identity=4)
+    carriers = {
+        "zn(8,1,3)": (bare, False, False),
+        "ln(9,2)": (nm.ln(9, 2), True, False),
+        "zmod_mult(12)": (nm.zmod_mult(12), True, False),
+        "zn_full_neutro(4)": (nm.zn_full_neutro(4), True, True),
+        "zn_units_neutro(5)": (nm.zn_units_neutro(5), True, True),
+        "neutro identity alone": (neutro_only, False, True),
+    }
+    orders = {}
+    for name, (m, real, neutro) in carriers.items():
+        assert (m.identity is not None, m.neutro_identity is not None) == (real, neutro), name
+        orders[name] = [tuple(nm.element_orders(m, x)) for x in range(m.order)]
+        assert orders[name] == [_powers_oracle(m, x) for x in range(m.order)], name
+    # 2 in Z_12 never reaches 1; 2 reaches I = 4 at its fourth power
+    assert orders["zmod_mult(12)"][2] == (None, None)
+    assert orders["neutro identity alone"][2] == (None, 4)
+    # with neither identity no order can be found, so none is asked for
+    calls = []
+    element_orders = nm.classify.element_orders
+    monkeypatch.setattr(nm.classify, "element_orders",
+                        lambda *args: calls.append(args) or element_orders(*args))
+    assert nm.cauchy_classify(bare).witnesses == ()
+    assert calls == []
+
+
+def test_mismatch_against_the_first_differing_pair():
+    def first_difference(a, b):
+        return next(i for i, (u, v) in enumerate(zip(a, b)) if u != v)
+
+    rng = random.Random(20061029)
+    for n in range(1, 257):
+        a = bytes(rng.randrange(256) for _ in range(n))
+        picks = [[0], [n - 1], [n // 2], rng.sample(range(n), min(n, 3)),
+                 rng.sample(range(n), rng.randint(1, n))]
+        for at in picks:
+            b = bytearray(a)
+            for i in at:
+                b[i] ^= rng.randrange(1, 256)
+            b = bytes(b)
+            assert nm.magma._mismatch(a, b) == first_difference(a, b) == min(at), (n, at)
 
 
 def test_check_homomorphism():
