@@ -21,10 +21,12 @@ from .magma import (IdentityLaw, ParameterError, PreconditionError,
                     cosets, enumerate_closed_subsets, require_order)
 from .neutro import (extend_tagged, zn_affine_neutro, zn_full_neutro,
                      zn_line_neutro, zn_units_neutro)
-from .nstruct import (check_combination_count, classify_n_kind, n_cauchy,
-                      n_lagrange, n_sylow)
+from .nstruct import classify_n_kind, n_cauchy, n_lagrange, n_sylow
 from .serialize import (load_magma, load_nstructure, magma_to_dict,
                         save_magma)
+
+# the most Lagrange witnesses a JSON document of `nstruct` lists
+DEFAULT_COMBINATION_CAP = 10 ** 6
 
 # the species names: each member name without "IS_", aliases included
 SPECIES = {name[3:].lower().replace("_", "-"): p
@@ -157,8 +159,9 @@ def _nstruct(args) -> int:
             species = [SPECIES[s] for s in names]
             if args.engine == "lagrange":
                 rep = n_lagrange(ns, species)
-                # the document lists every witness
-                check_combination_count(len(rep.witnesses))
+                if len(rep.witnesses) > DEFAULT_COMBINATION_CAP:
+                    raise ResourceLimitError("combination count exceeds the "
+                                             f"{DEFAULT_COMBINATION_CAP} guard")
                 doc["report"] = rep.to_dict()
             else:
                 doc["report"] = n_sylow(ns, species).to_dict()

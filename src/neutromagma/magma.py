@@ -256,7 +256,7 @@ class Subset:
         return iter(self.members)
 
     def __contains__(self, i):
-        return i in set(self.members)
+        return i in self.members
 
     def __eq__(self, other):
         return (isinstance(other, Subset) and other.parent is self.parent
@@ -449,6 +449,17 @@ def _law_failure(m: FiniteMagma, law, dom) -> Optional[tuple]:
     return witness
 
 
+def _in_middle_nucleus(maps, V, a) -> bool:
+    """Whether (xa)y = x(ay) for all x, y in V, a closed domain as bytes, read
+    through maps, the carrier's _byte_maps: whether a is in V's middle nucleus."""
+    R, C = maps
+    ay = V.translate(R[a])
+    for x, xa in zip(V, V.translate(C[a])):
+        if V.translate(R[xa]) != ay.translate(R[x]):
+            return False
+    return True
+
+
 def _light_associative(m: FiniteMagma, dom) -> bool:
     """Whether the operation is associative on dom, a closed domain (a tuple
     or range), by Light's test (Clifford and Preston I, 1961).  The
@@ -458,7 +469,7 @@ def _light_associative(m: FiniteMagma, dom) -> bool:
     checked, only when no left-bracketed word over the earlier ones reaches
     it: k^2 products per generator instead of k^3 in all."""
     t = m.table
-    R, C = _byte_maps(m)
+    maps = _byte_maps(m)
     V = bytes(dom)
     reached = bytearray(256)
     words = []              # reached elements, each once
@@ -466,10 +477,8 @@ def _light_associative(m: FiniteMagma, dom) -> bool:
     for a in dom:
         if reached[a]:
             continue
-        ay = V.translate(R[a])
-        for x, xa in zip(dom, V.translate(C[a])):
-            if V.translate(R[xa]) != ay.translate(R[x]):
-                return False
+        if not _in_middle_nucleus(maps, V, a):
+            return False
         done = len(words)   # words already multiplied by every earlier generator
         gens.append(a)
         reached[a] = 1
@@ -857,20 +866,57 @@ _GROUNDS = {
 }
 
 
-def _directed_subsets(m: FiniteMagma, ground_of):
-    """The closed sets inside ground_of(table, e) for some idempotent e, sorted,
-    counted toward MAX_CLOSED_SUBSETS together.  A species subset with identity
-    e is among e's; a set there without e fails the species or is another e's."""
+def _directed_subsets(m: FiniteMagma, ground_of, domain):
+    """The closed sets inside ground_of(t, e, domain) for the idempotents e of
+    domain, sorted, counted toward MAX_CLOSED_SUBSETS together.  A species subset
+    with identity e is among e's; a set there without e fails it or is another e's."""
     t = m.table
     found = set()
     searched = 0
-    for e in range(m.order):
+    for e in domain:
         if t[e][e] == e:
-            ground = sum(1 << x for x in ground_of(t, e))
+            ground = sum(1 << x for x in ground_of(t, e, domain))
             sets = _closed_lattice(m, ground, MAX_CLOSED_SUBSETS - searched)
             searched += len(sets)
             found.update(sets)
     return sorted(found)
+
+
+def _species_subsets(m: FiniteMagma, pred, domain, include_full: bool = True) -> tuple:
+    """The closed sets inside domain, a sorted tuple or range, that satisfy
+    pred, as Subsets in lexicographic order of their member lists; without
+    include_full, less the full universe and the singleton {identity}.
+
+    The one rule for how a species is searched: IS_GROUP and IS_LOOP per
+    idempotent e of domain, inside the elements their subsets with identity
+    e can hold (_GROUNDS), except over a whole loop, where e is the only
+    idempotent and every nonempty closed set holds it; every other species
+    filters the closed sets inside domain.  Over the whole carrier the
+    lattice is built once, and a SubsetPredicate's answer kept, per carrier."""
+    cache = m._subset_cache
+    whole = len(domain) == m.order
+    key = (pred, include_full) if whole and isinstance(pred, SubsetPredicate) else None
+    if key in cache:
+        return tuple(Subset._of_closed(m, mem) for mem in cache[key])
+    ground_of = _GROUNDS.get(pred) if isinstance(pred, SubsetPredicate) else None
+    if ground_of is not None and not (whole and classify_basic(m).is_loop):
+        candidates = _directed_subsets(m, ground_of, domain)
+    elif whole:
+        candidates = cache.get("closed")
+        if candidates is None:
+            candidates = cache["closed"] = _closed_lattice(m)
+    else:
+        candidates = _closed_lattice(m, sum(1 << x for x in domain))
+    skip = () if include_full else (tuple(range(m.order)), (m.identity,))
+    items = []
+    for mem in candidates:
+        if mem not in skip:
+            s = Subset._of_closed(m, mem)
+            if evaluate_predicate(pred, s):
+                items.append(s)
+    if key is not None:
+        cache[key] = tuple(s.members for s in items)
+    return tuple(items)
 
 
 def enumerate_closed_subsets(m: FiniteMagma, pred=None,
@@ -883,38 +929,12 @@ def enumerate_closed_subsets(m: FiniteMagma, pred=None,
     union-structure machinery, where a component of a proper N-subset may
     coincide with the whole component).
 
-    The search is complete at every order.  IS_GROUP and IS_LOOP on a
-    carrier that is not a loop are searched per idempotent e, inside the
-    elements their subsets with identity e can hold (_GROUNDS); every other
-    species filters the carrier's lattice of closed subsets.  More than
+    The search (_species_subsets) is complete at every order; more than
     MAX_CLOSED_SUBSETS closed subsets searched raises ResourceLimitError.
     The answer for a SubsetPredicate is memoized per carrier; a callable
     species is evaluated afresh on every call, since it may hold state.
     """
-    cache = m._subset_cache
-    key = (pred, include_full) if isinstance(pred, SubsetPredicate) else None
-    if key in cache:
-        return tuple(Subset._of_closed(m, mem) for mem in cache[key])
-    if key is not None and pred in _GROUNDS and not classify_basic(m).is_loop:
-        # in a loop e is the only idempotent and every nonempty closed set
-        # holds it, so the lattice, built once per carrier, serves instead
-        candidates = _directed_subsets(m, _GROUNDS[pred])
-    else:
-        candidates = cache.get("closed")
-        if candidates is None:
-            candidates = cache["closed"] = _closed_lattice(m)
-    full = tuple(range(m.order))
-    trivial = (m.identity,)
-    items = []
-    for mem in candidates:
-        if not include_full and (mem == full or mem == trivial):
-            continue
-        s = Subset._of_closed(m, mem)
-        if evaluate_predicate(pred, s):
-            items.append(s)
-    if key is not None:
-        cache[key] = tuple(s.members for s in items)
-    return tuple(items)
+    return _species_subsets(m, pred, range(m.order), include_full)
 
 
 # ---------------------------------------------------------------------------
@@ -943,7 +963,7 @@ def nuclei(m: FiniteMagma) -> NucleiReport:
     t = m.table
     rng = range(m.order)
     left = [a for a in rng if all(t[t[a][x]][y] == t[a][t[x][y]] for x in rng for y in rng)]
-    middle = [a for a in rng if all(t[t[x][a]][y] == t[x][t[a][y]] for x in rng for y in rng)]
+    middle = [a for a in rng if _in_middle_nucleus(_byte_maps(m), bytes(rng), a)]
     right = [a for a in rng if all(t[t[x][y]][a] == t[x][t[y][a]] for x in rng for y in rng)]
     nucleus = sorted(set(left) & set(middle) & set(right))
     commutant = center(m)

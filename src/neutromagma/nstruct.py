@@ -20,13 +20,10 @@ from typing import NamedTuple, Optional
 from .classify import (CARRIER_KINDS, ClassReport, SKind, Witness,
                        _cauchy_verdict, _cauchy_witnesses, detect_s_kind,
                        sylow_verdict, verdict_of)
-from .magma import (_GROUNDS, FiniteMagma, ParameterError, PartialMap,
-                    ResourceLimitError, Subset, SubsetPredicate, _closed_lattice,
-                    _directed_subsets, _require_index, _require_indices,
+from .magma import (FiniteMagma, ParameterError, PartialMap, Subset,
+                    _require_index, _require_indices, _species_subsets,
                     check_homomorphism, enumerate_closed_subsets,
                     evaluate_predicate, is_closed)
-
-DEFAULT_COMBINATION_CAP = 10 ** 6
 
 
 def _verifier(kind: str):
@@ -371,14 +368,6 @@ class _NSubsets(Sequence):
         return f"_NSubsets(length={len(self)}, parent={self.parent!r})"
 
 
-def check_combination_count(count: int):
-    """Raise ResourceLimitError when a sequence of count N-subsets would
-    exceed DEFAULT_COMBINATION_CAP."""
-    cap = DEFAULT_COMBINATION_CAP
-    if count > cap:
-        raise ResourceLimitError(f"combination count exceeds the {cap} guard")
-
-
 def _view(ns: NStructure, make: partial, *products):
     """The _combinations of each product of candidate lists, in turn, as one
     _NSubsets view: its length is the product sizes less their exclusions."""
@@ -389,13 +378,6 @@ def _view(ns: NStructure, make: partial, *products):
     return _NSubsets(ns, tuple(held), range(sum(count for _, count, _ in held)), make)
 
 
-def _combination_list(ns: NStructure, *products):
-    """The _view of the products as NSubsets, refused past the guard."""
-    view = _view(ns, partial(NSubset._of, ns), *products)
-    check_combination_count(len(view))
-    return view
-
-
 def enumerate_n_substructures(ns: NStructure, per_component_species,
                               require_nonempty_all: bool = True):
     """Cartesian combinations of per-component substructures, in product
@@ -404,10 +386,10 @@ def enumerate_n_substructures(ns: NStructure, per_component_species,
     Excludes the all-full combination (not a proper subset) and, when
     require_nonempty_all is set, any combination with an empty component.
     The sequence is a view of the candidate lists that stores nothing per
-    combination: an item is decoded from its rank, and boxed as an NSubset,
-    when it is read, and iteration streams the product again."""
+    combination, so none is capped: an item is decoded from its rank, and
+    boxed as an NSubset, when read, and iteration streams the product again."""
     cands = _candidates(ns, per_component_species, require_nonempty_all)
-    return _combination_list(ns, cands)
+    return _view(ns, partial(NSubset._of, ns), cands)
 
 
 def n_subset_is_produced(ns: NStructure, candidate: NSubset,
@@ -467,7 +449,7 @@ def n_lagrange(ns: NStructure, per_component_species,
     """The Lagrange engine on N-subsets: order sums against the union order.
 
     The verdict comes from the order sums alone, and the witnesses are a view
-    like the result of enumerate_n_substructures, so no guard applies."""
+    like the result of enumerate_n_substructures."""
     cands = _candidates(ns, per_component_species, require_nonempty_all)
     head, _ = _order_sums(ns, cands)
     total = ns.order
@@ -503,10 +485,10 @@ def n_sylow(ns: NStructure, per_component_species, variant: str = "standard",
     """Seek N-subsets of total order p^a for each prime p with p^a exactly
     dividing the union order.
 
-    Works from order sums alone, so no combination is enumerated and no
-    combination guard applies: each witness is the first combination in
-    product order of its size, and the verdict is vacuous when the product,
-    less the all-full and all-empty combinations, is empty."""
+    Works from order sums alone, so no combination is enumerated: each
+    witness is the first combination in product order of its size, and the
+    verdict is vacuous when the product, less the all-full and all-empty
+    combinations, is empty."""
     cands = _candidates(ns, per_component_species, require_nonempty_all)
     head, suffix = _order_sums(ns, cands)
     verdict, hits, notes = sylow_verdict(ns.order, variant,
@@ -536,10 +518,10 @@ class TupleSylowReport(NamedTuple):
 
 def tuple_sylow(ns: NStructure, primes, per_component_species,
                 within: Optional[NSubset] = None) -> TupleSylowReport:
-    """A component-local Sylow tuple: for each i, a species subset of
-    component i of order p_i^a_i where p_i^a_i exactly divides the ambient
-    order, searched among the closed sets of the component inside the
-    ambient part (the whole component, or within's part of it)."""
+    """A component-local Sylow tuple: for each i, the first species subset,
+    in lexicographic order, of component i of order p_i^a_i where p_i^a_i
+    exactly divides the ambient part's order: the whole component, searched
+    and memoized as by enumerate_closed_subsets, or within's part of it."""
     _require_per_component(ns, primes, "prime")
     _require_per_component(ns, per_component_species, "species")
     if within is not None:
@@ -554,14 +536,8 @@ def tuple_sylow(ns: NStructure, primes, per_component_species,
         target = 1            # p^a exactly dividing the ambient order, if not empty
         while ambient and len(ambient) % (target * p) == 0:
             target *= p
-        # a subgroup or subloop inside the part has its inverses there too,
-        # so it lies in e's ground set taken over the part
-        near = _GROUNDS.get(species) if isinstance(species, SubsetPredicate) else None
-        lattice = (() if target == 1
-                   else _closed_lattice(comp, sum(1 << x for x in ambient)) if near is None
-                   else _directed_subsets(comp, lambda t, e: near(t, e, ambient)))
-        hit = next((mem for mem in lattice if len(mem) == target
-                    and evaluate_predicate(species, Subset._of_closed(comp, mem))), None)
+        found = _species_subsets(comp, species, ambient) if target > 1 else ()
+        hit = next((s.members for s in found if len(s) == target), None)
         if hit is None:
             return TupleSylowReport(False, None, tuple(primes))
         choices.append(hit)
@@ -574,11 +550,12 @@ def deficit_substructures(ns: NStructure, t: int, per_component_species):
     each choice of live components in itertools.combinations order, the
     product of their candidates with () for every other component.  One
     view covers every choice; nothing is stored per combination."""
-    if not (1 <= t < ns.n):
-        raise ParameterError(f"deficit t must satisfy 1 <= t < {ns.n}, got {t}")
+    if type(t) is not int or not 1 <= t < ns.n:
+        raise ParameterError(f"deficit t must be an int with 1 <= t < {ns.n}, got {t!r}")
     cands = _candidates(ns, per_component_species, True)
-    return _combination_list(ns, *([cands[i] if i in live else [()] for i in range(ns.n)]
-                                   for live in combinations(range(ns.n), ns.n - t)))
+    return _view(ns, partial(NSubset._of, ns),
+                 *([cands[i] if i in live else [()] for i in range(ns.n)]
+                   for live in combinations(range(ns.n), ns.n - t)))
 
 
 def n_coset(ns: NStructure, h: NSubset, a) -> NSubset:

@@ -112,6 +112,16 @@ def test_is_closed():
     assert nm.is_closed(full.full_subset())
 
 
+def test_subset_membership_reads_the_members():
+    m = nm.cyclic(6)
+    s = nm.Subset(m, [0, 2, 4])
+    assert [x in s for x in range(-1, 7)] == [False, True, False, True, False,
+                                              True, False, False]
+    assert "0" not in s and m.labels[2] not in s
+    # an unhashable probe is not a member either
+    assert [0] not in s
+
+
 def test_latin_square_check():
     assert nm.latin_square_check(nm.ln(5, 2))
     assert nm.latin_square_check(trivial())

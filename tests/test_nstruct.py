@@ -1,5 +1,6 @@
 """Union structures: construction, kind classification, N-level engines."""
 
+import random
 import tracemalloc
 from itertools import combinations, product
 from math import prod
@@ -8,8 +9,8 @@ import pytest
 
 import neutromagma as nm
 from neutromagma import SubsetPredicate as SP
-from neutromagma import Verdict3
-from neutromagma.nstruct import KINDS, _component_candidates
+from neutromagma import Verdict3, cli
+from neutromagma.nstruct import KINDS, _component_candidates, _fulls
 
 
 def biloop():
@@ -108,20 +109,28 @@ def test_enumerate_n_substructures():
 
 
 def test_enumeration_cap(monkeypatch):
-    monkeypatch.setattr(nm.nstruct, "DEFAULT_COMBINATION_CAP", 10)
+    # the N level keeps no cap: with the CLI's guard set to 10, all 127
+    # N-subsets of the biloop are still listed, the all-full one left out
+    monkeypatch.setattr(cli, "DEFAULT_COMBINATION_CAP", 10)
     ns = biloop()
-    with pytest.raises(nm.ResourceLimitError, match="10 guard"):
-        nm.enumerate_n_substructures(ns, [SP.IS_SUBGROUPOID, SP.IS_SUBGROUPOID])
+    cands = [_component_candidates(c, SP.IS_SUBGROUPOID, allow_empty=False)
+             for c in ns.components]
+    want = [combo for combo in product(*cands) if combo != _fulls(ns)]
+    assert len(want) == prod(map(len, cands)) - 1 == 127
+    check_sequence(nm.enumerate_n_substructures(ns, [SP.IS_SUBGROUPOID] * 2), want)
 
 
-def test_deficit_cap_counts_every_choice_of_live_components(monkeypatch):
+def test_deficit_counts_every_choice_of_live_components(monkeypatch):
     # each cyclic(4) has 3 closed subsets, so each of the 3 choices of two
-    # live components gives 9 N-subsets, under the cap, but 27 in all
-    monkeypatch.setattr(nm.nstruct, "DEFAULT_COMBINATION_CAP", 10)
+    # live components gives 9 N-subsets, 27 in all, past a guard of 10
+    monkeypatch.setattr(cli, "DEFAULT_COMBINATION_CAP", 10)
     ns = nm.build_n_structure([nm.cyclic(4)] * 3, ["group"] * 3)
     species = [SP.IS_SUBGROUPOID] * 3
-    with pytest.raises(nm.ResourceLimitError, match="10 guard"):
-        nm.deficit_substructures(ns, 1, species)
+    cands = _component_candidates(nm.cyclic(4), SP.IS_SUBGROUPOID, allow_empty=False)
+    want = [combo for live in combinations(range(3), 2)
+            for combo in product(*(cands if i in live else [()] for i in range(3)))]
+    assert len(want) == 27
+    check_sequence(nm.deficit_substructures(ns, 1, species), want)
     assert len(nm.deficit_substructures(ns, 2, species)) == 9
 
 
@@ -237,6 +246,60 @@ def test_tuple_sylow_finds_subgroups_per_idempotent():
         assert rep.witness.per_component == (first, (0, 1))
 
 
+@pytest.mark.parametrize("species", [SP.IS_GROUP, SP.IS_LOOP, SP.IS_SUBGROUPOID])
+def test_tuple_sylow_keeps_the_whole_components_answer(species):
+    # with no within each whole component is searched as
+    # enumerate_closed_subsets(comp, species, include_full=True) searches it,
+    # and the answer is kept in the component's memo
+    ns = nm.build_n_structure([nm.ln(5, 2), nm.zmod_mult(12)], ["loop", "semigroup"])
+    assert not any((species, True) in c._subset_cache for c in ns.components)
+    rep = nm.tuple_sylow(ns, (2, 2), [species, species])
+    assert rep.found
+    assert all((species, True) in c._subset_cache for c in ns.components)
+    assert rep.witness.per_component == tuple(
+        next(s.members for s in nm.enumerate_closed_subsets(c, species, include_full=True)
+             if len(s) == size) for c, size in zip(ns.components, (2, 4)))
+
+
+def first_sylow_set(comp, species, part, p):
+    """The first subset of part in lexicographic order, of the order p^a
+    exactly dividing len(part), that is closed and satisfies species, by a
+    scan of every subset of part of that order; None if there is none."""
+    target = 1
+    while part and len(part) % (target * p) == 0:
+        target *= p
+    t = comp.table
+    return next((mem for mem in combinations(part, target) if target > 1
+                 and all(t[x][y] in mem for x in mem for y in mem)
+                 and nm.magma.evaluate_predicate(species, nm.Subset(comp, mem))), None)
+
+
+def test_tuple_sylow_within_against_a_scan_of_the_part():
+    rng = random.Random(30)
+
+    def commutative(s):
+        t = s.parent.table
+        return all(t[x][y] == t[y][x] for x in s for y in s)
+
+    found = 0
+    for comp, kind in ((nm.ln(7, 3), "loop"), (nm.zmod_mult(12), "semigroup")):
+        ns = nm.build_n_structure([comp, nm.cyclic(2)], [kind, "group"])
+        # random parts, and each closed set with a few random elements added
+        parts = [tuple(sorted(rng.sample(range(comp.order), size)))
+                 for size in range(1, comp.order + 1) for _ in range(3)]
+        parts += [tuple(sorted({*s, *rng.sample(range(comp.order), rng.randint(0, 3))}))
+                  for s in nm.enumerate_closed_subsets(comp, include_full=True)]
+        for species in (SP.IS_GROUP, SP.IS_LOOP, commutative):
+            for part, p in product(parts, (2, 3)):
+                within = nm.NSubset(ns, [part, (0, 1)])
+                rep = nm.tuple_sylow(ns, (p, 2), [species, SP.IS_GROUP], within=within)
+                want = first_sylow_set(comp, species, part, p)
+                assert rep.found == (want is not None)
+                assert rep.witness is None or rep.witness.per_component == (want, (0, 1))
+                found += rep.found
+    assert found > 100
+
+
 def test_deficit_substructures():
     ns = biloop()
     with pytest.raises(nm.ParameterError):
@@ -245,6 +308,12 @@ def test_deficit_substructures():
     assert one_comp
     for p in one_comp:
         assert sum(1 for c in p.per_component if c) == 1
+
+
+@pytest.mark.parametrize("t", [1.5, "1", None, True])
+def test_deficit_t_must_be_an_int(t):
+    with pytest.raises(nm.ParameterError, match="an int"):
+        nm.deficit_substructures(biloop(), t, [SP.IS_GROUP, SP.IS_GROUP])
 
 
 def test_n_coset():
@@ -497,17 +566,22 @@ def test_n_sylow_vacuous_and_species_count():
 
 
 def test_n_sylow_past_the_combination_guard():
-    # 645 * 42 * 12 * 42 = 13,654,080 combinations, union order 44 = 4 * 11
+    # 645 * 42 * 12 * 42 = 13,653,360 combinations, union order 44 = 4 * 11
     ns = nm.build_n_structure(
         [nm.zn_full_neutro(4), nm.zmod_mult(10), nm.zn_units_neutro(5),
          nm.zmod_mult(10)],
         ["neutrosophic-semigroup", "semigroup", "neutrosophic-group", "semigroup"])
     species = [C] * 4
-    with pytest.raises(nm.ResourceLimitError):
-        nm.enumerate_n_substructures(ns, species)
+    cands = [_component_candidates(c, C, allow_empty=False) for c in ns.components]
+    # the enumeration holds all of them but the all-full one, past the CLI's
+    # guard of 10^6, with no cap of its own
+    subs = nm.enumerate_n_substructures(ns, species)
+    assert len(subs) == 13_653_360 - 1 > cli.DEFAULT_COMBINATION_CAP
+    assert nm.NSubset(ns, _fulls(ns)) not in subs
+    assert subs[0].per_component == tuple(c[0] for c in cands)
+    assert subs[-1].per_component == tuple(c[-1] for c in cands) != _fulls(ns)
     rep = nm.n_sylow(ns, species)
     assert rep.verdict == Verdict3.FULL
-    cands = [_component_candidates(c, C, allow_empty=False) for c in ns.components]
     for w in rep.witnesses:
         # the first combination of that order, found by a lazy product scan
         want = next(c for c in product(*cands) if sum(map(len, c)) == w.order)
@@ -687,19 +761,19 @@ def test_deficit_order_against_product(name):
 
 
 @pytest.mark.parametrize("nonempty", [True, False])
-def test_guard_counts_only_the_combinations_held(monkeypatch, nonempty):
+def test_length_counts_only_the_combinations_held(monkeypatch, nonempty):
     # the product holds the all-full combination, and with empty parts
-    # admitted the all-empty one too; the sequence holds neither, so the
-    # guard counts neither
+    # admitted the all-empty one too; the sequence holds neither, and its
+    # length counts neither, with the CLI's guard one below that length
     ns = every_exclusion()
     cands = [_component_candidates(c, C, allow_empty=not nonempty) for c in ns.components]
-    length = prod(map(len, cands)) - (1 if nonempty else 2)
-    assert len(nm.enumerate_n_substructures(ns, [C] * 3, nonempty)) == length
-    monkeypatch.setattr(nm.nstruct, "DEFAULT_COMBINATION_CAP", length)
-    assert len(nm.enumerate_n_substructures(ns, [C] * 3, nonempty)) == length
-    monkeypatch.setattr(nm.nstruct, "DEFAULT_COMBINATION_CAP", length - 1)
-    with pytest.raises(nm.ResourceLimitError, match=f"{length - 1} guard"):
-        nm.enumerate_n_substructures(ns, [C] * 3, nonempty)
+    left_out = [_fulls(ns)] + [((),) * 3] * (not nonempty)
+    want = [combo for combo in product(*cands) if combo not in left_out]
+    assert len(want) == prod(map(len, cands)) - len(left_out)
+    monkeypatch.setattr(cli, "DEFAULT_COMBINATION_CAP", len(want) - 1)
+    subs = nm.enumerate_n_substructures(ns, [C] * 3, nonempty)
+    check_sequence(subs, want)
+    assert all(nm.NSubset(ns, combo) not in subs for combo in left_out)
 
 
 def test_combination_sequence_stores_nothing_per_combination():
@@ -738,19 +812,21 @@ def test_combination_lists_of_one_structure_compare_by_value():
     assert wits != nm.n_lagrange(every_exclusion(), [C] * 3).witnesses
 
 
-def test_cap_counts_an_empty_candidate_list_as_no_combination(monkeypatch):
-    # a component with no candidates leaves no combination at all, so the
-    # guard has nothing to refuse
-    monkeypatch.setattr(nm.nstruct, "DEFAULT_COMBINATION_CAP", 6)
+def test_an_empty_candidate_list_leaves_no_combination(monkeypatch):
+    # a component with no candidates leaves no combination in any product
+    # that holds its list, with the CLI's guard set to 6
+    monkeypatch.setattr(cli, "DEFAULT_COMBINATION_CAP", 6)
     ns = nm.build_n_structure([nm.cyclic(4)] * 3, ["group"] * 3)
     species = [lambda s: False, SP.IS_SUBGROUPOID, SP.IS_SUBGROUPOID]
     assert nm.enumerate_n_substructures(ns, species) == []
+    cands = _component_candidates(nm.cyclic(4), SP.IS_SUBGROUPOID, allow_empty=False)
     # each cyclic(4) has 3 closed subsets; at t = 2 the choice of component 0
-    # alone is empty, so 0 + 3 + 3 = 6 N-subsets, at the guard
-    assert len(nm.deficit_substructures(ns, 2, species)) == 6
-    # at t = 1 the choice of components 1 and 2 alone has 9, past it
-    with pytest.raises(nm.ResourceLimitError, match="6 guard"):
-        nm.deficit_substructures(ns, 1, species)
+    # alone is empty, so 0 + 3 + 3 = 6 N-subsets
+    check_sequence(nm.deficit_substructures(ns, 2, species),
+                   [((), c, ()) for c in cands] + [((), (), c) for c in cands])
+    # at t = 1 only the choice of components 1 and 2 is not empty: 9, past 6
+    check_sequence(nm.deficit_substructures(ns, 1, species),
+                   [((), a, b) for a, b in product(cands, cands)])
 
 
 def test_membership_reads_one_item(monkeypatch):

@@ -113,6 +113,31 @@ def test_enumerate_against_powerset_scan():
         assert got == oracle_closed_subsets(m)
 
 
+def oracle_nuclei(t):
+    """The six fields of nuclei(), each read from its definition by a triple
+    loop over the table t."""
+    r = range(len(t))
+    left = [a for a in r if all(t[t[a][x]][y] == t[a][t[x][y]] for x in r for y in r)]
+    middle = [a for a in r if all(t[t[x][a]][y] == t[x][t[a][y]] for x in r for y in r)]
+    right = [a for a in r if all(t[t[x][y]][a] == t[x][t[y][a]] for x in r for y in r)]
+    nucleus = [a for a in left if a in middle and a in right]
+    commutant = [a for a in r if all(t[a][x] == t[x][a] for x in r)]
+    return (left, middle, right, nucleus, commutant,
+            [a for a in nucleus if a in commutant])
+
+
+def test_nuclei_against_definition():
+    rng = random.Random(946)
+    carriers = [nm.FiniteMagma(random_loop_table(rng, b)) for b in range(2, 9) for _ in range(6)]
+    carriers += [nm.ln(7, 3), nm.symmetric_group(3)]
+    proper = 0
+    for m in carriers:
+        got = [list(s.members) for s in nm.nuclei(m)]
+        assert got == list(oracle_nuclei(m.table))
+        proper += len(got[1]) < m.order
+    assert proper > 20                    # the middle nucleus is often proper
+
+
 def test_closed_lattice_against_powerset_scan():
     # every closed subset, full and {identity} included, up to order 7
     rng = random.Random(SEED + 7)
@@ -925,7 +950,7 @@ def check_directed_species(m):
         assert [s.members for s in nm.enumerate_closed_subsets(fresh, pred, True)] == want
         proper = [mem for mem in want if mem not in (full, (m.identity,))]
         assert [s.members for s in nm.enumerate_closed_subsets(fresh, pred)] == proper
-        direct = nm.magma._directed_subsets(m, nm.magma._GROUNDS[pred])
+        direct = nm.magma._directed_subsets(m, nm.magma._GROUNDS[pred], range(m.order))
         assert [mem for mem in direct if keep(nm.Subset(m, mem))] == want
         found += len(want)
     assert ("closed" in fresh._subset_cache) == nm.classify_basic(m).is_loop

@@ -200,11 +200,11 @@ def test_cli_nstruct_lagrange_guard(tmp_path, capsys, monkeypatch):
                               ["s-neutrosophic-group", "s-neutrosophic-semigroup"])
     path = tmp_path / "bi.json"
     save_nstructure(ns, path)
-    monkeypatch.setattr(nm.nstruct, "DEFAULT_COMBINATION_CAP", 406)
+    monkeypatch.setattr(cli, "DEFAULT_COMBINATION_CAP", 406)
     assert main(["nstruct", str(path), "--engine", "lagrange"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "406 guard" in err
-    monkeypatch.setattr(nm.nstruct, "DEFAULT_COMBINATION_CAP", 407)
+    monkeypatch.setattr(cli, "DEFAULT_COMBINATION_CAP", 407)
     assert main(["nstruct", str(path), "--engine", "lagrange"]) == 0
     assert len(json.loads(capsys.readouterr().out)["report"]["witnesses"]) == 407
 
