@@ -136,6 +136,7 @@ class ClassReport(NamedTuple):
         return {
             "verdict": self.verdict.value,
             "witnesses": [w.to_dict() for w in self.witnesses],
+            "notes": list(self.notes),
         }
 
 
@@ -163,7 +164,7 @@ def _sylow_targets(order: int, variant: str):
         elif variant == "semi":
             targets[p] = {p ** t for t in range(1, alpha)}
         else:
-            raise PreconditionError(f"unknown sylow variant {variant!r}")
+            raise ParameterError(f"unknown sylow variant {variant!r}")
     return targets
 
 
@@ -326,5 +327,5 @@ def s_cosets(m: FiniteMagma, h: Subset, a: int, flavor: str = "plain") -> Subset
             raise PreconditionError(
                 "pseudo S-coset needs a pseudo neutrosophic subgroup")
     else:
-        raise PreconditionError(f"unknown coset flavor {flavor!r}")
+        raise ParameterError(f"unknown coset flavor {flavor!r}")
     return cosets(m, h, a, "right")

@@ -181,7 +181,7 @@ def _atlas(args) -> int:
     ns = atlas_mod.parse_range(args.n)
     if args.family not in _ATLAS:
         raise ParameterError(
-            f"atlas supports families ln, zn and zmod, got {args.family!r}")
+            f"atlas supports families {', '.join(_ATLAS)}, got {args.family!r}")
     sweep, columns = _ATLAS[args.family]
     # refused before anything is built; ln(n, m) has order n + 1, the others n
     top = max(ns[-1:] if isinstance(ns, range) else ns, default=0)

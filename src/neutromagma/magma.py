@@ -62,6 +62,8 @@ class FiniteMagma:
 
     def __init__(self, table, labels=None, neutro_mask=None,
                  neutro_identity=None, kind_tag=""):
+        if type(kind_tag) is not str:
+            raise ParameterError(f"magma kind {kind_tag!r} is not a string")
         if not isinstance(table, Sequence):
             raise ParameterError(f"table {table!r} is not a sequence of rows")
         k = len(table)
@@ -866,47 +868,42 @@ _GROUNDS = {
 }
 
 
-def _directed_subsets(m: FiniteMagma, ground_of, domain):
-    """The closed sets inside ground_of(t, e, domain) for the idempotents e of
-    domain, sorted, counted toward MAX_CLOSED_SUBSETS together.  A species subset
-    with identity e is among e's; a set there without e fails it or is another e's."""
-    t = m.table
-    found = set()
-    searched = 0
-    for e in domain:
-        if t[e][e] == e:
-            ground = sum(1 << x for x in ground_of(t, e, domain))
-            sets = _closed_lattice(m, ground, MAX_CLOSED_SUBSETS - searched)
-            searched += len(sets)
-            found.update(sets)
-    return sorted(found)
-
-
 def _species_subsets(m: FiniteMagma, pred, domain, include_full: bool = True) -> tuple:
     """The closed sets inside domain, a sorted tuple or range, that satisfy
     pred, as Subsets in lexicographic order of their member lists; without
     include_full, less the full universe and the singleton {identity}.
 
-    The one rule for how a species is searched: IS_GROUP and IS_LOOP per
+    The one rule for how a species is searched: walks of the closed sets that
+    share one MAX_CLOSED_SUBSETS budget.  IS_GROUP and IS_LOOP walk once per
     idempotent e of domain, inside the elements their subsets with identity
-    e can hold (_GROUNDS), except over a whole loop, where e is the only
-    idempotent and every nonempty closed set holds it; every other species
-    filters the closed sets inside domain.  Over the whole carrier the
-    lattice is built once, and a SubsetPredicate's answer kept, per carrier."""
+    e can hold (_GROUNDS), and keep the sets that hold e.  A set without e
+    fails the species or is kept by its identity's walk, and none is kept
+    twice: e' in e's ground and e in e''s give e' = ee' = e.  Every other
+    species, and these over a whole loop (e its one idempotent), walk domain
+    once.  Over the whole carrier the lattice is built once, and a
+    SubsetPredicate's answer kept, per carrier."""
     cache = m._subset_cache
     whole = len(domain) == m.order
     key = (pred, include_full) if whole and isinstance(pred, SubsetPredicate) else None
     if key in cache:
         return tuple(Subset._of_closed(m, mem) for mem in cache[key])
     ground_of = _GROUNDS.get(pred) if isinstance(pred, SubsetPredicate) else None
-    if ground_of is not None and not (whole and classify_basic(m).is_loop):
-        candidates = _directed_subsets(m, ground_of, domain)
-    elif whole:
-        candidates = cache.get("closed")
-        if candidates is None:
-            candidates = cache["closed"] = _closed_lattice(m)
+    if ground_of is None or whole and classify_basic(m).is_loop:
+        walks = [(None, None if whole else sum(1 << x for x in domain))]
     else:
-        candidates = _closed_lattice(m, sum(1 << x for x in domain))
+        walks = [(e, sum(1 << x for x in ground_of(m.table, e, domain)))
+                 for e in domain if m.table[e][e] == e]
+    candidates = []
+    searched = 0
+    for e, ground in walks:
+        if ground is None and "closed" not in cache:
+            cache["closed"] = _closed_lattice(m)
+        sets = cache["closed"] if ground is None else _closed_lattice(
+            m, ground, MAX_CLOSED_SUBSETS - searched)
+        searched += len(sets)
+        candidates += sets if e is None else [mem for mem in sets if e in mem]
+    if len(walks) > 1:      # each walk's sets are sorted already
+        candidates.sort()
     skip = () if include_full else (tuple(range(m.order)), (m.identity,))
     items = []
     for mem in candidates:

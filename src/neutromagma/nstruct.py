@@ -56,6 +56,8 @@ class NStructure:
 
     def __init__(self, components: Sequence[FiniteMagma],
                  declared_kinds: Sequence[str], name: str = ""):
+        if type(name) is not str:
+            raise ParameterError(f"N-structure name {name!r} is not a string")
         comps = tuple(components)
         kinds = tuple(declared_kinds)
         if len(comps) < 2:

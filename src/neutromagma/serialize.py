@@ -45,16 +45,13 @@ def magma_from_dict(doc: dict) -> FiniteMagma:
         raise ParameterError("magma document needs a 'table' field")
     if order != len(table):
         raise ParameterError("declared order does not match the table")
-    kind = doc.get("kind", "")
-    if type(kind) is not str:
-        raise ParameterError(f"magma kind {kind!r} is not a string")
     with _malformed("magma"):
         m = FiniteMagma(
             table,
             labels=doc.get("labels"),
             neutro_mask=doc.get("neutro_mask"),
             neutro_identity=doc.get("neutro_identity"),
-            kind_tag=kind,
+            kind_tag=doc.get("kind", ""),
         )
     declared = doc.get("identity")
     if declared is not None and (type(declared) is not int or declared != m.identity):
@@ -74,10 +71,7 @@ def nstructure_to_dict(ns: NStructure) -> dict:
 def nstructure_from_dict(doc: dict) -> NStructure:
     with _malformed("N-structure"):
         comps = [magma_from_dict(c) for c in doc["components"]]
-        name = doc.get("name", "")
-        if type(name) is not str:
-            raise ParameterError(f"N-structure name {name!r} is not a string")
-        return NStructure(comps, doc["declared_kinds"], name)
+        return NStructure(comps, doc["declared_kinds"], doc.get("name", ""))
 
 
 def save_magma(m: FiniteMagma, path):

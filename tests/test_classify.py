@@ -92,8 +92,11 @@ def test_sylow_classify():
     assert any(w.order == 8 for w in sup.witnesses)
     with pytest.raises(nm.PreconditionError, match="order >= 2"):
         nm.sylow_classify(nm.cyclic(1), SP.IS_GROUP)
-    with pytest.raises(nm.PreconditionError, match="variant"):
+    with pytest.raises(nm.ParameterError, match="unknown sylow variant"):
         nm.sylow_classify(nm.cyclic(12), SP.IS_GROUP, "hyper")
+    ns = nm.build_n_structure([nm.cyclic(2), nm.cyclic(3)], ["group", "group"])
+    with pytest.raises(nm.ParameterError, match="unknown sylow variant"):
+        nm.n_sylow(ns, [SP.IS_GROUP] * 2, "hyper")
 
 
 def test_sylow_semi_variant():
@@ -208,5 +211,5 @@ def test_s_cosets():
         nm.s_cosets(m, M, 0, "pseudo")        # M has a real subgroup
     with pytest.raises(nm.PreconditionError, match="plain S-coset"):
         nm.s_cosets(m, m.subset(["2", "I"]), 0, "plain")    # 2 * 2 = 4
-    with pytest.raises(nm.PreconditionError, match="flavor"):
+    with pytest.raises(nm.ParameterError, match="unknown coset flavor"):
         nm.s_cosets(m, M, 0, "strong")

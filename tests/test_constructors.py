@@ -137,6 +137,19 @@ def test_family_parameters_must_be_ints(build, args):
         build(*args)
 
 
+@pytest.mark.parametrize("build, args, message", [
+    (nm.ln_admissible, (4,), "loop family needs odd n > 3, got n=4"),
+    (nm.zn, (5, 1, 2, "bogus"), "class must be one of"),
+    (nm.zn, (5, 7, 1), "t, u must be residues mod 5"),
+    (nm.zn_params, (5, "bogus"), "unknown class 'bogus'"),
+    (nm.zn_class_size, (2,), "groupoid family needs n >= 3, got 2"),
+    (nm.zn_class_size, (5, "bogus"), "unknown class 'bogus'"),
+])
+def test_family_parameters_out_of_range(build, args, message):
+    with pytest.raises(nm.ParameterError, match=message):
+        build(*args)
+
+
 def test_factorize():
     assert nm.factorize(360) == [(2, 3), (3, 2), (5, 1)]
     assert nm.factorize(31) == [(31, 1)]

@@ -312,6 +312,8 @@ def test_enumerate_closed_subsets():
     assert frozenset(["1", "4"]) in members
     assert frozenset(["1", "1+3I"]) in members
     assert len(nm.enumerate_closed_subsets(full)) == 201
+    with pytest.raises(nm.ParameterError, match="not a subset predicate: 5"):
+        nm.enumerate_closed_subsets(nm.cyclic(4), 5)
 
 
 @pytest.mark.parametrize("build, count", [

@@ -937,10 +937,11 @@ DIRECTED = (nm.SubsetPredicate.IS_GROUP, nm.SubsetPredicate.IS_LOOP)
 
 def check_directed_species(m):
     """For IS_GROUP and IS_LOOP, with include_full False and True, the answer
-    on a fresh copy of m (the directed search unless m is a loop) against
-    m's lattice filtered by the plain callable, which is never directed; and
-    the directed candidates themselves, filtered the same way, also on loops.
-    Returns the number of species subsets found."""
+    on a fresh copy of m (walked per idempotent unless m is a loop) against
+    m's lattice filtered by the plain callable, which walks the lattice once;
+    and on a loop, the answer inside the part without the last element,
+    walked per idempotent, against that part's lattice filtered the same
+    way.  Returns the number of species subsets found."""
     fresh = nm.FiniteMagma(m.table)
     full = tuple(range(m.order))
     found = 0
@@ -950,8 +951,11 @@ def check_directed_species(m):
         assert [s.members for s in nm.enumerate_closed_subsets(fresh, pred, True)] == want
         proper = [mem for mem in want if mem not in (full, (m.identity,))]
         assert [s.members for s in nm.enumerate_closed_subsets(fresh, pred)] == proper
-        direct = nm.magma._directed_subsets(m, nm.magma._GROUNDS[pred], range(m.order))
-        assert [mem for mem in direct if keep(nm.Subset(m, mem))] == want
+        if nm.classify_basic(m).is_loop:
+            part = nm.magma._closed_lattice(m, (1 << m.order - 1) - 1)
+            walked = nm.magma._species_subsets(m, pred, range(m.order - 1))
+            assert [s.members for s in walked] == [
+                mem for mem in part if keep(nm.Subset(m, mem))]
         found += len(want)
     assert ("closed" in fresh._subset_cache) == nm.classify_basic(m).is_loop
     return found
@@ -1019,6 +1023,16 @@ def test_directed_species_on_atlas_members():
     for m in members:
         found += check_directed_species(m)
     assert found > 500
+
+
+def test_directed_species_keeps_each_subset_once():
+    # {1, 2} is a group with identity 1 inside the ground of the idempotent
+    # 0, so the walk of 0 meets it too; it must be kept by the walk of 1 alone
+    m = nm.FiniteMagma([[0, 1, 2, 3], [1, 1, 2, 0], [2, 2, 1, 0], [3, 0, 0, 0]])
+    assert nm.magma._group_ground(m.table, 0) == [0, 1, 2, 3]
+    assert check_directed_species(m) == 4
+    groups = nm.enumerate_closed_subsets(m, nm.SubsetPredicate.IS_GROUP, True)
+    assert [s.members for s in groups] == [(0, 3), (1, 2)]
 
 
 @pytest.mark.parametrize("n", [6, 12, 20, 24, 30, 36, 48])

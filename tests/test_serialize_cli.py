@@ -185,7 +185,8 @@ def test_cli_nstruct_subset_engines(tmp_path, engine):
     if engine == "sylow":           # order 15: one witness each for 3 and 5
         assert report == {"verdict": "full", "witnesses": [
             {"per_component": [[0], [0, 1]], "order": 3, "qualifies": True},
-            {"per_component": [[0], [0, 1, 2, 3]], "order": 5, "qualifies": True}]}
+            {"per_component": [[0], [0, 1, 2, 3]], "order": 5, "qualifies": True}],
+            "notes": []}
     else:
         assert report["verdict"] == "weak" and len(report["witnesses"]) == 407
         assert report["witnesses"][0] == {"per_component": [[0], [0]],
@@ -444,26 +445,59 @@ def test_cli_malformed_documents(tmp_path, capsys, command, text):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("bad", [5, None, b"x"])
+def test_non_string_kind_or_name_is_refused_at_construction(bad):
+    # refused when built, so that whatever saves also loads
+    with pytest.raises(nm.ParameterError, match=f"magma kind {bad!r} is not a string"):
+        nm.FiniteMagma([[0]], kind_tag=bad)
+    with pytest.raises(nm.ParameterError, match=f"N-structure name {bad!r} is not a string"):
+        nm.NStructure([nm.cyclic(2), nm.cyclic(3)], ["group", "group"], name=bad)
+
+
+@pytest.mark.parametrize("args, message", [
+    (["sylow", "c8.json"], "p=2: sought order 8 is not proper; skipped"),
+    (["cauchy", "zn.json"], "no identity: real orders skipped"),
+], ids=["sylow-cyclic-8", "cauchy-zn-5-2-3"])
+def test_cli_reports_carry_their_notes(tmp_path, capsys, monkeypatch, args, message):
+    monkeypatch.chdir(tmp_path)
+    nm.save_magma(nm.cyclic(8), "c8.json")
+    nm.save_magma(nm.zn(5, 2, 3), "zn.json")
+    assert main(args) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["verdict", "witnesses", "notes"]
+    assert message in doc["notes"]
+
+
 @pytest.mark.parametrize("probe", ["product-no-operands", "product-no-right",
                                    "product-no-left", "unknown-species",
-                                   "affine-coefficient"])
+                                   "affine-coefficient", "species-count",
+                                   "atlas-family"])
 def test_cli_usage_errors(tmp_path, capsys, probe):
     c2, ns = tmp_path / "c2.json", tmp_path / "ns.json"
     nm.save_magma(nm.cyclic(2), c2)
     save_nstructure(nm.build_n_structure([nm.cyclic(2), nm.cyclic(3)],
                                          ["group", "group"]), ns)
-    args = {
-        "product-no-operands": ["construct", "--family", "product"],
-        "product-no-right": ["construct", "--family", "product", "--left", str(c2)],
-        "product-no-left": ["construct", "--family", "product", "--right", str(c2)],
-        "unknown-species": ["nstruct", str(ns), "--engine", "lagrange",
-                            "--species", "group,bogus"],
-        "affine-coefficient": ["construct", "--family", "zn-affine-neutro",
-                               "--n", "3", "--t", "5", "--u", "1"],
+    operands = "family product needs --left and --right"
+    args, message = {
+        "product-no-operands": (["construct", "--family", "product"], operands),
+        "product-no-right": (["construct", "--family", "product", "--left", str(c2)],
+                             operands),
+        "product-no-left": (["construct", "--family", "product", "--right", str(c2)],
+                            operands),
+        "unknown-species": (["nstruct", str(ns), "--engine", "lagrange",
+                             "--species", "group,bogus"],
+                            "unknown species 'bogus'; choose from "
+                            + ", ".join(sorted(cli.SPECIES))),
+        "affine-coefficient": (["construct", "--family", "zn-affine-neutro",
+                                "--n", "3", "--t", "5", "--u", "1"],
+                               "zn_affine_neutro(3,5,1) needs integers t, u in [0,3)"),
+        "species-count": (["nstruct", str(ns), "--engine", "lagrange", "--species", "group"],
+                          "need 2 species (one per component), got 1"),
+        "atlas-family": (["atlas", "--family", "bogus", "--n", "3"],
+                         f"atlas supports families {', '.join(cli._ATLAS)}, got 'bogus'"),
     }[probe]
     assert main(args) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("args", [
