@@ -662,12 +662,18 @@ def classify_basic(m: FiniteMagma) -> BasicReport:
 # ---------------------------------------------------------------------------
 # substructure machinery
 
-def _close(t, mask, members, new, stop=0):
+def _close(t, mask, members, new, stop=0, gens=None, sided=True):
     """Least closed superset of a closed set plus `new`, as (bitmask, member list).
 
     `members` lists the bits of `mask` and is closed already, so only pairs
-    with at least one added element are multiplied: each added element meets
-    every member before it in the list, on both sides.
+    with at least one added element are multiplied.  Each added element a
+    meets, on both sides, every member before it in the list; or, when
+    `gens` is given, only `gens + new`.  That needs an associative table
+    and a closed set generated by `gens`: the closure is then every product
+    of the generators (Clifford and Preston I, 1961), and the added
+    elements, closed under multiplying by a generator on either side, hold
+    every such product outside the set.  Without `sided` only a*b is taken,
+    which needs a commutative table.
 
     The closure returns early, as a part of the least closed superset, once a
     product adds an element whose bit is in `stop`; so the result holds a bit
@@ -679,22 +685,34 @@ def _close(t, mask, members, new, stop=0):
         if not mask >> g & 1:
             mask |= 1 << g
             members.append(g)
+    if gens is not None:
+        gens = (*gens, *new)
     while i < len(members):
         a = members[i]
         row = t[a]
-        for b in members[:i + 1]:
-            v = row[b]
-            if not mask >> v & 1:
-                mask |= 1 << v
-                members.append(v)
-                if stop >> v & 1:
-                    return mask, members
-            v = t[b][a]
-            if not mask >> v & 1:
-                mask |= 1 << v
-                members.append(v)
-                if stop >> v & 1:
-                    return mask, members
+        others = members[:i + 1] if gens is None else gens
+        if sided:
+            for b in others:
+                v = row[b]
+                if not mask >> v & 1:
+                    mask |= 1 << v
+                    members.append(v)
+                    if stop >> v & 1:
+                        return mask, members
+                v = t[b][a]
+                if not mask >> v & 1:
+                    mask |= 1 << v
+                    members.append(v)
+                    if stop >> v & 1:
+                        return mask, members
+        else:
+            for b in others:
+                v = row[b]
+                if not mask >> v & 1:
+                    mask |= 1 << v
+                    members.append(v)
+                    if stop >> v & 1:
+                        return mask, members
         i += 1
     return mask, members
 
@@ -808,18 +826,29 @@ def _closed_lattice(m: FiniteMagma, ground=None, budget=None):
     none inside it: FCbO reaches a closed D from a parent that is a closed
     subset of D.  Raises ResourceLimitError past `budget` sets
     (MAX_CLOSED_SUBSETS when None).
+
+    The products each closure takes are cut three ways, chosen once from
+    classify_basic.  On a semigroup each node carries the elements added on
+    its path, which generate it, and _close multiplies the added elements
+    by those alone.  On a commutative carrier it takes a*b and not b*a.
+    Before any closure, x*w and w*x are tested against the stop bits: a hit
+    stores C | {x, x*w} (or w*x) as N[x] with no closure.
     """
     t = m.table
     k = m.order
     outside = 0 if ground is None else ((1 << k) - 1) & ~ground
     if budget is None:
         budget = MAX_CLOSED_SUBSETS
+    basic = classify_basic(m)
+    assoc, sided = basic.is_semigroup, not basic.is_commutative
     found = []
-    stack = [(0, (), 0, [0] * k)]
+    stack = [(0, (), 0, [0] * k, ())]
     while stack:
-        mask, members, y, inherited = stack.pop()
+        mask, members, y, inherited, path = stack.pop()
         fails = list(inherited)
         skip = mask | outside
+        gens = path if assoc else None
+        w = y - 1 if y else None
         for x in range(y, k):
             if skip >> x & 1:
                 continue
@@ -827,7 +856,14 @@ def _closed_lattice(m: FiniteMagma, ground=None, budget=None):
             stop = low & ~mask | outside
             if fails[x] & stop:
                 continue
-            d, d_members = _close(t, mask, members, (x,), stop)
+            if w is not None:
+                v = t[x][w]
+                if not stop >> v & 1 and sided:
+                    v = t[w][x]
+                if stop >> v & 1:
+                    fails[x] = mask | 1 << x | 1 << v
+                    continue
+            d, d_members = _close(t, mask, members, (x,), stop, gens, sided)
             if d & stop:
                 fails[x] = d
                 continue
@@ -837,7 +873,7 @@ def _closed_lattice(m: FiniteMagma, ground=None, budget=None):
                     f"of order {k}")
             found.append(d_members)
             # popped only after this loop ends, so it inherits every failure
-            stack.append((d, d_members, x + 1, fails))
+            stack.append((d, d_members, x + 1, fails, path + (x,)))
     return sorted(tuple(sorted(members)) for members in found)
 
 
@@ -905,11 +941,16 @@ def _species_subsets(m: FiniteMagma, pred, domain, include_full: bool = True) ->
     if len(walks) > 1:      # each walk's sets are sorted already
         candidates.sort()
     skip = () if include_full else (tuple(range(m.order)), (m.identity,))
+    # every walk yields closed sets: each is a subgroupoid, and on a
+    # semigroup each of two or more elements is a subsemigroup
+    least = (1 if pred is None or pred is SubsetPredicate.IS_SUBGROUPOID else
+             2 if pred is SubsetPredicate.IS_SEMIGROUP and classify_basic(m).is_semigroup
+             else None)
     items = []
     for mem in candidates:
         if mem not in skip:
             s = Subset._of_closed(m, mem)
-            if evaluate_predicate(pred, s):
+            if len(mem) >= least if least else evaluate_predicate(pred, s):
                 items.append(s)
     if key is not None:
         cache[key] = tuple(s.members for s in items)

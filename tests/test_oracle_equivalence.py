@@ -6,6 +6,7 @@ plain loops over the raw table, sharing no code path with the engines.
 
 import random
 from itertools import combinations, permutations, product
+from math import gcd
 
 import pytest
 
@@ -200,13 +201,15 @@ def test_closed_lattice_against_breadth_first_search(build):
     assert lattice(m) == bfs_closed_lattice(m)
 
 
-def test_closed_lattice_against_breadth_first_search_on_random_tables():
-    # orders 8-12 whose products fall in a small image set, or half the time
-    # in {x, y} plus that set: many closed subsets, and (in the second kind)
-    # over a thousand failed canonicity tests inherited down the search tree
+def compare_random_lattices(n_tables):
+    """Compare the lattice with the breadth-first search on n_tables seeded
+    random tables of orders 8-12, whose products fall in a small image set,
+    or half the time in {x, y} plus that set: many closed subsets, and (in
+    the second kind) many failed canonicity tests inherited down the search
+    tree.  Returns the number of closed sets compared."""
     rng = random.Random(SEED + 17)
     total = 0
-    for i in range(40):
+    for i in range(n_tables):
         k = rng.randint(8, 12)
         image = rng.sample(range(k), rng.randint(1, 3))
         if i % 2:
@@ -218,7 +221,41 @@ def test_closed_lattice_against_breadth_first_search_on_random_tables():
         want = bfs_closed_lattice(m)
         assert lattice(m) == want, m.table
         total += len(want)
-    assert total > 10_000
+    return total
+
+
+def test_closed_lattice_against_breadth_first_search_on_random_tables():
+    assert compare_random_lattices(40) > 10_000
+
+
+def test_closed_lattice_against_breadth_first_search_on_each_closure_form():
+    # seeded semigroups, commutative or not, and commutative tables of
+    # orders 8-12 whose products fall in {x, y} plus a small image set: the
+    # lattice closes over generators on a semigroup and takes one side on a
+    # commutative carrier.  A random ground set cuts each lattice, as the
+    # species walks do
+    rng = random.Random(SEED + 29)
+    forms = {}
+    tables = semigroup_tables(rng, 90)
+    for _ in range(20):
+        k = rng.randint(8, 12)
+        image = rng.sample(range(k), rng.randint(1, 3))
+        t = [[0] * k for _ in range(k)]
+        for x in range(k):
+            for y in range(x, k):
+                t[x][y] = t[y][x] = rng.choice((x, y, x, y, rng.choice(image)))
+        tables.append(t)
+    for table in tables:
+        m = nm.FiniteMagma(table)
+        basic = nm.classify_basic(m)
+        form = (basic.is_semigroup, basic.is_commutative)
+        forms[form] = forms.get(form, 0) + 1
+        want = bfs_closed_lattice(m)
+        assert lattice(m) == want, m.table
+        ground = rng.getrandbits(m.order)
+        assert nm.magma._closed_lattice(m, ground) == [
+            c for c in want if all(ground >> v & 1 for v in c)], m.table
+    assert min(forms.get(f, 0) for f in ((True, False), (True, True), (False, True))) >= 10, forms
 
 
 def oracle_closure(t, members):
@@ -231,51 +268,123 @@ def oracle_closure(t, members):
         s |= more
 
 
+def cut_closure_cuts(t, c, x, stops, gens=None, sided=True):
+    """Check _close(t, C, (x,), stop, gens, sided) against the whole closure
+    of C | {x} for each stop; returns how many of them it cut short."""
+    mask = sum(1 << v for v in c)
+    full = sum(1 << v for v in oracle_closure(t, c + [x]))
+    cuts = 0
+    for stop in stops:
+        d, members = nm.magma._close(t, mask, c, (x,), stop, gens, sided)
+        assert d == sum(1 << v for v in set(members)) and len(members) == len(set(members))
+        assert d & full == d and mask | 1 << x == (mask | 1 << x) & d
+        assert bool(d & stop) == bool(full & stop)
+        if not full & stop:
+            assert d == full
+        cuts += d != full
+    return cuts
+
+
+def symmetric_table(rng, k):
+    """A random commutative table of order k."""
+    t = [[0] * k for _ in range(k)]
+    for a in range(k):
+        for b in range(a, k):
+            t[a][b] = t[b][a] = rng.randrange(k)
+    return t
+
+
+def semigroup_tables(rng, count):
+    """count seeded semigroups of order <= 20, each relabelled at random, of
+    three kinds in turn: subsemigroups of symmetric_semigroup(3) generated by
+    2-3 random maps, mostly not commutative; subsemigroups of a product of
+    two zmod_mult generated by 2-4 random elements; min or gcd semilattices.
+    The last two kinds are commutative."""
+    s3 = nm.symmetric_semigroup(3)
+    out = []
+    for i in range(count):
+        if i % 3 < 2:
+            g = ()
+            while not 2 <= len(g) <= 20:
+                p = s3 if i % 3 == 0 else nm.direct_product(
+                    nm.zmod_mult(rng.randint(2, 8)), nm.zmod_mult(rng.randint(2, 8)))
+                g = nm.generated_closure(p, rng.sample(range(p.order), rng.randint(2, 3 + i % 3)))
+            table = nm.submagma(p, g.members).table
+        elif rng.random() < 0.5:
+            k = rng.randint(2, 12)
+            table = [[min(a, b) for b in range(k)] for a in range(k)]
+        else:
+            nums = set(rng.sample(range(1, 200), rng.randint(2, 6)))
+            while more := {gcd(a, b) for a in nums for b in nums} - nums:
+                nums |= more
+            nums = sorted(nums)
+            table = [[nums.index(gcd(a, b)) for b in nums] for a in nums]
+        out.append(relabelled(table, rng))
+    return out
+
+
 def test_cut_closure_against_full_closure():
     # _close(..., stop) may return a part of the closure, but it must hold a
     # stop bit exactly when the whole closure does, and it is the whole
-    # closure whenever the closure holds no stop bit (stop = 0 included)
+    # closure whenever the closure holds no stop bit (stop = 0 included).
+    # Each form is checked where it applies: both sides over every member on
+    # any table; one side on commutative tables; over the generators of C
+    # (gens) on semigroups, and on one side too on commutative ones
     rng = random.Random(SEED + 23)
-    cuts = 0
+    cuts = {"both sides": 0, "one side": 0, "gens": 0, "gens, one side": 0}
+
+    def case(t, gen_count):
+        k = len(t)
+        gens = rng.sample(range(k), rng.randint(0, min(gen_count, k)))
+        c = sorted(oracle_closure(t, gens))
+        outside = [x for x in range(k) if x not in c]
+        if not outside:
+            return None
+        mask = sum(1 << v for v in c)
+        return gens, c, rng.choice(outside), (0, rng.getrandbits(k), rng.getrandbits(k) & ~mask)
+
     for _ in range(400):
         k = rng.randint(1, 12)
         t = [[rng.randrange(k) for _ in range(k)] for _ in range(k)]
-        c = sorted(oracle_closure(t, rng.sample(range(k), rng.randint(0, min(2, k)))))
-        outside = [x for x in range(k) if x not in c]
-        if not outside:
-            continue
-        x = rng.choice(outside)
-        mask = sum(1 << v for v in c)
-        full = sum(1 << v for v in oracle_closure(t, c + [x]))
-        for stop in (0, rng.getrandbits(k), rng.getrandbits(k) & ~mask):
-            d, members = nm.magma._close(t, mask, c, (x,), stop)
-            assert d == sum(1 << v for v in set(members)) and len(members) == len(set(members))
-            assert d & full == d and mask | 1 << x == (mask | 1 << x) & d
-            assert bool(d & stop) == bool(full & stop)
-            if not full & stop:
-                assert d == full
-            cuts += d != full
-        assert nm.magma._close(t, mask, c, (x,)) == nm.magma._close(t, mask, c, (x,), 0)
-        assert nm.magma._close(t, mask, c, (x,))[0] == full
-    assert cuts > 100
+        drawn = case(t, 2)
+        if drawn:
+            _, c, x, stops = drawn
+            cuts["both sides"] += cut_closure_cuts(t, c, x, stops)
+            mask = sum(1 << v for v in c)
+            assert nm.magma._close(t, mask, c, (x,)) == nm.magma._close(t, mask, c, (x,), 0)
+    for _ in range(300):
+        t = symmetric_table(rng, rng.randint(1, 12))
+        drawn = case(t, 2)
+        if drawn:
+            _, c, x, stops = drawn
+            cuts["one side"] += cut_closure_cuts(t, c, x, stops, sided=False)
+    for t in semigroup_tables(rng, 600):
+        drawn = case(t, 3)
+        if drawn:
+            gens, c, x, stops = drawn
+            cuts["gens"] += cut_closure_cuts(t, c, x, stops, tuple(gens))
+            if all(t[a][b] == t[b][a] for a in range(len(t)) for b in range(a)):
+                cuts["gens, one side"] += cut_closure_cuts(t, c, x, stops, tuple(gens), False)
+    assert cuts["both sides"] > 100 and min(cuts.values()) > 50, cuts
 
 
 def test_random_lattices_take_cut_closures_and_inherited_skips(monkeypatch):
-    # run the breadth-first comparison on random tables above with _close
+    # run the breadth-first comparison on 60 random tables above with _close
     # wrapped: record every closure the lattice asks for, then rebuild the
     # FCbO tree from the canonical ones (a node reached by adding x scans
     # from x + 1) to count the pairs (C, x) it skipped through an inherited
-    # failure
+    # failure or the product pre-check.  60 tables, not the 40 of the plain
+    # comparison, since the pre-check leaves fewer closures to cut
     close = nm.magma._close
     calls = []
 
-    def recorded(t, mask, members, new, stop=0):
-        d, d_members = close(t, mask, members, new, stop)
+    def recorded(t, mask, members, new, stop=0, gens=None, sided=True):
+        d, d_members = close(t, mask, members, new, stop, gens, sided)
         calls.append((t, mask, new[0], d, stop, close(t, mask, members, new)[0]))
         return d, d_members
 
     monkeypatch.setattr(nm.magma, "_close", recorded)
-    test_closed_lattice_against_breadth_first_search_on_random_tables()
+    compare_random_lattices(60)
     cut = skipped = 0
     scans = {}      # (table, node mask) -> (first x scanned, every x closed)
     for t, mask, x, d, stop, full in calls:
