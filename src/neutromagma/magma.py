@@ -941,16 +941,13 @@ def _species_subsets(m: FiniteMagma, pred, domain, include_full: bool = True) ->
     if len(walks) > 1:      # each walk's sets are sorted already
         candidates.sort()
     skip = () if include_full else (tuple(range(m.order)), (m.identity,))
-    # every walk yields closed sets: each is a subgroupoid, and on a
-    # semigroup each of two or more elements is a subsemigroup
-    least = (1 if pred is None or pred is SubsetPredicate.IS_SUBGROUPOID else
-             2 if pred is SubsetPredicate.IS_SEMIGROUP and classify_basic(m).is_semigroup
-             else None)
+    # every walk yields closed sets, so each is a subgroupoid
+    keep_all = pred is None or pred is SubsetPredicate.IS_SUBGROUPOID
     items = []
     for mem in candidates:
         if mem not in skip:
             s = Subset._of_closed(m, mem)
-            if len(mem) >= least if least else evaluate_predicate(pred, s):
+            if keep_all or evaluate_predicate(pred, s):
                 items.append(s)
     if key is not None:
         cache[key] = tuple(s.members for s in items)

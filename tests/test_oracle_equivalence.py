@@ -372,9 +372,12 @@ def test_random_lattices_take_cut_closures_and_inherited_skips(monkeypatch):
     # run the breadth-first comparison on 60 random tables above with _close
     # wrapped: record every closure the lattice asks for, then rebuild the
     # FCbO tree from the canonical ones (a node reached by adding x scans
-    # from x + 1) to count the pairs (C, x) it skipped through an inherited
-    # failure or the product pre-check.  60 tables, not the 40 of the plain
-    # comparison, since the pre-check leaves fewer closures to cut
+    # from x + 1) to count the pairs (C, x) it skipped.  A skipped pair is
+    # put down to the product pre-check when x*w or w*x (w = y - 1, the
+    # element that made C) falls in the canonicity stop set, and to an
+    # inherited failure otherwise, so the inherited count is a lower bound
+    # that no pre-check skip can make up.  60 tables, not the 40 of the
+    # plain comparison, since the pre-check leaves fewer closures to cut
     close = nm.magma._close
     calls = []
 
@@ -385,7 +388,7 @@ def test_random_lattices_take_cut_closures_and_inherited_skips(monkeypatch):
 
     monkeypatch.setattr(nm.magma, "_close", recorded)
     compare_random_lattices(60)
-    cut = skipped = 0
+    cut = inherited = prechecked = 0
     scans = {}      # (table, node mask) -> (first x scanned, every x closed)
     for t, mask, x, d, stop, full in calls:
         scans.setdefault((id(t), 0), [0, set()])
@@ -393,12 +396,18 @@ def test_random_lattices_take_cut_closures_and_inherited_skips(monkeypatch):
         cut += d != full
         if not d & stop:        # canonical: d is a node that scans from x + 1
             scans.setdefault((id(t), d), [None, set()])[0] = x + 1
-    tables = {id(t): len(t) for t, *_ in calls}
+    tables = {id(t): t for t, *_ in calls}
     for (tid, mask), (y, closed) in scans.items():
-        wanted = {x for x in range(y, tables[tid]) if not mask >> x & 1}
+        t = tables[tid]
+        wanted = {x for x in range(y, len(t)) if not mask >> x & 1}
         assert closed <= wanted
-        skipped += len(wanted - closed)
-    assert cut > 100 and skipped > 1000, (cut, skipped)
+        for x in wanted - closed:
+            stop = ((1 << x) - 1) & ~mask
+            if y and (stop >> t[x][y - 1] & 1 or stop >> t[y - 1][x] & 1):
+                prechecked += 1
+            else:
+                inherited += 1
+    assert cut > 100 and inherited > 1000 and prechecked > 1000, (cut, inherited, prechecked)
 
 
 def test_isomorphism_finds_random_relabelings():
